@@ -1,18 +1,14 @@
 //! Round throughput of the general-graph engine on the standard workloads
 //! (grid, hypercube, random regular) — the binding constraint on every
 //! sweep in this repository — plus the segmented ring and segmented torus
-//! backends' rounds/sec-vs-partition-count curves on worst-case cells,
-//! plus the batched ring engine's cells/sec-vs-batch-width curve on a
-//! population of same-shape cover cells.
+//! backends' rounds/sec-vs-partition-count curves on worst-case cells.
 //!
 //! Writes `BENCH_engine_throughput.json` (schema `rotor-experiment/1`)
-//! with rounds/sec per workload (x = node count), per segment count
-//! (x = P) for the two segmented curves, and cells/sec per batch width
-//! (x = W) for the batched curve. The validator requires both segmented
-//! curves to exist, to sweep P ∈ {1, 2, 4, 8}, and to stay at least as
-//! fast as their serial baselines at P ≥ 4 (the ring curve also at
-//! P = 8); the batched curve must sweep W ∈ {1, 2, 8, 64} and retire
-//! cells at W = 64 at ≥ 1.5× the serial per-cell rate.
+//! with rounds/sec per workload (x = node count) and per segment count
+//! (x = P) for the two segmented curves. The validator requires both
+//! segmented curves to exist, to sweep P ∈ {1, 2, 4, 8}, and to stay at
+//! least as fast as their serial baselines at P ≥ 4 (the ring curve also
+//! at P = 8).
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rotor_bench::report::{Curve, ExperimentReport, Json, Point};
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
-use rotor_core::{BatchRing, Engine, LaneSpec, RingRouter, SegmentedRing, SegmentedTorus};
+use rotor_core::{Engine, SegmentedRing, SegmentedTorus};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::time::Instant;
 
@@ -30,14 +26,6 @@ const AGENTS: u32 = 64;
 /// Segment counts of the segmented-ring curve (x axis; `P = 1` is the
 /// serial [`rotor_core::RingRouter`] path).
 const SEGMENTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Batch widths of the batched-ring curve (x axis; the validator pins
-/// this ladder and gates the `W = 64` point at ≥ 1.5× serial).
-const BATCH_WIDTHS: [usize; 4] = [1, 2, 8, 64];
-
-/// Cells retired per width measurement — divisible by every entry of
-/// [`BATCH_WIDTHS`], so each measurement is `CELLS / W` full batches.
-const BATCH_CELLS: usize = 64;
 
 fn workloads() -> Vec<(&'static str, PortGraph)> {
     vec![
@@ -135,68 +123,6 @@ fn measure_torus_curve(rows: usize, cols: usize, k: usize, rounds: u64, reps: us
     best
 }
 
-/// The cell population of the batched curve: [`BATCH_CELLS`] worst-case
-/// cover cells of the same `(n, k)` shape, rotated around the ring so
-/// every lane does identical work at a distinct start node.
-fn batch_cells(n: usize, k: usize) -> Vec<(Vec<u32>, Vec<u8>)> {
-    (0..BATCH_CELLS)
-        .map(|i| {
-            let starts = Placement::AllOnOne((i * n / BATCH_CELLS) as u32).positions(n, k);
-            let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-            (starts, dirs)
-        })
-        .collect()
-}
-
-/// Cells/sec retiring the whole population serially, one
-/// [`RingRouter`] cover run per cell — the baseline the batched curve's
-/// `speedup_vs_serial` column divides by. Best-of-`reps`; construction
-/// is inside the timed region on both sides (it is part of the per-cell
-/// cost a sweep actually pays).
-fn measure_serial_cells_per_sec(cells: &[(Vec<u32>, Vec<u8>)], budget: u64, reps: usize) -> f64 {
-    let n = cells[0].1.len();
-    let mut best = 0f64;
-    for _ in 0..reps {
-        // lint: allow(wall-clock) -- cells/sec is the measured quantity of this bench, never a deterministic column
-        let start = Instant::now();
-        for (starts, dirs) in cells {
-            let mut r = RingRouter::new(n, starts, dirs);
-            assert!(r.run_until_covered(budget).is_some(), "cell must cover");
-        }
-        best = best.max(cells.len() as f64 / start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Cells/sec retiring the same population through [`BatchRing`] at width
-/// `w` (`CELLS / w` full batches per pass). Best-of-`reps`.
-fn measure_batched_cells_per_sec(
-    cells: &[(Vec<u32>, Vec<u8>)],
-    w: usize,
-    budget: u64,
-    reps: usize,
-) -> f64 {
-    let n = cells[0].1.len();
-    let mut best = 0f64;
-    for _ in 0..reps {
-        // lint: allow(wall-clock) -- cells/sec is the measured quantity of this bench, never a deterministic column
-        let start = Instant::now();
-        for chunk in cells.chunks(w) {
-            let specs: Vec<LaneSpec> = chunk
-                .iter()
-                .map(|(starts, dirs)| LaneSpec { starts, dirs })
-                .collect();
-            let mut b = BatchRing::new(n, &specs);
-            b.run_until_covered(budget);
-            for l in 0..chunk.len() {
-                assert!(b.lane_cover_round(l).is_some(), "lane must cover");
-            }
-        }
-        best = best.max(cells.len() as f64 / start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn bench(c: &mut Criterion) {
     let rounds: u64 = if c.is_test_mode() { 64 } else { 4096 };
 
@@ -277,40 +203,6 @@ fn bench(c: &mut Criterion) {
         ));
     }
     report.curves.push(torus_curve);
-
-    // The batched ring engine against the serial per-cell router on the
-    // same cell population: x = W. The win is per-cell, not per-round —
-    // the batch drops the per-arrival §2.2 visit bookkeeping and the
-    // three-way merge's held stream, so cells/sec states what a 64-seed
-    // campaign point actually costs under `ROTOR_BATCH`.
-    let (b_n, b_k, b_reps) = if c.is_test_mode() {
-        (256, 16, 1)
-    } else {
-        (2048, 256, 3)
-    };
-    let b_budget = 4 * 2 * (b_n as u64 / 2) * b_n as u64; // 4 x the 2 D |E| lock-in bound
-    let mut batch_curve = Curve::new("batched_ring_cells_per_sec")
-        .meta("n", Json::Int(b_n as u64))
-        .meta("k", Json::Int(b_k as u64))
-        .meta("cells", Json::Int(BATCH_CELLS as u64))
-        .meta("placement", Json::Str("all_on_one".into()))
-        .meta("init", Json::Str("toward_nearest_agent".into()))
-        .meta("reps", Json::Int(b_reps as u64));
-    let cells = batch_cells(b_n, b_k);
-    let serial_cps = measure_serial_cells_per_sec(&cells, b_budget, b_reps);
-    batch_curve = batch_curve.meta("serial_cells_per_sec", Json::Num(serial_cps));
-    for w in BATCH_WIDTHS {
-        let cps = measure_batched_cells_per_sec(&cells, w, b_budget, b_reps);
-        batch_curve.points.push(Point::new(
-            w as u64,
-            [
-                ("width", Json::Int(w as u64)),
-                ("cells_per_sec", Json::Num(cps)),
-                ("speedup_vs_serial", Json::Num(cps / serial_cps)),
-            ],
-        ));
-    }
-    report.curves.push(batch_curve);
 
     if c.is_test_mode() {
         println!("test mode: BENCH_engine_throughput.json left untouched");

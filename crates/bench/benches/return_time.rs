@@ -7,8 +7,8 @@
 //! `run_probed`), the cells are ordinary [`Scenario`]s and the sweep runs
 //! on *any* graph family — the ring curves of the paper's Theorem 6 next
 //! to torus, hypercube and lollipop curves where the single-agent period
-//! is the Eulerian `2|E|` of the lock-in theorem. Cells fan across the
-//! sharded driver like every other experiment.
+//! is the Eulerian `2|E|` of the lock-in theorem. Scenarios fan across
+//! the sharded driver like every other experiment.
 //!
 //! Writes `BENCH_return_time.json` (schema `rotor-experiment/1`), one
 //! curve per (family, n) with `k` on the x axis and `found` / `tail` /

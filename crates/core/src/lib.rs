@@ -32,11 +32,6 @@
 //!   torus in `P` contiguous row bands exchanging their two boundary
 //!   *rows* of agent counts (an `O(cols)` message) at the barrier,
 //!   bit-identical to [`Engine`] on the torus at every `P`.
-//! * [`BatchRing`] — the dual, *across-cell* cut: `W` independent
-//!   same-shape ring cells advanced in lockstep in one cell-major SoA
-//!   arena (`ROTOR_BATCH` selects `W`), each lane bit-identical to a
-//!   serial [`RingRouter`] run — one batch buys `W` seeds for roughly
-//!   twice the serial per-cell time.
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -81,7 +76,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batchring;
 pub mod bitset;
 pub mod delays;
 pub mod domains;
@@ -97,7 +91,6 @@ pub mod rng;
 pub mod segring;
 pub mod segtorus;
 
-pub use batchring::{BatchRing, LaneSpec};
 pub use engine::{Engine, EngineState};
 pub use process::{CoverProcess, Observer, Probe};
 pub use ring::{RingRouter, RingState, VisitRecord};

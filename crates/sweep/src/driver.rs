@@ -53,24 +53,6 @@ pub fn split_budget(total: usize, shards: usize, segment_workers: usize) -> (usi
     (shards, workers.max(1))
 }
 
-/// [`split_budget`] with the shard request additionally capped by the
-/// number of work units actually available.
-///
-/// This closes the idle-worker edge case the batched sweep exposed: with
-/// `total = 8` threads, `shards = 8` requested and only `units = 2`
-/// batchable cells, plain [`split_budget`] grants `(8, 1)` — six shards
-/// then find the queue empty and idle, while each busy shard is pinned to
-/// one segment worker. Capping the request at the unit count first lets
-/// the freed budget flow to per-shard workers: `(2, 4)`.
-pub fn split_budget_for(
-    total: usize,
-    shards: usize,
-    segment_workers: usize,
-    units: usize,
-) -> (usize, usize) {
-    split_budget(total, shards.max(1).min(units.max(1)), segment_workers)
-}
-
 /// The machine-wide thread plan `(sweep shards, segment workers per
 /// shard)`: reads `ROTOR_SWEEP_THREADS` and `ROTOR_SEGMENTS`, then clamps
 /// the pair with [`split_budget`] so `shards × workers` never exceeds the
@@ -91,26 +73,6 @@ pub fn thread_plan() -> (usize, usize) {
         budget,
         shards,
         rotor_core::segring::segment_count_from_env(),
-    )
-}
-
-/// [`thread_plan`] capped by the number of work units the caller actually
-/// has to hand out: when a queue holds fewer units than the box has
-/// threads, the surplus budget is re-granted to intra-unit segment workers
-/// instead of idling (see [`split_budget_for`]). Used by the batched sweep
-/// driver, whose unit queue (batches plus serial stragglers) is often much
-/// shorter than the cell list it was built from.
-pub fn thread_plan_for(units: usize) -> (usize, usize) {
-    let shards = thread_count();
-    let budget = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(shards);
-    split_budget_for(
-        budget,
-        shards,
-        rotor_core::segring::segment_count_from_env(),
-        units,
     )
 }
 
@@ -311,47 +273,6 @@ mod tests {
         assert_eq!(split_budget(1, 16, 16), (1, 1));
         // Zero requests are treated as one.
         assert_eq!(split_budget(4, 0, 0), (1, 1));
-    }
-
-    #[test]
-    fn split_budget_for_reflows_idle_shards_to_workers() {
-        // Regression: 8 threads, 8 shards requested, but only 2 batchable
-        // units in the queue. The old plan split_budget(8, 8, 4) = (8, 1)
-        // left 6 workers idle with nothing to claim; capping the shard
-        // request at the unit count re-grants the budget to segment
-        // workers: (2, 4) keeps all 8 threads busy.
-        assert_eq!(split_budget(8, 8, 4), (8, 1));
-        assert_eq!(split_budget_for(8, 8, 4, 2), (2, 4));
-        // One unit: the whole budget collapses onto intra-unit workers.
-        assert_eq!(split_budget_for(8, 8, 8, 1), (1, 8));
-        // More units than shards: cap is inert, identical to split_budget.
-        assert_eq!(split_budget_for(8, 2, 4, 100), split_budget(8, 2, 4));
-        // Zero units is treated as one (empty queues still need a plan).
-        assert_eq!(split_budget_for(8, 8, 4, 0), (1, 4));
-        // The invariants of split_budget are preserved.
-        for total in 1..=16usize {
-            for shards in 0..=20usize {
-                for units in 0..=20usize {
-                    let (s, w) = split_budget_for(total, shards, 4, units);
-                    assert!(s >= 1 && w >= 1 && s * w <= total);
-                    assert!(s <= units.max(1), "never more shards than units");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn thread_plan_for_is_within_budget_and_unit_capped() {
-        for units in [0usize, 1, 2, 1000] {
-            let (shards, workers) = thread_plan_for(units);
-            assert!(shards >= 1 && workers >= 1);
-            assert!(shards <= units.max(1));
-            let budget = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .max(thread_count());
-            assert!(shards * workers <= budget);
-        }
     }
 
     #[test]

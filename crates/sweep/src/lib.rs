@@ -10,16 +10,14 @@
 //! comparison ("a deterministic alternative to parallel random walks")
 //! needs the rotor-router and the `k`-walker baseline measured over the
 //! *same* grid. Before this crate, every bench target hand-rolled its own
-//! single-threaded loop; now they all build a [`SweepGrid`], hand its
-//! cells to [`run_sharded`], and aggregate the [`CoverSample`]s — so
+//! single-threaded loop; now they all build a [`ScenarioGrid`], hand its
+//! scenarios to [`run_sharded`], and aggregate the [`CoverSample`]s — so
 //! scaling `n` to 10⁵–10⁶ is a thread-count question, not a rewrite.
 //!
 //! * [`scenario`] — the scenario-first surface: [`GraphFamily`],
 //!   [`Scenario`] and [`ScenarioGrid`], the (family, n, k, seed) lattice
-//!   every new experiment enumerates.
-//! * [`grid`] — the legacy ring-only cell lattice ([`Cell`] /
-//!   [`SweepGrid`]), kept as the compatibility surface the scenario
-//!   layer's bit-identity pins compare against.
+//!   every experiment enumerates, with its [`PlacementSpec`] and
+//!   [`InitSpec`] axes.
 //! * [`driver`] — [`run_sharded`]: a work-stealing `std::thread::scope`
 //!   fan-out over any `Sync` cell type, deterministic output order, thread
 //!   count from the `ROTOR_SWEEP_THREADS` environment variable.
@@ -28,11 +26,6 @@
 //!   `(GraphFamily, ProcessKind)` with the
 //!   [`RingRouter`](rotor_core::RingRouter) fast path preserved on the
 //!   ring family.
-//! * [`batch`] — the batched throughput path:
-//!   [`run_scenarios_batched`] cuts a scenario list into a combined queue
-//!   of [`BatchRing`](rotor_core::BatchRing) lockstep batches (contiguous
-//!   same-shape ring cells, `ROTOR_BATCH` lanes at a time) and serial
-//!   stragglers, bit-identical to the per-cell path at every width.
 //! * [`recovery`] — fault-injection recovery measurement: a
 //!   [`RecoveryGrid`] crosses the scenario lattice with a disturbance axis
 //!   ([`FaultSpec`]), and [`run_scenario_recovery`] measures re-cover and
@@ -69,25 +62,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod driver;
-pub mod grid;
 pub mod recovery;
 pub mod runners;
 pub mod scenario;
 
-pub use batch::{run_scenarios_batched, BatchParams, ObservedCover};
-pub use driver::{
-    run_sharded, run_sharded_checked, split_budget, split_budget_for, thread_count, thread_plan,
-    thread_plan_for,
-};
-pub use grid::{Cell, InitSpec, PlacementSpec, SweepGrid};
+pub use driver::{run_sharded, run_sharded_checked, split_budget, thread_count, thread_plan};
 pub use recovery::{
     run_recovery_grid, run_scenario_recovery, FaultSpec, RecoveryGrid, RecoveryOptions,
     RecoverySample,
 };
 pub use runners::{
-    run_cover_cell, run_scenario, run_scenario_cycle, run_scenario_observed, CoverSample,
-    ProcessKind,
+    run_scenario, run_scenario_cycle, run_scenario_observed, CoverSample, ProcessKind,
 };
-pub use scenario::{GraphFamily, Scenario, ScenarioGrid};
+pub use scenario::{GraphFamily, InitSpec, PlacementSpec, Scenario, ScenarioGrid};

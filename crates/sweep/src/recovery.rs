@@ -356,8 +356,7 @@ pub fn run_recovery_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{InitSpec, PlacementSpec};
-    use crate::scenario::GraphFamily;
+    use crate::scenario::{GraphFamily, InitSpec, PlacementSpec};
 
     fn ring_grid(n: usize, ks: Vec<usize>) -> ScenarioGrid {
         ScenarioGrid {

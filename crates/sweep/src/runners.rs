@@ -1,21 +1,17 @@
 //! Per-cell cover-time measurement for every [`CoverProcess`] backend.
 //!
-//! A runner turns one [`Scenario`] (or legacy ring [`Cell`]) into one
-//! [`CoverSample`]; which process backs the measurement is a
-//! [`ProcessKind`] value, so the same sharded sweep produces paired
-//! rotor-router and random-walk curves from one grid — the measurement
-//! the paper's "deterministic alternative to parallel random walks"
-//! framing calls for. Dispatch is over `(GraphFamily, ProcessKind)`:
+//! A runner turns one [`Scenario`] into one [`CoverSample`]; which
+//! process backs the measurement is a [`ProcessKind`] value, so the same
+//! sharded sweep produces paired rotor-router and random-walk curves from
+//! one grid — the measurement the paper's "deterministic alternative to
+//! parallel random walks" framing calls for. Dispatch is over `(GraphFamily, ProcessKind)`:
 //! [`ProcessKind::Rotor`] resolves to the [`RingRouter`] fast path on the
 //! ring family and to the general [`Engine`] everywhere else.
 
-use crate::grid::Cell;
 use crate::scenario::Scenario;
 use rotor_core::limit::{self, CycleInfo};
 use rotor_core::rng::{stream, STREAM_WALK};
-use rotor_core::{
-    BatchRing, CoverProcess, Engine, Observer, RingRouter, SegmentedRing, SegmentedTorus,
-};
+use rotor_core::{CoverProcess, Engine, Observer, RingRouter, SegmentedRing, SegmentedTorus};
 use rotor_graph::{NodeId, PortGraph};
 use rotor_walks::ParallelWalk;
 use std::time::Instant;
@@ -27,9 +23,6 @@ pub enum ProcessKind {
     /// scenario's family is the ring, the general [`Engine`] otherwise.
     /// The right default for every rotor sweep.
     Rotor,
-    /// The ring-specialised rotor-router ([`RingRouter`]) — explicit fast
-    /// path; only valid on the ring.
-    RotorRing,
     /// The segmented-parallel ring backend ([`SegmentedRing`]): the ring
     /// cut into `ROTOR_SEGMENTS` contiguous segments, bit-identical to
     /// [`RingRouter`] at every segment count, with the worker-thread count
@@ -44,15 +37,6 @@ pub enum ProcessKind {
     /// [`thread_plan`](crate::driver::thread_plan) budget like the ring
     /// backend. Only valid on the torus family.
     TorusSegmented,
-    /// The batch-of-cells ring backend ([`BatchRing`]): independent
-    /// same-shape cells advanced in lockstep in one cell-major arena by
-    /// [`run_scenarios_batched`](crate::batch::run_scenarios_batched),
-    /// bit-identical to [`RingRouter`] per lane at every batch width
-    /// (`ROTOR_BATCH` selects the width). Through *this* per-cell runner
-    /// the kind resolves to a single-lane batch — the fallback-to-serial
-    /// path observer- and probe-attached cells always take. Only valid on
-    /// the ring.
-    RotorBatched,
     /// The general-graph rotor-router ([`Engine`]) — on the ring, used to
     /// cross-check the specialised engine at sweep scale.
     RotorGeneral,
@@ -65,10 +49,8 @@ impl ProcessKind {
     pub fn label(&self) -> &'static str {
         match self {
             ProcessKind::Rotor => "rotor",
-            ProcessKind::RotorRing => "rotor_ring",
             ProcessKind::RotorSegmented => "rotor_seg",
             ProcessKind::TorusSegmented => "rotor_torus_seg",
-            ProcessKind::RotorBatched => "rotor_batch",
             ProcessKind::RotorGeneral => "rotor_general",
             ProcessKind::RandomWalk => "walk",
         }
@@ -95,9 +77,9 @@ pub struct CoverSample {
     pub nanos: u64,
     /// Which engine actually ran the cell
     /// ([`CoverProcess::kind_name`]): `"rotor_ring"`, `"rotor_ring_seg"`,
-    /// `"rotor_general"`, `"rotor_torus_seg"` or `"walk"` — the resolution of the
-    /// [`ProcessKind::Rotor`] auto-dispatch, recorded so reports can carry
-    /// the backend column.
+    /// `"rotor_general"`, `"rotor_torus_seg"` or `"walk"` — the resolution
+    /// of the [`ProcessKind::Rotor`] auto-dispatch, recorded so reports can
+    /// carry the backend column.
     pub backend: &'static str,
 }
 
@@ -111,38 +93,19 @@ impl CoverSample {
     }
 }
 
-/// Measures one legacy ring [`Cell`] with the given process, running to
-/// cover or `max_rounds`, whichever comes first.
-///
-/// Thin wrapper over [`run_scenario`] on the ring family; kept so the
-/// pre-scenario call sites (and the bit-identity pins against them) keep
-/// compiling unchanged.
-pub fn run_cover_cell(cell: &Cell, kind: ProcessKind, max_rounds: u64) -> CoverSample {
-    let sc = Scenario {
-        family: crate::scenario::GraphFamily::Ring,
-        n: cell.n,
-        k: cell.k,
-        seed_index: cell.seed_index,
-        seed: cell.seed,
-        placement: cell.placement,
-        init: cell.init,
-    };
-    run_scenario(&sc, kind, max_rounds)
-}
-
 /// Measures one [`Scenario`] with the given process, running to cover or
 /// `max_rounds`, whichever comes first.
 ///
-/// Dispatch keeps the ring fast path: `Rotor` (and `RotorRing`) on the
-/// ring family run the `O(k)`-per-round [`RingRouter`]; everything else
-/// builds the scenario's [`PortGraph`] and runs the general [`Engine`] or
-/// [`ParallelWalk`]. On the ring, pointer initialisation goes through the
-/// direction-bit form for *all* kinds, so general-engine cross-checks see
-/// exactly the specialised engine's initial configuration.
+/// Dispatch keeps the ring fast path: `Rotor` on the ring family runs the
+/// `O(k)`-per-round [`RingRouter`]; everything else builds the scenario's
+/// [`PortGraph`] and runs the general [`Engine`] or [`ParallelWalk`]. On
+/// the ring, pointer initialisation goes through the direction-bit form
+/// for *all* kinds, so general-engine cross-checks see exactly the
+/// specialised engine's initial configuration.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is [`ProcessKind::RotorRing`] and the scenario's
+/// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
 /// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
 /// family is not the torus.
 pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverSample {
@@ -169,7 +132,7 @@ pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverS
 ///
 /// # Panics
 ///
-/// Panics if `kind` is [`ProcessKind::RotorRing`] and the scenario's
+/// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
 /// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
 /// family is not the torus.
 pub fn run_scenario_observed<O>(
@@ -182,14 +145,13 @@ where
     O: Observer<RingRouter>
         + Observer<SegmentedRing>
         + Observer<SegmentedTorus>
-        + Observer<BatchRing>
         + for<'g> Observer<Engine<'g>>
         + for<'g> Observer<ParallelWalk<'g>>,
 {
     let positions = sc.positions();
     let on_ring = sc.family.is_ring();
     match kind {
-        ProcessKind::Rotor | ProcessKind::RotorRing if on_ring => {
+        ProcessKind::Rotor if on_ring => {
             let dirs = sc.ring_directions(&positions);
             let mut p = RingRouter::new(sc.n, &positions, &dirs);
             finish_observed(sc, &mut p, max_rounds, observer)
@@ -201,20 +163,9 @@ where
             let mut p = SegmentedRing::with_workers(sc.n, &positions, &dirs, segments, workers);
             finish_observed(sc, &mut p, max_rounds, observer)
         }
-        ProcessKind::RotorBatched if on_ring => {
-            // The per-cell surface always runs a *single-lane* batch —
-            // observers and probes are single-process instruments, so an
-            // observed batched cell is by construction the serial path
-            // (the fallback-to-serial contract pinned by the
-            // observer-under-batching tests). Whole-grid batching lives in
-            // [`run_scenarios_batched`](crate::batch::run_scenarios_batched).
-            let dirs = sc.ring_directions(&positions);
-            let mut p = BatchRing::single(sc.n, &positions, &dirs);
-            finish_observed(sc, &mut p, max_rounds, observer)
-        }
-        ProcessKind::RotorRing | ProcessKind::RotorSegmented | ProcessKind::RotorBatched => {
+        ProcessKind::RotorSegmented => {
             panic!(
-                "{kind:?} requires the Ring family, got {}",
+                "RotorSegmented requires the Ring family, got {}",
                 sc.family.label()
             )
         }
@@ -321,11 +272,11 @@ fn finish_observed<P: CoverProcess>(
 mod tests {
     use super::*;
     use crate::driver::run_sharded;
-    use crate::grid::{InitSpec, PlacementSpec, SweepGrid};
-    use crate::scenario::{GraphFamily, ScenarioGrid};
+    use crate::scenario::{GraphFamily, InitSpec, PlacementSpec, ScenarioGrid};
 
-    fn grid() -> SweepGrid {
-        SweepGrid {
+    fn grid() -> ScenarioGrid {
+        ScenarioGrid {
+            families: vec![GraphFamily::Ring],
             ns: vec![32, 64],
             ks: vec![1, 2, 4],
             seed_count: 2,
@@ -337,12 +288,12 @@ mod tests {
 
     #[test]
     fn rotor_ring_matches_general_engine_cell_by_cell() {
-        let cells = grid().cells();
-        let fast = run_sharded(&cells, 2, |_, c| {
-            run_cover_cell(c, ProcessKind::RotorRing, 1 << 22)
+        let scenarios = grid().scenarios();
+        let fast = run_sharded(&scenarios, 2, |_, s| {
+            run_scenario(s, ProcessKind::Rotor, 1 << 22)
         });
-        let general = run_sharded(&cells, 2, |_, c| {
-            run_cover_cell(c, ProcessKind::RotorGeneral, 1 << 22)
+        let general = run_sharded(&scenarios, 2, |_, s| {
+            run_scenario(s, ProcessKind::RotorGeneral, 1 << 22)
         });
         for (f, g) in fast.iter().zip(&general) {
             assert_eq!(f.cover, g.cover, "n={} k={} seed={}", f.n, f.k, f.seed);
@@ -352,12 +303,12 @@ mod tests {
 
     #[test]
     fn sharding_is_thread_count_invariant() {
-        let cells = grid().cells();
-        let one: Vec<Option<u64>> = run_sharded(&cells, 1, |_, c| {
-            run_cover_cell(c, ProcessKind::RandomWalk, 1 << 22).cover
+        let scenarios = grid().scenarios();
+        let one: Vec<Option<u64>> = run_sharded(&scenarios, 1, |_, s| {
+            run_scenario(s, ProcessKind::RandomWalk, 1 << 22).cover
         });
-        let four: Vec<Option<u64>> = run_sharded(&cells, 4, |_, c| {
-            run_cover_cell(c, ProcessKind::RandomWalk, 1 << 22).cover
+        let four: Vec<Option<u64>> = run_sharded(&scenarios, 4, |_, s| {
+            run_scenario(s, ProcessKind::RandomWalk, 1 << 22).cover
         });
         assert_eq!(one, four, "seeded walks are scheduling-independent");
     }
@@ -367,7 +318,8 @@ mod tests {
         use rotor_core::init::PointerInit;
         use rotor_core::placement::Placement;
         use rotor_core::RingRouter;
-        let cell = Cell {
+        let sc = Scenario {
+            family: GraphFamily::Ring,
             n: 128,
             k: 4,
             seed_index: 0,
@@ -375,7 +327,7 @@ mod tests {
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::TowardNearestAgent,
         };
-        let sample = run_cover_cell(&cell, ProcessKind::RotorRing, u64::MAX);
+        let sample = run_scenario(&sc, ProcessKind::Rotor, u64::MAX);
         let starts = Placement::AllOnOne(0).positions(128, 4);
         let dirs = PointerInit::TowardNearestAgent.ring_directions(128, &starts);
         let direct = RingRouter::new(128, &starts, &dirs)
@@ -383,47 +335,6 @@ mod tests {
             .unwrap();
         assert_eq!(sample.cover, Some(direct));
         assert_eq!(sample.rounds, direct, "stops at cover");
-    }
-
-    #[test]
-    fn ring_scenarios_are_bit_identical_to_legacy_cells() {
-        // The acceptance pin: the same grid expressed as a ring-family
-        // ScenarioGrid and as a legacy SweepGrid must produce *identical*
-        // samples (cover round, rounds simulated, seed) for every process
-        // kind, cell by cell.
-        let legacy = grid().cells();
-        let scenarios = ScenarioGrid {
-            families: vec![GraphFamily::Ring],
-            ns: vec![32, 64],
-            ks: vec![1, 2, 4],
-            seed_count: 2,
-            base_seed: 7,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .scenarios();
-        assert_eq!(legacy.len(), scenarios.len());
-        for kind in [
-            ProcessKind::Rotor,
-            ProcessKind::RotorRing,
-            ProcessKind::RotorGeneral,
-            ProcessKind::RandomWalk,
-        ] {
-            let old: Vec<CoverSample> =
-                run_sharded(&legacy, 2, |_, c| run_cover_cell(c, kind, 1 << 22));
-            let new: Vec<CoverSample> =
-                run_sharded(&scenarios, 2, |_, s| run_scenario(s, kind, 1 << 22));
-            for (o, n) in old.iter().zip(&new) {
-                assert_eq!(
-                    (o.cover, o.rounds, o.seed),
-                    (n.cover, n.rounds, n.seed),
-                    "{kind:?} diverged at n={} k={} seed={}",
-                    o.n,
-                    o.k,
-                    o.seed
-                );
-            }
-        }
     }
 
     #[test]
@@ -506,10 +417,11 @@ mod tests {
         .scenarios();
         for sc in &scenarios {
             let auto = run_scenario(sc, ProcessKind::Rotor, 1 << 22);
-            let explicit = run_scenario(sc, ProcessKind::RotorRing, 1 << 22);
-            let general = run_scenario(sc, ProcessKind::RotorGeneral, 1 << 22);
-            assert_eq!(auto.cover, explicit.cover);
-            assert_eq!(auto.cover, general.cover, "fast path == general engine");
+            let positions = sc.positions();
+            let dirs = sc.ring_directions(&positions);
+            let mut explicit = RingRouter::new(sc.n, &positions, &dirs);
+            assert_eq!(auto.cover, explicit.run_until_covered(1 << 22));
+            assert_eq!(auto.rounds, explicit.round());
         }
     }
 
@@ -586,21 +498,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RotorRing requires the Ring family")]
-    fn rotor_ring_on_non_ring_panics() {
-        let sc = Scenario {
-            family: GraphFamily::Complete,
-            n: 8,
-            k: 1,
-            seed_index: 0,
-            seed: 1,
-            placement: PlacementSpec::AllOnOne,
-            init: InitSpec::Uniform(0),
-        };
-        run_scenario(&sc, ProcessKind::RotorRing, 100);
-    }
-
-    #[test]
     fn segmented_kind_matches_ring_kind_cell_by_cell() {
         // ProcessKind::RotorSegmented must be a pure backend swap: same
         // cover, same rounds, for every cell — whatever ROTOR_SEGMENTS is
@@ -616,7 +513,7 @@ mod tests {
         }
         .scenarios();
         let ring: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-            run_scenario(s, ProcessKind::RotorRing, 1 << 22)
+            run_scenario(s, ProcessKind::Rotor, 1 << 22)
         });
         let seg: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
             run_scenario(s, ProcessKind::RotorSegmented, 1 << 22)
@@ -671,13 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_kind_matches_every_ring_backend_cell_by_cell() {
-        // Satellite pin: one ScenarioGrid through RotorGeneral,
-        // RotorSegmented and RotorBatched must produce field-identical
-        // reports under `xtask compare` semantics — every CoverSample
-        // field except `nanos` (a declared NONDETERMINISTIC_FIELDS timing
-        // column) and `backend` (compare-stable *within* a backend; across
-        // backends it differs by construction and is asserted exactly).
+    fn ring_backends_match_cell_by_cell() {
+        // One ScenarioGrid through Rotor, RotorGeneral and RotorSegmented
+        // must produce field-identical reports under `xtask compare`
+        // semantics — every CoverSample field except `nanos` (a declared
+        // NONDETERMINISTIC_FIELDS timing column) and `backend`
+        // (compare-stable *within* a backend; across backends it differs
+        // by construction and is asserted exactly).
         let scenarios = ScenarioGrid {
             families: vec![GraphFamily::Ring],
             ns: vec![32, 61],
@@ -691,64 +588,24 @@ mod tests {
         let run = |kind| -> Vec<CoverSample> {
             run_sharded(&scenarios, 2, |_, s| run_scenario(s, kind, 1 << 22))
         };
-        let general = run(ProcessKind::RotorGeneral);
-        let seg = run(ProcessKind::RotorSegmented);
-        let batched = run(ProcessKind::RotorBatched);
-        for ((g, s), b) in general.iter().zip(&seg).zip(&batched) {
-            let deterministic =
-                |c: &CoverSample| (c.n, c.k, c.seed_index, c.seed, c.cover, c.rounds);
-            assert_eq!(
-                deterministic(g),
-                deterministic(b),
-                "batched backend diverged at n={} k={} seed={}",
-                g.n,
-                g.k,
-                g.seed
-            );
-            assert_eq!(deterministic(s), deterministic(b));
-            assert_eq!(b.backend, "rotor_ring_batch");
+        let deterministic = |c: &CoverSample| (c.n, c.k, c.seed_index, c.seed, c.cover, c.rounds);
+        let ring = run(ProcessKind::Rotor);
+        for (kind, backend) in [
+            (ProcessKind::RotorGeneral, "rotor_general"),
+            (ProcessKind::RotorSegmented, "rotor_ring_seg"),
+        ] {
+            for (r, o) in ring.iter().zip(&run(kind)) {
+                assert_eq!(
+                    deterministic(r),
+                    deterministic(o),
+                    "{kind:?} diverged at n={} k={} seed={}",
+                    r.n,
+                    r.k,
+                    r.seed
+                );
+                assert_eq!((r.backend, o.backend), ("rotor_ring", backend));
+            }
         }
-    }
-
-    #[test]
-    fn batched_kind_observer_matches_serial_run() {
-        // Satellite pin, sweep side: an observer attached through the
-        // RotorBatched kind rides the single-lane fallback and must record
-        // exactly what the serial ring backend records.
-        use rotor_core::domains::DomainSampler;
-        let scenarios = ScenarioGrid {
-            families: vec![GraphFamily::Ring],
-            ns: vec![48],
-            ks: vec![1, 3],
-            seed_count: 2,
-            base_seed: 29,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .scenarios();
-        for sc in &scenarios {
-            let mut serial = DomainSampler::every(2);
-            let want = run_scenario_observed(sc, ProcessKind::RotorRing, 1 << 22, &mut serial);
-            let mut batched = DomainSampler::every(2);
-            let got = run_scenario_observed(sc, ProcessKind::RotorBatched, 1 << 22, &mut batched);
-            assert_eq!((want.cover, want.rounds), (got.cover, got.rounds));
-            assert_eq!(serial.samples, batched.samples, "observer trace drift");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "RotorBatched requires the Ring family")]
-    fn batched_on_non_ring_panics() {
-        let sc = Scenario {
-            family: GraphFamily::Complete,
-            n: 8,
-            k: 1,
-            seed_index: 0,
-            seed: 1,
-            placement: PlacementSpec::AllOnOne,
-            init: InitSpec::Uniform(0),
-        };
-        run_scenario(&sc, ProcessKind::RotorBatched, 100);
     }
 
     #[test]
@@ -783,7 +640,8 @@ mod tests {
 
     #[test]
     fn timeout_yields_none_with_rounds_spent() {
-        let cell = Cell {
+        let sc = Scenario {
+            family: GraphFamily::Ring,
             n: 256,
             k: 1,
             seed_index: 0,
@@ -791,7 +649,7 @@ mod tests {
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::TowardNearestAgent,
         };
-        let s = run_cover_cell(&cell, ProcessKind::RotorRing, 10);
+        let s = run_scenario(&sc, ProcessKind::Rotor, 10);
         assert_eq!(s.cover, None);
         assert_eq!(s.rounds, 10);
     }

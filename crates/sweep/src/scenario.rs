@@ -11,12 +11,13 @@
 //! [`run_sharded`](crate::driver::run_sharded) driver as every ring
 //! experiment.
 //!
-//! Seed derivation is identical to the legacy [`Cell`](crate::grid::Cell)
-//! lattice (splitmix64 of the mixed base seed and the enumeration index):
-//! a single-family `Ring` grid enumerates exactly the seeds of the
-//! equivalent [`SweepGrid`](crate::grid::SweepGrid), which is what keeps
-//! ring scenario results bit-identical to the old cell path (pinned by
-//! tests).
+//! Reproducibility rule: a scenario's measurement may depend only on the
+//! scenario's own fields — never on which thread ran it or in which order.
+//! All randomness (random placements, random pointer inits, random graph
+//! draws, random-walk trajectories) is derived from [`Scenario::seed`],
+//! a splitmix64 hash of the grid's `base_seed` and the scenario's position
+//! in the enumeration, so re-running any subset of a grid reproduces
+//! exactly.
 //!
 //! ```
 //! use rotor_sweep::{
@@ -41,9 +42,61 @@
 //! assert!(samples.iter().all(|s| s.cover.is_some()));
 //! ```
 
-use crate::grid::{splitmix64, InitSpec, PlacementSpec};
-use rotor_core::rng::{stream, STREAM_GRAPH};
+use rotor_core::init::PointerInit;
+use rotor_core::placement::Placement;
+pub use rotor_core::rng::splitmix64;
+use rotor_core::rng::{stream, STREAM_GRAPH, STREAM_POINTER_INIT};
 use rotor_graph::{builders, PortGraph};
+
+/// Agent placement strategy for a scenario (the seed-bearing variants draw
+/// from the scenario seed, unlike [`Placement`] which carries its own).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PlacementSpec {
+    /// All agents on node 0 — the worst case of Theorems 1–2.
+    AllOnOne,
+    /// Agents equally spaced — the best case of Theorems 3–4.
+    EquallySpaced,
+    /// Independent uniformly random nodes, from the scenario seed.
+    Random,
+}
+
+impl PlacementSpec {
+    /// The concrete [`Placement`] for a scenario with the given seed.
+    pub fn placement(self, seed: u64) -> Placement {
+        match self {
+            PlacementSpec::AllOnOne => Placement::AllOnOne(0),
+            PlacementSpec::EquallySpaced => Placement::EquallySpaced { offset: 0 },
+            PlacementSpec::Random => Placement::Random(seed),
+        }
+    }
+}
+
+/// Pointer initialisation strategy for a scenario.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum InitSpec {
+    /// Negative initialisation (pointers toward the nearest agent).
+    TowardNearestAgent,
+    /// Positive initialisation (pointers away from the nearest agent).
+    AwayFromNearestAgent,
+    /// All pointers at the same port.
+    Uniform(usize),
+    /// Independent random pointers, from the scenario seed
+    /// (domain-separated from the placement's stream).
+    Random,
+}
+
+impl InitSpec {
+    /// The concrete [`PointerInit`] for a scenario with the given seed.
+    pub fn pointer_init(self, seed: u64) -> PointerInit {
+        match self {
+            InitSpec::TowardNearestAgent => PointerInit::TowardNearestAgent,
+            InitSpec::AwayFromNearestAgent => PointerInit::AwayFromNearestAgent,
+            InitSpec::Uniform(p) => PointerInit::Uniform(p),
+            // Separate the init's random stream from the placement's.
+            InitSpec::Random => PointerInit::Random(stream(seed, STREAM_POINTER_INIT)),
+        }
+    }
+}
 
 /// A named graph family a [`Scenario`] resolves on.
 ///
@@ -196,10 +249,6 @@ impl GraphFamily {
 
 /// One experiment point: everything a runner needs to measure one sample,
 /// independent of every other scenario.
-///
-/// The generalisation of the legacy ring-only [`Cell`](crate::grid::Cell):
-/// same placement/init specs, same per-scenario seed discipline, plus the
-/// graph family.
 #[derive(Clone, Copy, Debug)]
 pub struct Scenario {
     /// Graph family the scenario runs on.
@@ -251,8 +300,7 @@ impl Scenario {
 
 /// A rectangular scenario grid: the cartesian product
 /// `families × ns × ks × (0..seed_count)` under one placement and one
-/// pointer-init spec — the family-axis generalisation of
-/// [`SweepGrid`](crate::grid::SweepGrid).
+/// pointer-init spec.
 #[derive(Clone, Debug)]
 pub struct ScenarioGrid {
     /// Graph families to sweep (outermost axis).
@@ -278,10 +326,7 @@ impl ScenarioGrid {
     /// major, then `n`, then `k`, then seed index), each with its derived
     /// seed.
     ///
-    /// The seed of scenario `i` is `splitmix64(splitmix64(base_seed) ^ i)`
-    /// — identical to [`SweepGrid::cells`](crate::grid::SweepGrid::cells),
-    /// so a single-family `Ring` grid reproduces the legacy cell seeds
-    /// exactly.
+    /// The seed of scenario `i` is `splitmix64(splitmix64(base_seed) ^ i)`.
     ///
     /// # Panics
     ///
@@ -292,7 +337,9 @@ impl ScenarioGrid {
             self.families.len() * self.ns.len() * self.ks.len() * self.seed_count,
         );
         // Mix the base seed through splitmix *before* combining with the
-        // index (see SweepGrid::cells for the shifted-stream rationale).
+        // index: `splitmix64(base + index)` would make grids with nearby
+        // base seeds share shifted-identical seed streams (base 100's
+        // scenario i == base 99's scenario i+1).
         let mixed_base = splitmix64(self.base_seed);
         for &family in &self.families {
             for &n in &self.ns {
@@ -345,7 +392,6 @@ impl ScenarioGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::SweepGrid;
 
     fn ring_grid() -> ScenarioGrid {
         ScenarioGrid {
@@ -373,8 +419,8 @@ mod tests {
 
     #[test]
     fn scenario_seeds_are_distinct_and_reproducible() {
-        // Mirror of grid::cell_seeds_are_distinct_and_reproducible on the
-        // scenario lattice, with a multi-family axis.
+        // Seeds across a multi-family lattice: reproducible, collision-free,
+        // and moved wholesale by a different base seed.
         let mut g = ring_grid();
         g.families = vec![GraphFamily::Ring, GraphFamily::Torus { rows: 4, cols: 8 }];
         g.ns = vec![32];
@@ -392,29 +438,91 @@ mod tests {
     }
 
     #[test]
-    fn ring_scenarios_reproduce_legacy_cell_seeds() {
-        let cells = SweepGrid {
-            ns: vec![32, 64],
-            ks: vec![1, 2, 4],
-            seed_count: 3,
-            base_seed: 99,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .cells();
-        let scenarios = ring_grid().scenarios();
-        assert_eq!(cells.len(), scenarios.len());
-        for (c, s) in cells.iter().zip(&scenarios) {
-            assert_eq!(
-                (c.n, c.k, c.seed_index, c.seed),
-                (s.n, s.k, s.seed_index, s.seed)
+    fn ring_enumeration_is_dense_and_ordered() {
+        let scs = ring_grid().scenarios();
+        assert_eq!(scs.len(), 2 * 3 * 3);
+        assert_eq!((scs[0].n, scs[0].k, scs[0].seed_index), (32, 1, 0));
+        assert_eq!((scs[17].n, scs[17].k, scs[17].seed_index), (64, 4, 2));
+        // n-major ordering
+        assert!(scs.windows(2).all(|w| w[0].n <= w[1].n));
+    }
+
+    #[test]
+    fn ring_seeds_are_distinct_and_reproducible() {
+        let a = ring_grid().scenarios();
+        let b = ring_grid().scenarios();
+        let mut seeds: Vec<u64> = a.iter().map(|s| s.seed).collect();
+        assert_eq!(seeds, b.iter().map(|s| s.seed).collect::<Vec<_>>());
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), a.len(), "no seed collisions");
+    }
+
+    #[test]
+    fn different_base_seeds_give_different_scenarios() {
+        let mut g2 = ring_grid();
+        g2.base_seed = 100;
+        let a = ring_grid().scenarios();
+        let b = g2.scenarios();
+        assert!(a.iter().zip(&b).all(|(x, y)| x.seed != y.seed));
+    }
+
+    #[test]
+    fn adjacent_base_seeds_do_not_shift_share_streams() {
+        // base 100's stream must not be base 99's stream shifted by one
+        // (or any small shift) — sweeps with nearby base seeds must be
+        // statistically independent repetitions.
+        let mut g100 = ring_grid();
+        g100.base_seed = 100;
+        let a: Vec<u64> = ring_grid().scenarios().iter().map(|s| s.seed).collect();
+        let b: Vec<u64> = g100.scenarios().iter().map(|s| s.seed).collect();
+        for shift in 0..4usize {
+            assert!(
+                a.iter().skip(shift).zip(&b).any(|(x, y)| x != y),
+                "stream of base 100 equals base 99 shifted by {shift}"
             );
-            assert_eq!(c.positions(), s.positions());
-            assert_eq!(
-                c.ring_directions(&c.positions()),
-                s.ring_directions(&s.positions())
-            );
         }
+    }
+
+    #[test]
+    fn positions_and_dirs_are_scenario_deterministic() {
+        let scs = ring_grid().scenarios();
+        for sc in &scs {
+            let p1 = sc.positions();
+            let p2 = sc.positions();
+            assert_eq!(p1, p2);
+            assert_eq!(p1.len(), sc.k);
+            assert!(p1.iter().all(|&p| (p as usize) < sc.n));
+            assert_eq!(sc.ring_directions(&p1), sc.ring_directions(&p2));
+        }
+        // random placements actually vary across seeds (k = 1 scenarios
+        // may coincide by chance; compare a k = 4 pair)
+        let k4: Vec<&Scenario> = scs.iter().filter(|s| s.k == 4 && s.n == 64).collect();
+        assert_ne!(k4[0].positions(), k4[1].positions());
+    }
+
+    #[test]
+    fn deterministic_specs_ignore_seed() {
+        let mk = |seed| Scenario {
+            family: GraphFamily::Ring,
+            n: 64,
+            k: 4,
+            seed_index: 0,
+            seed,
+            placement: PlacementSpec::AllOnOne,
+            init: InitSpec::TowardNearestAgent,
+        };
+        assert_eq!(mk(1).positions(), mk(2).positions());
+        let p = mk(1).positions();
+        assert_eq!(mk(1).ring_directions(&p), mk(2).ring_directions(&p));
+    }
+
+    #[test]
+    fn splitmix_spreads_consecutive_indices() {
+        let a = splitmix64(7);
+        let b = splitmix64(8);
+        assert_ne!(a, b);
+        assert!(((a ^ b).count_ones()) > 8, "avalanche");
     }
 
     #[test]

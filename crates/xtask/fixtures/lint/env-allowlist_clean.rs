@@ -1,16 +1,8 @@
 //@ lint-path: crates/sweep/src/fixture.rs
 pub const THREADS_ENV: &str = "ROTOR_SWEEP_THREADS";
-pub const BATCH_ENV: &str = "ROTOR_BATCH";
 
 pub fn threads() -> usize {
     std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-pub fn batch_width() -> usize {
-    std::env::var(BATCH_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)

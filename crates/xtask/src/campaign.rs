@@ -35,7 +35,7 @@
 //!   edge churn) struck after cover on ring, random-regular and
 //!   binary-tree scenarios, measuring rounds to re-cover (and, on `k = 1`
 //!   cells, the Brent-probed re-lock-in tail and period of the disturbed
-//!   configuration). Cells run through the panic-contained
+//!   configuration). Scenarios run through the panic-contained
 //!   [`run_sharded_checked`] driver, so one poisoned cell surfaces in the
 //!   report meta instead of killing the pass. Writes
 //!   `BENCH_recovery.json`.
@@ -57,15 +57,14 @@ use rotor_analysis::report::{write_summary, Curve, Json, Point, SCHEMA};
 use rotor_analysis::{
     bootstrap_median_band, fit_regime_scaled, median, speedup_exponent, RegimeFit,
 };
-use rotor_core::batchring::batch_width_from_env;
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
 use rotor_core::faults::FaultKind;
 use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
 use rotor_graph::algo;
 use rotor_sweep::{
-    run_scenario, run_scenario_recovery, run_scenarios_batched, run_sharded, run_sharded_checked,
-    BatchParams, CoverSample, FaultSpec, GraphFamily, InitSpec, ObservedCover, PlacementSpec,
-    ProcessKind, RecoveryOptions, RecoverySample, Scenario, ScenarioGrid,
+    run_scenario, run_scenario_observed, run_scenario_recovery, run_sharded, run_sharded_checked,
+    CoverSample, FaultSpec, GraphFamily, InitSpec, PlacementSpec, ProcessKind, RecoveryOptions,
+    RecoverySample, Scenario, ScenarioGrid,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -380,9 +379,7 @@ fn speedup_ns(scale: Scale) -> &'static [usize] {
 
 fn speedup_seed_count(scale: Scale) -> usize {
     match scale {
-        // 16 seeds per point: the batched ring backend advances a whole
-        // point's repetitions in one arena pass, so the seed axis is close
-        // to free there, and the extra repetitions tighten the bootstrap
+        // 16 seeds per point: the extra repetitions tighten the bootstrap
         // bands and pooled exponents everywhere.
         Scale::Full => 16,
         Scale::Smoke => 2,
@@ -401,7 +398,7 @@ const BAND_CONFIDENCE: f64 = 0.95;
 /// One measured rotor cell of a speed-up unit: the cover round against its
 /// own graph's `2·D·|E|` bound, plus the §2.2 domain dynamics sampled
 /// through the observer hook.
-struct RotorCell {
+struct RotorRun {
     cover: u64,
     bound: u64,
     max_domains: u32,
@@ -409,30 +406,20 @@ struct RotorCell {
     backend: &'static str,
 }
 
-/// Budget and sampling stride of one rotor cell, derived from its graph's
-/// `2·D·|E|` bound. The stride scales to the expected run length: every
-/// round on short runs, ~4096 samples on long ones — the scan fallback
-/// stays affordable off the ring, and the sample buffer stays small on it.
-/// Shape-determined for every family but `RandomRegular` (fresh graph draw
-/// per repetition), which the batched driver keeps on the serial path
-/// anyway.
-fn rotor_cell_params(sc: &Scenario) -> BatchParams {
+/// Runs one rotor cell to cover with §2.2 domain sampling. The budget is
+/// `4·2·D·|E|` of the cell's own graph; the sampling stride scales to the
+/// expected run length: every round on short runs, ~4096 samples on long
+/// ones — the scan fallback stays affordable off the ring, and the sample
+/// buffer stays small on it.
+fn run_rotor_cell(sc: &Scenario) -> RotorRun {
     let bound = lockin_bound(sc);
-    BatchParams {
-        budget: 4 * bound,
-        stride: (bound / 4096).max(1),
-    }
-}
-
-/// Aggregates one observed run (batched lane or serial straggler — the
-/// traces are bit-identical) into the rotor cell the per-`k` loop consumes.
-fn rotor_cell_from(oc: &ObservedCover, bound: u64) -> RotorCell {
-    let cover = oc
-        .sample
+    let mut sampler = DomainSampler::every((bound / 4096).max(1));
+    let sample = run_scenario_observed(sc, ProcessKind::Rotor, 4 * bound, &mut sampler);
+    let samples = sampler.samples;
+    let cover = sample
         .cover
         .expect("rotor covers within the 4·2·D·|E| budget");
-    let max_domains = oc
-        .domain_samples
+    let max_domains = samples
         .iter()
         .map(|s| s.domains)
         .max()
@@ -440,18 +427,17 @@ fn rotor_cell_from(oc: &ObservedCover, bound: u64) -> RotorCell {
     // The first *sampled* round from which the domain count stays at 1
     // (an upper bound at stride > 1); the covering round is always
     // sampled and has a single domain, so the rposition + 1 is in range.
-    let single_domain_round = oc
-        .domain_samples
+    let single_domain_round = samples
         .iter()
         .rposition(|s| s.domains != 1)
-        .map(|i| oc.domain_samples[i + 1].round)
+        .map(|i| samples[i + 1].round)
         .unwrap_or(0);
-    RotorCell {
+    RotorRun {
         cover,
         bound,
         max_domains,
         single_domain_round,
-        backend: oc.sample.backend,
+        backend: sample.backend,
     }
 }
 
@@ -470,24 +456,7 @@ fn run_speedup_unit(family: GraphFamily, n: usize, seed_count: usize, threads: u
         init: InitSpec::Random,
     };
     let scenarios = grid.scenarios();
-    // Rotor cells go through the batched driver: contiguous same-(n, k)
-    // ring repetitions share one BatchRing arena pass (width from
-    // ROTOR_BATCH, bit-identical at every setting), other families run
-    // serially from the same combined queue. Params are precomputed so
-    // RandomRegular's per-draw diameter BFS runs once per cell.
-    let params: Vec<BatchParams> = scenarios.iter().map(rotor_cell_params).collect();
-    let observed = run_scenarios_batched(&scenarios, threads, batch_width_from_env(), |sc| {
-        let i = scenarios
-            .iter()
-            .position(|s| s.seed == sc.seed)
-            .expect("scenario from this grid");
-        params[i]
-    });
-    let rotor: Vec<RotorCell> = observed
-        .iter()
-        .zip(&params)
-        .map(|(oc, p)| rotor_cell_from(oc, p.budget / 4))
-        .collect();
+    let rotor: Vec<RotorRun> = run_sharded(&scenarios, threads, |_, sc| run_rotor_cell(sc));
     let walks: Vec<CoverSample> = run_sharded(&scenarios, threads, |_, sc| {
         run_scenario(sc, ProcessKind::RandomWalk, walk_budget(sc.n))
     });
@@ -1463,7 +1432,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotor_sweep::run_scenario_observed;
 
     #[test]
     fn ks_rule_matches_the_issue() {
@@ -1497,66 +1465,9 @@ mod tests {
             let family = meta.get("family").and_then(Json::as_str).unwrap();
             let backend = meta.get("backend").and_then(Json::as_str).unwrap();
             if family == "ring" {
-                assert_eq!(backend, "rotor_ring_batch");
+                assert_eq!(backend, "rotor_ring");
             } else {
                 assert_eq!(backend, "rotor_general");
-            }
-        }
-    }
-
-    #[test]
-    fn speedup_unit_matches_the_unbatched_serial_reference() {
-        // The batched rotor path must be a pure throughput change: every
-        // aggregated field of a speed-up unit equals what the per-cell
-        // serial observed runner produces for the same grid. (This is the
-        // campaign-level shadow of the sweep/core equivalence suites.)
-        let run_serial_cell = |sc: &Scenario| -> RotorCell {
-            let p = rotor_cell_params(sc);
-            let mut sampler = DomainSampler::every(p.stride);
-            let sample = run_scenario_observed(sc, ProcessKind::Rotor, p.budget, &mut sampler);
-            rotor_cell_from(
-                &ObservedCover {
-                    sample,
-                    domain_samples: sampler.samples,
-                },
-                p.budget / 4,
-            )
-        };
-        for family in [GraphFamily::Ring, GraphFamily::BinaryTree] {
-            let n = 64;
-            let grid = ScenarioGrid {
-                families: vec![family],
-                ns: vec![n],
-                ks: ks_for(n),
-                seed_count: 3,
-                base_seed: SPEEDUP_BASE_SEED,
-                placement: PlacementSpec::Random,
-                init: InitSpec::Random,
-            };
-            let scenarios = grid.scenarios();
-            let params: Vec<BatchParams> = scenarios.iter().map(rotor_cell_params).collect();
-            let observed = run_scenarios_batched(&scenarios, 2, 4, rotor_cell_params);
-            for ((sc, oc), p) in scenarios.iter().zip(&observed).zip(&params) {
-                let got = rotor_cell_from(oc, p.budget / 4);
-                let want = run_serial_cell(sc);
-                assert_eq!(
-                    (
-                        got.cover,
-                        got.bound,
-                        got.max_domains,
-                        got.single_domain_round
-                    ),
-                    (
-                        want.cover,
-                        want.bound,
-                        want.max_domains,
-                        want.single_domain_round
-                    ),
-                    "{} n={n} k={} seed={}",
-                    family.label(),
-                    sc.k,
-                    sc.seed
-                );
             }
         }
     }

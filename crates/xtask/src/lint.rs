@@ -81,7 +81,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: R_ENV,
-        summary: "std::env::var only reads the documented ROTOR_* overrides (ROTOR_SWEEP_THREADS, ROTOR_SEGMENTS, ROTOR_BATCH, ROTOR_SWEEP_SMOKE)",
+        summary: "std::env::var only reads the documented ROTOR_* overrides (ROTOR_SWEEP_THREADS, ROTOR_SEGMENTS, ROTOR_SWEEP_SMOKE)",
     },
     Rule {
         id: R_TODO,
@@ -105,12 +105,7 @@ pub const REPORT_CRATES: &[&str] = &["analysis", "sweep", "xtask", "bench"];
 /// The documented runtime override set (rule `env-allowlist`); everything
 /// else read from the environment would be an undeclared input to a
 /// "pure" result.
-pub const ALLOWED_ENV: &[&str] = &[
-    "ROTOR_SWEEP_THREADS",
-    "ROTOR_SEGMENTS",
-    "ROTOR_BATCH",
-    "ROTOR_SWEEP_SMOKE",
-];
+pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS", "ROTOR_SEGMENTS", "ROTOR_SWEEP_SMOKE"];
 
 /// The `--list-rules` output: one `<id>  <summary>` line per rule, in
 /// contract order. Golden-tested, and a second test keeps the README

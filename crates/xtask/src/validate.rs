@@ -485,25 +485,13 @@ fn check_bench_rules(
             }
         }
         "engine_throughput" => {
-            // Per-round curves carry rounds_per_sec; the batched curve
-            // carries cells_per_sec (whole cells retired per second).
-            // Every point needs at least one of the two, positive.
             for (pi, p) in points.iter().enumerate() {
-                match (
-                    num_field(p, "rounds_per_sec"),
-                    num_field(p, "cells_per_sec"),
-                ) {
-                    (Ok(r), _) if r > 0.0 => {}
-                    (_, Ok(c)) if c > 0.0 => {}
-                    (Ok(r), _) => {
+                match num_field(p, "rounds_per_sec") {
+                    Ok(r) if r > 0.0 => {}
+                    Ok(r) => {
                         errors.push(format!("{ctx}: point #{pi}: rounds_per_sec = {r} not > 0"));
                     }
-                    (_, Ok(c)) => {
-                        errors.push(format!("{ctx}: point #{pi}: cells_per_sec = {c} not > 0"));
-                    }
-                    (Err(e), Err(_)) => {
-                        errors.push(format!("{ctx}: point #{pi}: {e} (nor cells_per_sec)"));
-                    }
+                    Err(e) => errors.push(format!("{ctx}: point #{pi}: {e}")),
                 }
             }
         }
@@ -714,46 +702,6 @@ fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut 
                             }
                         }
                     }
-                }
-            }
-        }
-        // The batch-of-cells contract: the cells/sec-vs-W curve over the
-        // full width ladder, with the 64-wide batch retiring cells at
-        // least 1.5× the serial per-cell rate (the committed win
-        // criterion of the batched ring engine).
-        let batch_label = "batched_ring_cells_per_sec";
-        match curves
-            .iter()
-            .find(|c| c.get("label").and_then(Json::as_str) == Some(batch_label))
-        {
-            None => errors.push(format!(
-                "missing the batched ring cells/sec-vs-width curve (label \"{batch_label}\")"
-            )),
-            Some(curve) => {
-                let points = curve
-                    .get("points")
-                    .and_then(Json::as_arr)
-                    .map(<[Json]>::to_vec)
-                    .unwrap_or_default();
-                let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-                if xs != [1, 2, 8, 64] {
-                    errors.push(format!(
-                        "batched ring curve x = {xs:?}, expected batch widths [1, 2, 8, 64]"
-                    ));
-                }
-                let speedup64 = points
-                    .iter()
-                    .find(|p| p.get("x").and_then(Json::as_u64) == Some(64))
-                    .and_then(|p| p.get("speedup_vs_serial"))
-                    .and_then(Json::as_f64);
-                match speedup64 {
-                    Some(s) if s >= 1.5 => {}
-                    Some(s) => errors.push(format!(
-                        "batched ring at W = 64 retires cells at {s:.2}× the serial \
-                         per-cell rate, below the 1.5× gate"
-                    )),
-                    None => errors
-                        .push("batched ring W = 64 point needs a numeric speedup_vs_serial".into()),
                 }
             }
         }
@@ -1115,16 +1063,9 @@ mod tests {
         assert!(errors.iter().any(|e| e.contains("placement columns")));
     }
 
-    /// A known-good batched cells/sec-vs-width curve, shared by every
-    /// throughput fixture that is not exercising the batch rules.
-    const GOOD_BATCH_POINTS: &str = r#"[{"x":1,"cells_per_sec":10.0,"speedup_vs_serial":1.0},
-        {"x":2,"cells_per_sec":15.0,"speedup_vs_serial":1.5},
-        {"x":8,"cells_per_sec":24.0,"speedup_vs_serial":2.4},
-        {"x":64,"cells_per_sec":30.0,"speedup_vs_serial":3.0}]"#;
-
     /// A well-formed engine_throughput report: the workload curve (x not
-    /// monotone by design) plus the required segmented and batched curves.
-    fn throughput_report_batched(seg_points: &str, torus_points: &str, batch_points: &str) -> Json {
+    /// monotone by design) plus the two required segmented curves.
+    fn throughput_report_full(seg_points: &str, torus_points: &str) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"rotor-experiment/1","bench":"engine_throughput","threads":1,
                  "meta":{{}},
@@ -1134,18 +1075,10 @@ mod tests {
                    {{"label":"segmented_ring_rounds_per_sec","meta":{{"n":2097152}},"fit":null,
                      "points":{seg_points}}},
                    {{"label":"segmented_torus_rounds_per_sec","meta":{{"rows":1024}},"fit":null,
-                     "points":{torus_points}}},
-                   {{"label":"batched_ring_cells_per_sec","meta":{{"n":8192}},"fit":null,
-                     "points":{batch_points}}}
+                     "points":{torus_points}}}
                  ]}}"#
         ))
         .expect("well-formed test report")
-    }
-
-    /// [`throughput_report_batched`] with a known-good batch curve, for
-    /// tests that exercise the segmented rules.
-    fn throughput_report_full(seg_points: &str, torus_points: &str) -> Json {
-        throughput_report_batched(seg_points, torus_points, GOOD_BATCH_POINTS)
     }
 
     /// [`throughput_report_full`] with a known-good torus curve, for
@@ -1197,6 +1130,15 @@ mod tests {
             !errors.iter().any(|e| e.contains("P = 2")),
             "P = 2 is not gated"
         );
+
+        // a rounds_per_sec point <= 0 trips the generic point rule
+        let zero = throughput_report(
+            r#"[{"x":1,"rounds_per_sec":0.0},{"x":2,"rounds_per_sec":150.0},
+                {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#,
+        );
+        assert!(validate(&zero, &Options::default())
+            .iter()
+            .any(|e| e.contains("rounds_per_sec = 0 not > 0")));
     }
 
     #[test]
@@ -1244,65 +1186,6 @@ mod tests {
         assert!(validate(&slow4, &Options::default())
             .iter()
             .any(|e| e.contains("segmented torus backend at P = 4") && e.contains("slower")));
-    }
-
-    #[test]
-    fn engine_throughput_requires_the_batched_curve() {
-        let good_ring = r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":150.0},
-                            {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#;
-        let good_torus = r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":140.0},
-                             {"x":4,"rounds_per_sec":130.0},{"x":8,"rounds_per_sec":110.0}]"#;
-
-        let ok = throughput_report_batched(good_ring, good_torus, GOOD_BATCH_POINTS);
-        assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
-
-        // a report without the batch curve fails
-        let missing = minimal(
-            "engine_throughput",
-            r#"[{"x":4096,"rounds_per_sec":1.0}]"#,
-            "{}",
-            "{}",
-        );
-        assert!(validate(&missing, &Options::default())
-            .iter()
-            .any(|e| e.contains("missing the batched ring")));
-
-        // a truncated width ladder fails
-        let short = throughput_report_batched(
-            good_ring,
-            good_torus,
-            r#"[{"x":1,"cells_per_sec":10.0,"speedup_vs_serial":1.0},
-                {"x":64,"cells_per_sec":30.0,"speedup_vs_serial":3.0}]"#,
-        );
-        assert!(validate(&short, &Options::default())
-            .iter()
-            .any(|e| e.contains("expected batch widths")));
-
-        // W = 64 below the 1.5x per-cell gate fails
-        let slow = throughput_report_batched(
-            good_ring,
-            good_torus,
-            r#"[{"x":1,"cells_per_sec":10.0,"speedup_vs_serial":1.0},
-                {"x":2,"cells_per_sec":11.0,"speedup_vs_serial":1.1},
-                {"x":8,"cells_per_sec":12.0,"speedup_vs_serial":1.2},
-                {"x":64,"cells_per_sec":13.0,"speedup_vs_serial":1.3}]"#,
-        );
-        assert!(validate(&slow, &Options::default())
-            .iter()
-            .any(|e| e.contains("below the 1.5× gate")));
-
-        // a cells_per_sec point <= 0 trips the generic point rule
-        let zero = throughput_report_batched(
-            good_ring,
-            good_torus,
-            r#"[{"x":1,"cells_per_sec":0.0,"speedup_vs_serial":1.0},
-                {"x":2,"cells_per_sec":15.0,"speedup_vs_serial":1.5},
-                {"x":8,"cells_per_sec":24.0,"speedup_vs_serial":2.4},
-                {"x":64,"cells_per_sec":30.0,"speedup_vs_serial":3.0}]"#,
-        );
-        assert!(validate(&zero, &Options::default())
-            .iter()
-            .any(|e| e.contains("cells_per_sec = 0 not > 0")));
     }
 
     #[test]

@@ -78,6 +78,21 @@ fn the_prefix_hashmap_delays_store_is_caught_and_the_tree_is_clean() {
 }
 
 #[test]
+fn rotor_batch_reads_fail_the_env_allowlist() {
+    // ROTOR_BATCH is not a documented override: reading it must fail the
+    // lint until a reviewed allowlist entry adds it.
+    let root = workspace_root();
+    let fixture = fixture_dir().join("env-allowlist_fire.rs");
+    let findings = lint_file(&root, &fixture).expect("fixture reads");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "env-allowlist" && f.to_string().contains("\"ROTOR_BATCH\"")),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn list_rules_matches_the_committed_golden_output() {
     let golden = include_str!("../fixtures/lint/list_rules.golden");
     assert_eq!(
