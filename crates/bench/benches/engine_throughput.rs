@@ -86,7 +86,7 @@ fn measure_segmented_curve(n: usize, k: usize, rounds: u64, reps: usize) -> Vec<
 
 /// Rounds/sec of the torus backends on a worst-case cell (all agents on
 /// one node, pointers toward it), one value per entry of [`SEGMENTS`]:
-/// `P = 1` is the fully instrumented serial [`Engine`] on the same torus;
+/// `P = 1` is the serial [`Engine`] on the same torus;
 /// `P ≥ 2` runs the lean row-banded [`SegmentedTorus`]. Best-of-`reps`
 /// round-robin, as in [`measure_segmented_curve`].
 fn measure_torus_curve(rows: usize, cols: usize, k: usize, rounds: u64, reps: usize) -> Vec<f64> {
@@ -145,9 +145,9 @@ fn bench(c: &mut Criterion) {
     report.curves.push(curve);
 
     // The segmented ring backend on a worst-case large-n cell: x = P.
-    // P = 1 is the fully instrumented serial router; P ≥ 2 runs the lean
-    // segmented engine, so the curve is the honest price/win of the
-    // backend swap the ring-large-n campaign rides.
+    // P = 1 is the serial router; P ≥ 2 runs the fused segmented kernel,
+    // so the curve is the honest price/win of the backend swap the
+    // ring-large-n campaign rides.
     let (seg_n, seg_k, seg_rounds, seg_reps) = if c.is_test_mode() {
         (4096, 64, 64, 1)
     } else {

@@ -8,12 +8,16 @@
 //! proofs are the maximal contiguous visited segments of the ring in which
 //! an agent zig-zags between its two borders.
 //!
-//! This module consumes the [`VisitRecord`] metadata that [`RingRouter`]
-//! tracks online and exposes the classification plus the current domain
-//! (visited-segment) structure used by the §2.2 arguments.
+//! The [`RingRouter`] keeps only the visited set and the domain/border
+//! counters. The per-visit metadata the classification needs comes from
+//! [`VisitLog`], an opt-in observer that replays each round from the
+//! previous configuration. This module exposes that classification plus
+//! the current domain (visited-segment) structure used by the §2.2
+//! arguments.
 
+use crate::init::{ACW, CW};
 use crate::process::{CoverProcess, Observer};
-use crate::ring::{RingRouter, VisitRecord};
+use crate::ring::RingRouter;
 
 /// The §2.2 domain/border structure of a configuration, in the cyclic
 /// index space `0..n`.
@@ -78,16 +82,179 @@ pub enum VisitType {
     Meeting,
 }
 
+/// Metadata about the most recent visit to a node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct VisitRecord {
+    /// Round of the visit (`0` for the initial placement).
+    pub round: u64,
+    /// Number of agents that entered in that round (initial placement:
+    /// number of agents placed).
+    pub multiplicity: u32,
+    /// Direction of motion of the arriving agents: [`CW`] if any arrived
+    /// from `v−1` moving clockwise, else [`ACW`]. Meaningful when
+    /// `multiplicity == 1` and `round > 0`.
+    pub entry_dir: u8,
+    /// Whether a single-agent visit was a propagation (§2.2). `false` for
+    /// multi-agent visits and for the initial placement.
+    pub propagation: bool,
+}
+
+/// An [`Observer`] of a [`RingRouter`] that keeps the last [`VisitRecord`]
+/// of every node, for the §2.2 visit-type classification.
+///
+/// The router does not record visits itself. The log replays each
+/// observed round from the occupied list it saw one round earlier. In an
+/// undelayed round every agent moves, so a node that sent `c` agents had
+/// the pre-round pointer `direction(v) ^ (c & 1)`. That fixes each
+/// departure, and with it every node's arrival multiplicity and entry
+/// side, in `O(k)` per round. A single arrival propagates iff the node's
+/// post-round pointer points onward.
+///
+/// The log must see every round, every round must be undelayed, and the
+/// agent count must not change between rounds. It panics if a round is
+/// skipped or if its replay does not reproduce the router's occupied list.
+/// Pointer corruption between rounds is harmless: the replay reads only
+/// post-round pointers. The configuration it first observes counts as the
+/// initial placement (round-`0` records) only when that observation is at
+/// round 0; a log attached later records only the visits it sees. A
+/// repeated observation of the same round is ignored, so one log can
+/// follow several `run_observed` calls. Nothing is allocated or computed
+/// unless it is attached.
+///
+/// ```
+/// use rotor_core::domains::{classify_last, VisitLog, VisitType};
+/// use rotor_core::{CoverProcess, RingRouter};
+///
+/// let mut r = RingRouter::new(6, &[1], &[0; 6]); // all pointers clockwise
+/// let mut log = VisitLog::new();
+/// r.run_observed(1, &mut log); // round 0 and round 1
+/// assert_eq!(classify_last(&log, 1), Some(VisitType::Initial));
+/// assert_eq!(classify_last(&log, 2), Some(VisitType::Propagation));
+/// assert_eq!(classify_last(&log, 3), None);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct VisitLog {
+    /// Last record per node; `multiplicity == 0` marks a node never seen
+    /// visited.
+    records: Vec<VisitRecord>,
+    /// Round of the last observation, `None` before the first.
+    round: Option<u64>,
+    /// Occupied list of the last observation.
+    prev_nodes: Vec<u32>,
+    prev_counts: Vec<u32>,
+}
+
+impl VisitLog {
+    /// An empty log; attach it from round 0 to see the initial placement.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The most recent visit to `v` the log has seen, or `None` if it has
+    /// seen none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range of an observed ring.
+    pub fn last_visit(&self, v: u32) -> Option<VisitRecord> {
+        self.records
+            .get(v as usize)
+            .copied()
+            .filter(|r| r.multiplicity > 0)
+    }
+
+    /// Adds `count` arrivals in `round` from side `entry_dir` to `rec`. A
+    /// clockwise arrival sets the entry side whatever the order.
+    fn arrive(rec: &mut VisitRecord, round: u64, count: u32, entry_dir: u8) {
+        if rec.round != round {
+            *rec = VisitRecord {
+                round,
+                multiplicity: 0,
+                entry_dir,
+                propagation: false,
+            };
+        }
+        rec.multiplicity += count;
+        if entry_dir == CW {
+            rec.entry_dir = CW;
+        }
+    }
+}
+
+impl Observer<RingRouter> for VisitLog {
+    fn observe(&mut self, r: &RingRouter) {
+        let round = r.round();
+        match self.round {
+            Some(prev) if prev == round => return,
+            Some(prev) => {
+                assert_eq!(prev + 1, round, "VisitLog must observe every round");
+                assert_eq!(
+                    self.prev_counts.iter().sum::<u32>(),
+                    r.agent_count(),
+                    "VisitLog cannot replay a round after agents were removed"
+                );
+                let records = &mut self.records;
+                for (&v, &c) in self.prev_nodes.iter().zip(&self.prev_counts) {
+                    let pre = r.direction(v) ^ (c & 1) as u8;
+                    let (with_ptr, against) = (c.div_ceil(2), c / 2);
+                    let (cw_cnt, acw_cnt) = if pre == CW {
+                        (with_ptr, against)
+                    } else {
+                        (against, with_ptr)
+                    };
+                    if cw_cnt > 0 {
+                        Self::arrive(&mut records[r.cw(v) as usize], round, cw_cnt, CW);
+                    }
+                    if acw_cnt > 0 {
+                        Self::arrive(&mut records[r.acw(v) as usize], round, acw_cnt, ACW);
+                    }
+                }
+                for (&v, &c) in r.occupied_nodes().iter().zip(r.occupied_counts()) {
+                    let rec = &mut records[v as usize];
+                    assert!(
+                        rec.round == round && rec.multiplicity == c,
+                        "VisitLog replay of round {round} disagrees at node {v}: \
+                         delayed or perturbed rounds cannot be replayed"
+                    );
+                    rec.propagation = c == 1 && r.direction(v) == rec.entry_dir;
+                }
+            }
+            None => {
+                self.records = vec![
+                    VisitRecord {
+                        round: 0,
+                        multiplicity: 0,
+                        entry_dir: CW,
+                        propagation: false,
+                    };
+                    r.n() as usize
+                ];
+                if round == 0 {
+                    for (&v, &c) in r.occupied_nodes().iter().zip(r.occupied_counts()) {
+                        self.records[v as usize].multiplicity = c;
+                    }
+                }
+            }
+        }
+        self.round = Some(round);
+        self.prev_nodes.clear();
+        self.prev_nodes.extend_from_slice(r.occupied_nodes());
+        self.prev_counts.clear();
+        self.prev_counts.extend_from_slice(r.occupied_counts());
+    }
+}
+
 /// Classifies a visit record.
 ///
 /// ```
-/// use rotor_core::domains::{classify, VisitType};
-/// use rotor_core::RingRouter;
+/// use rotor_core::domains::{classify, VisitLog, VisitType};
+/// use rotor_core::{CoverProcess, RingRouter};
 ///
 /// let mut r = RingRouter::new(6, &[1], &[0; 6]); // all pointers clockwise
-/// r.step();
+/// let mut log = VisitLog::new();
+/// r.run_observed(1, &mut log);
 /// // node 2's pointer is clockwise, so the clockwise arrival propagates
-/// assert_eq!(classify(r.last_visit(2).unwrap()), VisitType::Propagation);
+/// assert_eq!(classify(&log.last_visit(2).unwrap()), VisitType::Propagation);
 /// ```
 pub fn classify(rec: &VisitRecord) -> VisitType {
     if rec.round == 0 {
@@ -101,10 +268,10 @@ pub fn classify(rec: &VisitRecord) -> VisitType {
     }
 }
 
-/// Classifies the most recent visit to `v`, or `None` if `v` was never
-/// visited.
-pub fn classify_last(router: &RingRouter, v: u32) -> Option<VisitType> {
-    router.last_visit(v).map(classify)
+/// Classifies the most recent visit to `v` that `log` has seen, or `None`
+/// if it has seen none.
+pub fn classify_last(log: &VisitLog, v: u32) -> Option<VisitType> {
+    log.last_visit(v).as_ref().map(classify)
 }
 
 /// A maximal contiguous segment of visited ring nodes: `len` nodes starting
@@ -261,31 +428,76 @@ mod tests {
     use crate::init::{PointerInit, ACW, CW};
     use crate::placement::Placement;
 
+    /// Runs `rounds` rounds of `r` with a fresh [`VisitLog`] attached.
+    fn logged(mut r: RingRouter, rounds: u64) -> VisitLog {
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        for _ in 0..rounds {
+            r.step();
+            log.observe(&r);
+        }
+        log
+    }
+
     #[test]
     fn classify_all_variants() {
         // Initial: untouched starting node.
-        let r = RingRouter::new(8, &[3], &[CW; 8]);
-        assert_eq!(classify_last(&r, 3), Some(VisitType::Initial));
-        assert_eq!(classify_last(&r, 0), None);
+        let log = logged(RingRouter::new(8, &[3], &[CW; 8]), 0);
+        assert_eq!(classify_last(&log, 3), Some(VisitType::Initial));
+        assert_eq!(classify_last(&log, 0), None);
 
         // Propagation: arrival with the pointer.
-        let mut r = RingRouter::new(8, &[3], &[CW; 8]);
-        r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Propagation));
+        let log = logged(RingRouter::new(8, &[3], &[CW; 8]), 1);
+        assert_eq!(classify_last(&log, 4), Some(VisitType::Propagation));
 
         // Reflection: arrival against the pointer.
         let mut dirs = vec![CW; 8];
         dirs[4] = ACW;
-        let mut r = RingRouter::new(8, &[3], &dirs);
-        r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Reflection));
+        let log = logged(RingRouter::new(8, &[3], &dirs), 1);
+        assert_eq!(classify_last(&log, 4), Some(VisitType::Reflection));
 
         // Meeting: two agents converge.
         let mut dirs = vec![CW; 8];
         dirs[5] = ACW;
-        let mut r = RingRouter::new(8, &[3, 5], &dirs);
+        let log = logged(RingRouter::new(8, &[3, 5], &dirs), 1);
+        assert_eq!(classify_last(&log, 4), Some(VisitType::Meeting));
+    }
+
+    #[test]
+    fn visit_log_skips_repeat_observations_and_rejects_gaps() {
+        let mut r = RingRouter::new(8, &[3], &[CW; 8]);
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        log.observe(&r); // same round again: a no-op
         r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Meeting));
+        log.observe(&r);
+        assert_eq!(log.last_visit(4).map(|v| v.round), Some(1));
+        r.step();
+        r.step();
+        let gap = std::panic::catch_unwind(move || log.observe(&r));
+        assert!(gap.is_err(), "a skipped round must not be replayed");
+    }
+
+    #[test]
+    fn visit_log_attached_late_records_only_what_it_sees() {
+        let mut r = RingRouter::new(8, &[3], &[CW; 8]);
+        r.step();
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        assert_eq!(log.last_visit(4), None, "no record before attaching");
+        r.step();
+        log.observe(&r);
+        assert_eq!(classify_last(&log, 5), Some(VisitType::Propagation));
+    }
+
+    #[test]
+    fn visit_log_rejects_delayed_rounds() {
+        let mut r = RingRouter::new(8, &[3], &[CW; 8]);
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        r.step_delayed(|_, c| c);
+        let held = std::panic::catch_unwind(move || log.observe(&r));
+        assert!(held.is_err(), "a held agent has no replayable departure");
     }
 
     #[test]

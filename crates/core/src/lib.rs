@@ -17,13 +17,15 @@
 //! ## What this crate provides
 //!
 //! * [`Engine`] — a reference implementation on arbitrary
-//!   [`PortGraph`]s, tracking visit counts `n_v(t)`, exit counts `e_v(t)`
-//!   and per-arc traversal counts (the identity
-//!   `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉` is exposed and
-//!   tested).
+//!   [`PortGraph`]s that stores only pointers, agent counts and the
+//!   visited set. The §1.3 counters `n_v(t)`, `e_v(t)` and the per-arc
+//!   traversal identity `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉`
+//!   are tested on a per-agent reference that the engine matches round by
+//!   round.
 //! * [`RingRouter`] — a ring-specialised engine (pointer = direction bit,
-//!   `O(k log k)` per round) used by the large parameter sweeps, with
-//!   online tracking of the visit metadata needed for domain analysis.
+//!   `O(k)` per round) used by the large parameter sweeps, with
+//!   incremental §2.2 domain/border counters; the per-visit metadata of
+//!   the domain analysis comes from the opt-in [`domains::VisitLog`].
 //! * [`SegmentedRing`] — the intra-instance parallel backend: the ring cut
 //!   into `P` contiguous segments exchanging boundary agent streams at a
 //!   per-round barrier, bit-identical to [`RingRouter`] at every `P`
@@ -93,7 +95,7 @@ pub mod segtorus;
 
 pub use engine::{Engine, EngineState};
 pub use process::{CoverProcess, Observer, Probe};
-pub use ring::{RingRouter, RingState, VisitRecord};
+pub use ring::{RingRouter, RingState};
 pub use segring::SegmentedRing;
 pub use segtorus::SegmentedTorus;
 

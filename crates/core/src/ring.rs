@@ -24,13 +24,14 @@
 //! the winning destination is a three-way `min`, and every stream advances
 //! by the boolean `head == dest` with counts masked in by the same flag.
 //!
-//! For the domain analysis of §2.2 it records, per node, the last visit's
-//! round, multiplicity, entry direction, and whether it was a
-//! *propagation* (the agent continues through) or a *reflection* (the agent
-//! is sent back where it came from).
+//! Per round the engine writes only what cover sweeps read: the pointer
+//! bits, the occupied list, the visited set with its cover round, and the
+//! incremental §2.2 domain/border counters. The §2.2 visit *types*
+//! (propagation or reflection of each visit) are not tracked here; attach a
+//! [`VisitLog`](crate::domains::VisitLog) observer to replay them.
 
 use crate::bitset::VisitSet;
-use crate::init::{ACW, CW};
+use crate::init::CW;
 
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
 /// bits plus the sorted occupied-node list. Equal states have identical
@@ -41,23 +42,6 @@ pub struct RingState {
     pub dirs: Vec<u8>,
     /// Sorted `(node, agent count)` pairs for occupied nodes.
     pub occupied: Vec<(u32, u32)>,
-}
-
-/// Metadata about the most recent visit to a node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct VisitRecord {
-    /// Round of the visit (`0` for the initial placement).
-    pub round: u64,
-    /// Number of agents that entered in that round (initial placement:
-    /// number of agents placed).
-    pub multiplicity: u32,
-    /// Direction of motion of the arriving agent (meaningful when
-    /// `multiplicity == 1` and `round > 0`): [`CW`] means it arrived from
-    /// `v−1` moving clockwise.
-    pub entry_dir: u8,
-    /// Whether a single-agent visit was a propagation (§2.2). `false` for
-    /// multi-agent visits and for the initial placement.
-    pub propagation: bool,
 }
 
 /// The multi-agent rotor-router on the `n`-node ring.
@@ -85,8 +69,6 @@ pub struct RingRouter {
     visited: VisitSet,
     unvisited: u32,
     cover_round: Option<u64>,
-    visits: Vec<u64>,
-    last_visit: Vec<VisitRecord>,
     /// §2.2 domain count (maximal contiguous visited segments), maintained
     /// incrementally on every first visit — `O(1)` to read, vs the `O(n)`
     /// scan fallback other backends use.
@@ -162,23 +144,10 @@ impl RingRouter {
             }
         }
         let mut visited = VisitSet::new(n);
-        let mut visits = vec![0u64; n];
-        let mut last_visit = vec![
-            VisitRecord {
-                round: 0,
-                multiplicity: 0,
-                entry_dir: CW,
-                propagation: false,
-            };
-            n
-        ];
-        let mut unvisited = n32;
-        for (&v, &c) in occ_nodes.iter().zip(&occ_counts) {
+        for &v in &occ_nodes {
             visited.insert(v as usize);
-            visits[v as usize] = u64::from(c);
-            last_visit[v as usize].multiplicity = c;
-            unvisited -= 1;
         }
+        let unvisited = n32 - occ_nodes.len() as u32;
         let cover_round = (unvisited == 0).then_some(0);
         let mut router = RingRouter {
             n: n32,
@@ -190,8 +159,6 @@ impl RingRouter {
             visited,
             unvisited,
             cover_round,
-            visits,
-            last_visit,
             domains: 0,
             borders: 0,
             held: SoaStream::default(),
@@ -262,12 +229,6 @@ impl RingRouter {
         &self.occ_counts
     }
 
-    /// `n_v(t)`: visits to `v` in rounds `[1, t]`, plus agents initially
-    /// placed at `v`.
-    pub fn visits(&self, v: u32) -> u64 {
-        self.visits[v as usize]
-    }
-
     /// Whether `v` has ever been visited (or initially held an agent).
     pub fn is_visited(&self, v: u32) -> bool {
         self.visited.contains(v as usize)
@@ -327,13 +288,6 @@ impl RingRouter {
     /// (`Some(0)` if the initial placement covers).
     pub fn cover_round(&self) -> Option<u64> {
         self.cover_round
-    }
-
-    /// Metadata of the most recent visit to `v`, or `None` if `v` was never
-    /// visited.
-    pub fn last_visit(&self, v: u32) -> Option<&VisitRecord> {
-        let r = &self.last_visit[v as usize];
-        (self.visited.contains(v as usize)).then_some(r)
     }
 
     /// Snapshot of the mutable configuration.
@@ -456,24 +410,12 @@ impl RingRouter {
             hi += take_h as usize;
             ci += take_c as usize;
             ai += take_a as usize;
-            let d = dest as usize;
-            if arrived > 0 {
-                // record the visit (held agents do not revisit)
-                self.visits[d] += u64::from(arrived);
-                let entry_dir = if take_c != 0 { CW } else { ACW };
-                let propagation = arrived == 1 && self.dirs[d] == entry_dir;
-                self.last_visit[d] = VisitRecord {
-                    round: self.round,
-                    multiplicity: arrived,
-                    entry_dir,
-                    propagation,
-                };
-                if self.visited.insert(d) {
-                    self.unvisited -= 1;
-                    self.note_first_visit(dest);
-                    if self.unvisited == 0 && self.cover_round.is_none() {
-                        self.cover_round = Some(self.round);
-                    }
+            // Held agents do not revisit; only arrivals can be first visits.
+            if arrived > 0 && self.visited.insert(dest as usize) {
+                self.unvisited -= 1;
+                self.note_first_visit(dest);
+                if self.unvisited == 0 && self.cover_round.is_none() {
+                    self.cover_round = Some(self.round);
                 }
             }
             next_occ.push(dest, stationary + arrived);
@@ -560,10 +502,8 @@ impl RingRouter {
     /// currently occupied nodes count as visited,
     /// [`cover_round`](Self::cover_round) is cleared (unless the
     /// occupation alone already covers), and the §2.2 domain/border
-    /// counters are re-seeded from the
-    /// new visited set. Cumulative visit counts ([`visits`](Self::visits))
-    /// are deliberately left untouched — they are lifetime statistics, not
-    /// epoch predicates.
+    /// counters are re-seeded from the new visited set. Pointers, agents
+    /// and the round counter are left as they are.
     pub fn reset_cover_epoch(&mut self) {
         let mut visited = VisitSet::new(self.n as usize);
         for &v in &self.occ_nodes {
@@ -621,8 +561,17 @@ impl crate::CoverProcess for RingRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::PointerInit;
+    use crate::domains::VisitLog;
+    use crate::init::{PointerInit, ACW};
     use crate::placement::Placement;
+    use crate::process::Observer;
+
+    /// Steps `r` once with `log` attached (the log must already have seen
+    /// the pre-round configuration).
+    fn step_logged(r: &mut RingRouter, log: &mut VisitLog) {
+        r.step();
+        log.observe(r);
+    }
 
     fn cw_dirs(n: usize) -> Vec<u8> {
         vec![CW; n]
@@ -677,8 +626,11 @@ mod tests {
         // Node 2's pointer clockwise: an agent arriving from 1 (moving cw)
         // will continue to 3 -> propagation.
         let mut r = RingRouter::new(6, &[1], &cw_dirs(6));
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        step_logged(&mut r, &mut log);
+        let rec = log.last_visit(2).unwrap();
+        assert_eq!(rec.round, 1);
         assert_eq!(rec.multiplicity, 1);
         assert_eq!(rec.entry_dir, CW);
         assert!(rec.propagation);
@@ -688,11 +640,15 @@ mod tests {
         let mut dirs = cw_dirs(6);
         dirs[2] = ACW;
         let mut r = RingRouter::new(6, &[1], &dirs);
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        step_logged(&mut r, &mut log);
+        let rec = log.last_visit(2).unwrap();
         assert!(!rec.propagation);
-        r.step();
+        step_logged(&mut r, &mut log);
         assert_eq!(r.occupied(), &[(1, 1)], "reflected back to 1");
+        let back = log.last_visit(1).unwrap();
+        assert_eq!((back.round, back.entry_dir), (2, ACW));
     }
 
     #[test]
@@ -701,9 +657,12 @@ mod tests {
         let mut dirs = cw_dirs(5);
         dirs[3] = ACW;
         let mut r = RingRouter::new(5, &[1, 3], &dirs);
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        step_logged(&mut r, &mut log);
+        let rec = log.last_visit(2).unwrap();
         assert_eq!(rec.multiplicity, 2);
+        assert_eq!(rec.entry_dir, CW, "a clockwise arrival sets the side");
         assert!(!rec.propagation);
     }
 
@@ -751,9 +710,9 @@ mod tests {
                         "pointer mismatch at node {v}, round {t}, seed {seed}"
                     );
                     assert_eq!(
-                        fast.visits(v),
-                        reference.visits(NodeId::new(v)),
-                        "visit-count mismatch at node {v}, round {t}, seed {seed}"
+                        fast.is_visited(v),
+                        reference.is_visited(NodeId::new(v)),
+                        "visited-set mismatch at node {v}, round {t}, seed {seed}"
                     );
                 }
                 assert_eq!(fast.cover_round(), reference.cover_round());
@@ -808,11 +767,16 @@ mod tests {
     #[test]
     fn visits_initial_placement_counts() {
         let r = RingRouter::new(6, &[1, 1, 4], &cw_dirs(6));
-        assert_eq!(r.visits(1), 2);
-        assert_eq!(r.visits(4), 1);
-        assert_eq!(r.visits(0), 0);
-        assert_eq!(r.last_visit(1).unwrap().multiplicity, 2);
-        assert!(r.last_visit(0).is_none());
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        let rec = log.last_visit(1).unwrap();
+        assert_eq!(
+            (rec.round, rec.multiplicity, rec.propagation),
+            (0, 2, false)
+        );
+        assert_eq!(log.last_visit(4).unwrap().multiplicity, 1);
+        assert!(log.last_visit(0).is_none());
+        assert!(r.is_visited(1) && r.is_visited(4) && !r.is_visited(0));
     }
 
     #[test]

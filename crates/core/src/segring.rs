@@ -27,17 +27,19 @@
 //! across `P ∈ {1, 2, 3, 4, 7}`. `P = 1` falls back to the serial
 //! [`RingRouter`] path entirely.
 //!
-//! ## Why `P ≥ 2` is also *faster* per core
+//! ## How the `P ≥ 2` kernel differs from the serial one
 //!
-//! The segmented path keeps exactly the state the acceptance surface
-//! needs (covers, domain stats, configuration snapshots) and drops the
-//! per-arrival `visits[]` / `last_visit[]` bookkeeping the serial engine
-//! maintains for §2.2 visit classification; segments that are fully
-//! covered skip visit tracking altogether; and the departure pass is
-//! written as explicit fixed-width lane chunks (`[u32; 8]` — two `u64x4`
-//! registers' worth) over the SoA `nodes`/`counts` vectors so the
-//! compiler can autovectorise the split arithmetic (the offline build has
-//! no SIMD intrinsics crates; `#![forbid(unsafe_code)]` holds).
+//! Both paths keep only the state the acceptance surface needs (covers,
+//! domain stats, configuration snapshots); neither records per-visit
+//! metadata. The segmented kernel differs in shape: departures and merge
+//! are fused per segment, segments that are fully covered skip visit
+//! tracking altogether, and the departure pass is written as explicit
+//! fixed-width lane chunks (`[u32; 8]` — two `u64x4` registers' worth)
+//! over the SoA `nodes`/`counts` vectors so the compiler can autovectorise
+//! the split arithmetic (the offline build has no SIMD intrinsics crates;
+//! `#![forbid(unsafe_code)]` holds). Whether that shape pays per core is
+//! a measurement, not a given: see the single-worker ratios of the
+//! `engine_throughput` bench.
 
 use crate::bitset::VisitSet;
 use crate::init::CW;
@@ -646,7 +648,7 @@ pub struct SegmentedRing {
 
 #[derive(Clone, Debug)]
 enum Inner {
-    /// `P = 1`: the serial path — the fully instrumented [`RingRouter`].
+    /// `P = 1`: the serial path — the [`RingRouter`] itself.
     Serial(Box<RingRouter>),
     /// `P ≥ 2`: the segmented lean path.
     Seg(SegRing),

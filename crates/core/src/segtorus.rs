@@ -35,17 +35,17 @@
 //! serial fallback: `P = 1` runs the same banded code path with an empty
 //! exchange.
 //!
-//! ## Why the banded path is also *faster* per core
+//! ## How the banded kernel differs from the serial one
 //!
-//! The band keeps exactly the state the acceptance surface needs (covers,
-//! §2.2 domain scans, configuration snapshots) and drops the per-arrival
-//! `visits[]` / `exits[]` / per-arc traversal bookkeeping the reference
-//! [`Engine`](crate::Engine) maintains for the §1.3 arc identity; bands
-//! that are fully covered compile visit tracking out of both round phases
-//! (a const-generic `TRACK` switch, like the segmented ring's merge); and
-//! the per-node neighbour table is a flat `4 × len` copy of the torus
-//! CSR, so the departure loop runs on a fixed degree of 4 with no
-//! offset-array indirection.
+//! Both the band and the serial [`Engine`](crate::Engine) keep only the
+//! state the acceptance surface needs (covers, §2.2 domain scans,
+//! configuration snapshots). The band differs in shape: bands that are
+//! fully covered compile visit tracking out of both round phases (a
+//! const-generic `TRACK` switch, like the segmented ring's merge), and the
+//! per-node neighbour table is a flat `4 × len` copy of the torus CSR, so
+//! the departure loop runs on a fixed degree of 4 with no offset-array
+//! indirection. Whether that pays per core is a measurement: see the
+//! single-worker ratios of the `engine_throughput` bench.
 
 use crate::bitset::VisitSet;
 use crate::init::PointerInit;
@@ -264,8 +264,8 @@ impl Band {
 /// into `P` contiguous row bands that advance in parallel and exchange
 /// their boundary rows of agent counts at a per-round barrier —
 /// bit-identical to the serial [`Engine`](crate::Engine) at every `P`
-/// (see the module docs for the determinism contract and why the banded
-/// path is leaner per core).
+/// (see the module docs for the determinism contract and how the banded
+/// kernel differs from the serial one).
 ///
 /// ```
 /// use rotor_core::{init::PointerInit, Engine, SegmentedTorus};

@@ -1,46 +1,93 @@
 //! Property tests pinning the batched hot path to the model's definition.
 //!
 //! The engine releases the `c` agents at a node with O(min(c, deg))
-//! arithmetic per node and keeps its per-arc counters in one flat CSR
-//! arena; the paper's model (§1.3) is stated per agent. These tests check,
-//! across ≥ 100 random (graph, placement, pointer-init) triples and ≥ 1000
-//! rounds each, that
+//! arithmetic per node and keeps no counters; the paper's model (§1.3) is
+//! stated per agent. These tests check, across ≥ 100 random (graph,
+//! placement, pointer-init) triples and ≥ 1000 rounds each, that
 //!
 //! 1. the batched [`Engine::step`] produces **bit-identical**
 //!    [`EngineState`] sequences to a naive per-agent reference stepper, and
-//! 2. the arc-traversal identity
-//!    `traversals(v →_p u) = ⌈(e_v − label_v(p)) / deg v⌉` survives the CSR
-//!    flattening,
+//! 2. the reference, which counts visits, exits and per-arc traversals one
+//!    agent at a time, satisfies the arc-traversal identity
+//!    `traversals(v →_p u) = ⌈(e_v − label_v(p)) / deg v⌉` and the
+//!    exit/visit balance `e_v(t+1) = n_v(t)` — so by state equality the
+//!    engine's executions do too,
 //!
 //! and additionally that the ring-specialised merge stepper matches the
-//! general engine on random rings.
+//! general engine on random rings, and that the [`VisitLog`] replay of
+//! §2.2 visit records matches the reference's per-arrival records.
 
 #![forbid(unsafe_code)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rotor_core::domains::{VisitLog, VisitRecord};
 use rotor_core::init::PointerInit;
-use rotor_core::{Engine, EngineState, RingRouter};
+use rotor_core::placement::Placement;
+use rotor_core::{Engine, EngineState, Observer, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
+
+/// The last round in which agents arrived at a node, as the per-agent
+/// reference saw it.
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
+    round: u64,
+    /// Agents that arrived in that round (initial placement: agents placed).
+    multiplicity: u32,
+    /// Smallest source port any of them left through. On
+    /// [`builders::ring`] port 0 is the clockwise arc, so `0` means some
+    /// agent arrived moving clockwise.
+    port: u32,
+    /// A single arrival whose node now points on through the same port
+    /// label it came by: the agent will continue in its direction.
+    propagation: bool,
+}
 
 /// Reference implementation: moves agents strictly one at a time, exactly
 /// as §1.3 states the model, with per-node nested state and no batching.
+/// It also counts what the paper's lemmas are stated in: visits `n_v(t)`,
+/// exits `e_v(t)`, per-arc traversals and each node's last arrival.
 struct PerAgentReference<'g> {
     g: &'g PortGraph,
+    round: u64,
+    initial_pointers: Vec<u32>,
     pointers: Vec<u32>,
     agents: Vec<u32>,
+    visits: Vec<u64>,
+    exits: Vec<u64>,
+    /// `traversals[v][p]` = times an agent left `v` through port `p`.
+    traversals: Vec<Vec<u64>>,
+    last_arrival: Vec<Option<Arrival>>,
 }
 
 impl<'g> PerAgentReference<'g> {
     fn new(g: &'g PortGraph, agents: &[NodeId], pointers: &[u32]) -> Self {
-        let mut count = vec![0u32; g.node_count()];
+        let n = g.node_count();
+        let mut count = vec![0u32; n];
         for a in agents {
             count[a.index()] += 1;
         }
+        let last_arrival = count
+            .iter()
+            .map(|&c| {
+                (c > 0).then_some(Arrival {
+                    round: 0,
+                    multiplicity: c,
+                    port: 0,
+                    propagation: false,
+                })
+            })
+            .collect();
         PerAgentReference {
             g,
+            round: 0,
+            initial_pointers: pointers.to_vec(),
             pointers: pointers.to_vec(),
+            visits: count.iter().map(|&c| u64::from(c)).collect(),
             agents: count,
+            exits: vec![0; n],
+            traversals: g.nodes().map(|v| vec![0; g.degree(v)]).collect(),
+            last_arrival,
         }
     }
 
@@ -49,6 +96,7 @@ impl<'g> PerAgentReference<'g> {
     }
 
     fn step_delayed(&mut self, mut delay: impl FnMut(u32, u32) -> u32) {
+        self.round += 1;
         let departing = std::mem::replace(&mut self.agents, vec![0; self.g.node_count()]);
         for (v, c) in departing.into_iter().enumerate() {
             let node = NodeId::new(v as u32);
@@ -59,8 +107,31 @@ impl<'g> PerAgentReference<'g> {
             for _ in 0..(c - held) {
                 let p = self.pointers[v];
                 self.pointers[v] = (p + 1) % deg;
-                let dest = self.g.neighbor(node, p as usize);
-                self.agents[dest.index()] += 1;
+                self.exits[v] += 1;
+                self.traversals[v][p as usize] += 1;
+                let dest = self.g.neighbor(node, p as usize).index();
+                self.agents[dest] += 1;
+                self.visits[dest] += 1;
+                let last = &mut self.last_arrival[dest];
+                match last {
+                    Some(a) if a.round == self.round => {
+                        a.multiplicity += 1;
+                        a.port = a.port.min(p);
+                    }
+                    _ => {
+                        *last = Some(Arrival {
+                            round: self.round,
+                            multiplicity: 1,
+                            port: p,
+                            propagation: false,
+                        });
+                    }
+                }
+            }
+        }
+        for (v, last) in self.last_arrival.iter_mut().enumerate() {
+            if let Some(a) = last.as_mut().filter(|a| a.round == self.round) {
+                a.propagation = a.multiplicity == 1 && self.pointers[v] == a.port;
             }
         }
     }
@@ -70,6 +141,39 @@ impl<'g> PerAgentReference<'g> {
             pointers: self.pointers.clone(),
             agents: self.agents.clone(),
         }
+    }
+
+    /// The §1.3 identity relating exits and per-arc traversals: for every
+    /// node `v` and port `p`,
+    /// `traversals(v, p) == ⌈(e_v − label_v(p)) / deg(v)⌉`, where the label
+    /// numbers ports so that the initial pointer has label 0. It depends
+    /// only on exits being round-robin, so delays do not break it.
+    fn arc_identity_holds(&self) -> bool {
+        self.g.nodes().all(|v| {
+            let i = v.index();
+            let deg = self.g.degree(v) as u64;
+            let ev = self.exits[i];
+            (0..self.g.degree(v)).all(|p| {
+                let label = (p as u64 + deg - u64::from(self.initial_pointers[i])) % deg;
+                let expected = if ev > label {
+                    (ev - label).div_ceil(deg)
+                } else {
+                    0
+                };
+                self.traversals[i][p] == expected
+            })
+        })
+    }
+
+    /// The last arrival at `v` as a §2.2 [`VisitRecord`] (ring only: port
+    /// 0 is the clockwise direction bit).
+    fn visit_record(&self, v: usize) -> Option<VisitRecord> {
+        self.last_arrival[v].map(|a| VisitRecord {
+            round: a.round,
+            multiplicity: a.multiplicity,
+            entry_dir: a.port as u8,
+            propagation: a.propagation,
+        })
     }
 }
 
@@ -138,24 +242,75 @@ fn batched_engine_bit_identical_to_per_agent_reference() {
 
 #[test]
 fn arc_identity_survives_csr_flattening() {
+    // The engine reads its ports from the flat CSR arena; the reference
+    // from `neighbor(v, p)`. Equal states every round carry the identity,
+    // checked on the reference, over to the engine.
     const TRIPLES: usize = 102;
     let mut rng = SmallRng::seed_from_u64(0xC5A0);
     for case in 0..TRIPLES {
         let g = graph_for(case, &mut rng);
         let agents = placement_for(&g, &mut rng);
-        let mut e = Engine::new(&g, &agents, &init_for(case));
+        let pointers = init_for(case).pointers(&g, &agents);
+        let mut e = Engine::with_pointers(&g, &agents, pointers.clone());
+        let mut reference = PerAgentReference::new(&g, &agents, &pointers);
         for t in 0..200u64 {
             assert!(
-                e.arc_identity_holds(),
+                reference.arc_identity_holds(),
                 "case {case} ({g:?}): identity broken at round {t}"
             );
+            assert_eq!(e.state(), reference.state(), "case {case} round {t}");
             e.step();
+            reference.step();
         }
-        // spot-check the identity's terms directly against the accessors
+        // spot-check the identity's terms: exits split over the ports
         for v in g.nodes() {
-            let total: u64 = (0..g.degree(v)).map(|p| e.arc_traversals(v, p)).sum();
-            assert_eq!(total, e.exits(v), "case {case}: exits split over ports");
+            let total: u64 = reference.traversals[v.index()].iter().sum();
+            assert_eq!(
+                total,
+                reference.exits[v.index()],
+                "case {case}: exits split over ports"
+            );
         }
+    }
+}
+
+#[test]
+fn arc_identity_on_assorted_graphs() {
+    for g in [
+        builders::ring(9),
+        builders::grid(3, 4),
+        builders::complete(5),
+        builders::binary_tree(9),
+        builders::hypercube(3),
+    ] {
+        let agents: Vec<NodeId> = [0, 1, 2].map(NodeId::new).to_vec();
+        let pointers = PointerInit::Random(11).pointers(&g, &agents);
+        let mut e = Engine::with_pointers(&g, &agents, pointers.clone());
+        let mut reference = PerAgentReference::new(&g, &agents, &pointers);
+        assert!(reference.arc_identity_holds(), "round 0 on {g:?}");
+        for t in 1..=300u64 {
+            e.step();
+            reference.step();
+            assert!(reference.arc_identity_holds(), "round {t} on {g:?}");
+            assert_eq!(e.state(), reference.state(), "round {t} on {g:?}");
+        }
+    }
+}
+
+#[test]
+fn exits_visits_balance() {
+    // paper eq. (2): e_v(t+1) = n_v(t) − D(v, t+1); undelayed D = 0
+    let g = builders::grid(3, 3);
+    let agents: Vec<NodeId> = [0, 4, 4].map(NodeId::new).to_vec();
+    let pointers = PointerInit::Uniform(0).pointers(&g, &agents);
+    let mut e = Engine::with_pointers(&g, &agents, pointers.clone());
+    let mut reference = PerAgentReference::new(&g, &agents, &pointers);
+    for t in 1..=100u64 {
+        let before = reference.visits.clone();
+        e.step();
+        reference.step();
+        assert_eq!(reference.exits, before, "e_v(t+1) == n_v(t) at round {t}");
+        assert_eq!(e.state(), reference.state(), "round {t}");
     }
 }
 
@@ -218,7 +373,60 @@ fn delayed_batched_step_matches_per_agent_semantics() {
             delayed.step_delayed(hold);
             reference.step_delayed(hold);
             assert_eq!(delayed.state(), reference.state(), "case {case} round {t}");
-            assert!(delayed.arc_identity_holds(), "case {case} round {t}");
+            assert!(reference.arc_identity_holds(), "case {case} round {t}");
+        }
+    }
+}
+
+#[test]
+fn visit_log_matches_per_agent_arrival_records() {
+    // Every node's §2.2 record, every round, on random rings — including
+    // floods with k > n/2, where nodes hold several agents and meetings
+    // arrive from both sides.
+    const CASES: usize = 104;
+    const ROUNDS: u64 = 500;
+    let mut rng = SmallRng::seed_from_u64(0x7151);
+    for case in 0..CASES {
+        let n = rng.gen_range(3..48usize);
+        let k = if case % 2 == 0 {
+            rng.gen_range(1..n / 2 + 2)
+        } else {
+            rng.gen_range(n / 2 + 1..2 * n + 1)
+        };
+        let placement = match case % 3 {
+            0 => Placement::Random(case as u64),
+            1 => Placement::AllOnOne(rng.gen_range(0..n as u32)),
+            _ => Placement::EquallySpaced {
+                offset: rng.gen_range(0..n as u32),
+            },
+        };
+        let starts = placement.positions(n, k);
+        let init = match case % 4 {
+            0 => PointerInit::Random(case as u64),
+            1 => PointerInit::TowardNearestAgent,
+            2 => PointerInit::AwayFromNearestAgent,
+            _ => PointerInit::Uniform(case),
+        };
+        let dirs = init.ring_directions(n, &starts);
+        let g = builders::ring(n);
+        let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
+        let ptrs: Vec<u32> = dirs.iter().map(|&d| u32::from(d)).collect();
+        let mut router = RingRouter::new(n, &starts, &dirs);
+        let mut reference = PerAgentReference::new(&g, &ids, &ptrs);
+        let mut log = VisitLog::new();
+        for t in 0..=ROUNDS {
+            if t > 0 {
+                router.step();
+                reference.step();
+            }
+            log.observe(&router);
+            for v in 0..n {
+                assert_eq!(
+                    log.last_visit(v as u32),
+                    reference.visit_record(v),
+                    "case {case} (n={n}, k={k}, {placement:?}, {init:?}): node {v}, round {t}"
+                );
+            }
         }
     }
 }
