@@ -6,7 +6,11 @@
 //! million-node ring stays in L2 during the hot loop. The engines maintain
 //! their unvisited counters incrementally on [`VisitSet::insert`] and can
 //! re-derive them from [`VisitSet::count_ones`] (a word-wise popcount),
-//! which the debug build asserts after every round.
+//! which the debug build asserts after every round. The §2.2
+//! domain/border counts come from one word-wise pass as well
+//! ([`VisitSet::domain_stats`]).
+
+use crate::domains::DomainStats;
 
 /// A set of node indices `0..len`, packed 64 per `u64` word.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -63,6 +67,48 @@ impl VisitSet {
     /// Number of set bits (word-wise popcount).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The §2.2 domain/border structure of the set in the cyclic index
+    /// space `0..len`, 64 nodes per step.
+    ///
+    /// Word `j` is compared with two shifted copies of itself: `prev`
+    /// holds each node's anticlockwise neighbour (bit 63 of word `j − 1`
+    /// carried in, node `len − 1` for word 0) and `next` its clockwise
+    /// neighbour (bit 0 of word `j + 1` carried in, node 0 placed after
+    /// node `len − 1` in the last word). A visited node without a visited
+    /// `prev` starts a domain; one missing either neighbour is a border.
+    /// A full set is one cyclic domain, as in
+    /// [`scan_domain_stats`](crate::domains::scan_domain_stats), which
+    /// this equals on every set.
+    pub fn domain_stats(&self) -> DomainStats {
+        let w = &self.words;
+        let Some(&last) = w.last() else {
+            // The empty universe counts as fully covered.
+            return DomainStats {
+                domains: 1,
+                borders: 0,
+            };
+        };
+        let top = (self.len - 1) % 64;
+        let node0 = w[0] & 1;
+        let mut carry = (last >> top) & 1;
+        let (mut domains, mut borders, mut any) = (0u32, 0u32, 0u64);
+        for (j, &x) in w.iter().enumerate() {
+            let prev = (x << 1) | carry;
+            let next = match w.get(j + 1) {
+                Some(&y) => (x >> 1) | (y << 63),
+                None => (x >> 1) | (node0 << top),
+            };
+            domains += (x & !prev).count_ones();
+            borders += (x & !(prev & next)).count_ones();
+            any |= x;
+            carry = x >> 63;
+        }
+        if domains == 0 && any != 0 {
+            domains = 1;
+        }
+        DomainStats { domains, borders }
     }
 }
 

@@ -30,9 +30,12 @@ use crate::ring::RingRouter;
 /// Obtained from any backend through
 /// [`CoverProcess::domain_stats`]: the [`RingRouter`] maintains these
 /// counters *incrementally* (`O(agents moved)` per round, `O(1)` per
-/// query), every other backend falls back to the `O(n)`
-/// [`scan_domain_stats`] over [`CoverProcess::is_node_visited`]. Property
-/// tests pin the incremental path bit-identical to the scan.
+/// query); the general [`Engine`](crate::Engine) and the random walks
+/// answer with one word-wise pass over their visited set,
+/// [`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats)
+/// (`O(n / 64)`); a backend without a packed visited set falls back to
+/// the `O(n)` [`scan_domain_stats`] over [`CoverProcess::is_node_visited`].
+/// Property tests pin every path bit-identical to the scan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DomainStats {
     /// Maximal contiguous visited segments (cyclically; 1 at full cover).
@@ -45,8 +48,9 @@ pub struct DomainStats {
 /// [`CoverProcess`]: one scan over
 /// [`is_node_visited`](CoverProcess::is_node_visited) in the cyclic index
 /// space — the default body of [`CoverProcess::domain_stats`] and the
-/// ground truth the [`RingRouter`]'s incremental counters are
-/// property-tested against.
+/// ground truth the [`RingRouter`]'s incremental counters and the
+/// word-wise [`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats)
+/// are property-tested against.
 pub fn scan_domain_stats<P: CoverProcess + ?Sized>(p: &P) -> DomainStats {
     let n = p.node_count();
     let mut domains = 0u32;
@@ -366,9 +370,10 @@ pub struct DomainSample {
 /// equally to the ring engine, the general engine and the random-walk
 /// baseline without forking any drive loop. Each sample reads
 /// [`CoverProcess::domain_stats`]: `O(1)` on the [`RingRouter`] (which
-/// maintains the counters incrementally), one `O(n)` scan elsewhere — so
-/// every-round sampling (`stride = 1`) is cheap on the ring engine and
-/// the stride matters only for the scan-backed backends.
+/// maintains the counters incrementally), one `O(n / 64)` word-wise pass
+/// on the general engine and the walks, and the `O(n)` scan only on a
+/// backend without a packed visited set — so the stride bounds the
+/// sample buffer more than the sampling cost.
 ///
 /// ```
 /// use rotor_core::domains::DomainSampler;

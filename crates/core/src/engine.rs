@@ -377,6 +377,12 @@ impl crate::CoverProcess for Engine<'_> {
     fn is_node_visited(&self, node: usize) -> bool {
         self.visited.contains(node)
     }
+
+    /// The word-wise pass over the visited set,
+    /// [`VisitSet::domain_stats`].
+    fn domain_stats(&self) -> crate::domains::DomainStats {
+        self.visited.domain_stats()
+    }
 }
 
 #[cfg(test)]

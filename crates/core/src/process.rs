@@ -110,11 +110,14 @@ pub trait CoverProcess {
     /// the cyclic index space `0..node_count()`.
     ///
     /// The default implementation is one `O(n)` scan
-    /// ([`scan_domain_stats`](crate::domains::scan_domain_stats)); the
+    /// ([`scan_domain_stats`](crate::domains::scan_domain_stats)). The
     /// [`RingRouter`](crate::RingRouter) overrides it with incrementally
-    /// maintained counters (`O(1)` per call), which is what makes
-    /// every-round [`DomainSampler`](crate::domains::DomainSampler)
-    /// attachment affordable on the §2.2 sweeps.
+    /// maintained counters (`O(1)` per call); the
+    /// [`Engine`](crate::Engine) and the random walks with one word-wise
+    /// pass over their visited set
+    /// ([`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats),
+    /// 64 nodes per step). An override must equal the scan on every
+    /// configuration.
     fn domain_stats(&self) -> crate::domains::DomainStats {
         crate::domains::scan_domain_stats(self)
     }

@@ -31,6 +31,7 @@
 //! [`VisitLog`](crate::domains::VisitLog) observer to replay them.
 
 use crate::bitset::VisitSet;
+use crate::domains::DomainStats;
 use crate::init::CW;
 
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
@@ -70,8 +71,9 @@ pub struct RingRouter {
     unvisited: u32,
     cover_round: Option<u64>,
     /// §2.2 domain count (maximal contiguous visited segments), maintained
-    /// incrementally on every first visit — `O(1)` to read, vs the `O(n)`
-    /// scan fallback other backends use.
+    /// incrementally on every first visit — `O(1)` to read, vs the
+    /// `O(n / 64)` word-wise pass ([`VisitSet::domain_stats`]) the general
+    /// engine and the walks run per sample.
     domains: u32,
     /// §2.2 border count (visited nodes adjacent to an unvisited node),
     /// maintained incrementally alongside `domains`.
@@ -149,7 +151,10 @@ impl RingRouter {
         }
         let unvisited = n32 - occ_nodes.len() as u32;
         let cover_round = (unvisited == 0).then_some(0);
-        let mut router = RingRouter {
+        // One word-wise pass seeds the incremental §2.2 counters from the
+        // initial placement; every later update is O(1) per first visit.
+        let DomainStats { domains, borders } = visited.domain_stats();
+        RingRouter {
             n: n32,
             k: starts.len() as u32,
             dirs: dirs.to_vec(),
@@ -159,19 +164,13 @@ impl RingRouter {
             visited,
             unvisited,
             cover_round,
-            domains: 0,
-            borders: 0,
+            domains,
+            borders,
             held: SoaStream::default(),
             cw_moves: SoaStream::default(),
             acw_moves: SoaStream::default(),
             next_occ: SoaStream::default(),
-        };
-        // One scan seeds the incremental §2.2 counters from the initial
-        // placement; every later update is O(1) per first visit.
-        let initial = crate::domains::scan_domain_stats(&router);
-        router.domains = initial.domains;
-        router.borders = initial.borders;
-        router
+        }
     }
 
     /// Ring size `n`.
@@ -512,9 +511,10 @@ impl RingRouter {
         self.visited = visited;
         self.unvisited = self.n - self.occ_nodes.len() as u32;
         self.cover_round = (self.unvisited == 0).then_some(self.round);
-        let stats = crate::domains::scan_domain_stats(&*self);
-        self.domains = stats.domains;
-        self.borders = stats.borders;
+        DomainStats {
+            domains: self.domains,
+            borders: self.borders,
+        } = self.visited.domain_stats();
     }
 }
 
@@ -547,11 +547,11 @@ impl crate::CoverProcess for RingRouter {
         self.visited.contains(node)
     }
 
-    /// The incremental counters — `O(1)`, vs the trait's `O(n)` scan
-    /// default. Property-tested bit-identical to
+    /// The incremental counters — `O(1)`, vs the `O(n / 64)` word-wise
+    /// pass of the other backends. Property-tested bit-identical to
     /// [`scan_domain_stats`](crate::domains::scan_domain_stats).
-    fn domain_stats(&self) -> crate::domains::DomainStats {
-        crate::domains::DomainStats {
+    fn domain_stats(&self) -> DomainStats {
+        DomainStats {
             domains: self.domains,
             borders: self.borders,
         }

@@ -743,8 +743,9 @@ impl crate::CoverProcess for SegmentedTorus {
     fn is_node_visited(&self, node: usize) -> bool {
         self.is_visited(NodeId::new(node as u32))
     }
-    // domain_stats: the default O(n) scan, exactly like the serial
-    // Engine — the two backends must agree on every sampled round.
+    // domain_stats: the default O(n) scan. Its visited sets are banded,
+    // so it does not share the serial Engine's word-wise pass; the two
+    // stay equal on every sampled round (pinned by segtorus_equivalence).
 }
 
 impl crate::limit::ConfigSnapshot for SegmentedTorus {

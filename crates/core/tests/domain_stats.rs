@@ -1,10 +1,11 @@
 //! Property tests pinning the [`RingRouter`]'s incremental §2.2 domain /
-//! border counters bit-identical to the `O(n)` reference scan
-//! ([`rotor_core::domains::scan_domain_stats`]) — the acceptance gate for
-//! the incremental instrumentation path.
+//! border counters and the word-wise [`VisitSet::domain_stats`] pass of the
+//! other backends bit-identical to the `O(n)` reference scan
+//! ([`rotor_core::domains::scan_domain_stats`]).
 
 #![forbid(unsafe_code)]
 
+use rotor_core::bitset::VisitSet;
 use rotor_core::domains::{border_count, scan_domain_stats, visited_domains, DomainStats};
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
@@ -103,5 +104,107 @@ fn trait_default_and_override_agree_across_backends() {
         assert_eq!(ring.domain_stats(), eng.domain_stats());
         CoverProcess::step(&mut ring);
         CoverProcess::step(&mut eng);
+    }
+}
+
+/// A bare visited set seen through [`CoverProcess`], so the reference
+/// [`scan_domain_stats`] can read it bit by bit.
+struct SetView<'a>(&'a VisitSet);
+
+impl CoverProcess for SetView<'_> {
+    fn kind_name(&self) -> &'static str {
+        "set"
+    }
+    fn node_count(&self) -> usize {
+        self.0.len()
+    }
+    fn round(&self) -> u64 {
+        0
+    }
+    fn step(&mut self) {}
+    fn cover_round(&self) -> Option<u64> {
+        None
+    }
+    fn visited_count(&self) -> usize {
+        self.0.count_ones()
+    }
+    fn is_node_visited(&self, node: usize) -> bool {
+        self.0.contains(node)
+    }
+}
+
+#[test]
+fn word_wise_stats_match_bit_scan_on_random_sets() {
+    let lens = (1..300).chain([4095, 4096, 4097]);
+    // Per-mille density of the random fill, from empty to full.
+    let densities = [0u64, 1, 50, 300, 500, 700, 950, 999, 1000];
+    for len in lens {
+        for (i, &permille) in densities.iter().enumerate() {
+            let mut set = VisitSet::new(len);
+            let mut s = splitmix64(len as u64 * 31 + i as u64);
+            for v in 0..len {
+                s = splitmix64(s);
+                if s % 1000 < permille {
+                    set.insert(v);
+                }
+            }
+            assert_eq!(
+                set.domain_stats(),
+                scan_domain_stats(&SetView(&set)),
+                "len={len} density={permille}/1000"
+            );
+        }
+    }
+}
+
+#[test]
+fn word_wise_stats_match_bit_scan_at_word_edges() {
+    // Single nodes and pairs straddling word boundaries and the wrap.
+    for len in [1usize, 2, 63, 64, 65, 127, 128, 129, 4097] {
+        let picks = [0, 1, 62, 63, 64, 65, len.saturating_sub(2), len - 1];
+        for &a in picks.iter().filter(|&&a| a < len) {
+            for &b in picks.iter().filter(|&&b| b < len) {
+                let mut set = VisitSet::new(len);
+                set.insert(a);
+                set.insert(b);
+                assert_eq!(
+                    set.domain_stats(),
+                    scan_domain_stats(&SetView(&set)),
+                    "len={len} nodes={a},{b}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_stats_match_scan_every_round_off_the_ring() {
+    use rotor_graph::{builders, NodeId};
+    let graphs = [
+        builders::torus(12, 10),
+        builders::hypercube(7),
+        builders::binary_tree(200),
+        builders::star(150),
+        builders::random_regular(130, 3, 5),
+    ];
+    for (gi, g) in graphs.iter().enumerate() {
+        let n = g.node_count();
+        for (k, seed) in [(1usize, 1u64), (4, 2), (16, 3)] {
+            let starts = Placement::Random(seed).positions(n, k);
+            let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
+            let mut e = rotor_core::Engine::new(g, &ids, &PointerInit::Random(seed ^ 0x5EED));
+            loop {
+                assert_eq!(
+                    e.domain_stats(),
+                    scan_domain_stats(&e),
+                    "graph {gi} k={k} round {}",
+                    e.round()
+                );
+                if e.cover_round().is_some() || e.round() >= 100_000 {
+                    break;
+                }
+                CoverProcess::step(&mut e);
+            }
+        }
     }
 }

@@ -206,6 +206,11 @@ pub fn lollipop(clique: usize, tail: usize) -> PortGraph {
 /// model with restarts (pairing half-edges, rejecting self-loops, duplicate
 /// edges and disconnected outcomes).
 ///
+/// Each attempt shuffles the sorted half-edge list once and checks the
+/// pairing against a flat `n·d` neighbour table; only a simple pairing is
+/// handed to a [`PortGraphBuilder`], in pairing order, which fixes the
+/// ports.
+///
 /// Deterministic for a fixed `seed`.
 ///
 /// # Panics
@@ -219,23 +224,28 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> PortGraph {
     assert!((n * d).is_multiple_of(2), "n*d must be even");
     // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
+    // The pairing's neighbours of `v` so far: `nbrs[v·d .. v·d + filled[v]]`.
+    let mut nbrs = vec![0u32; n * d];
+    let mut filled = vec![0usize; n];
     'attempt: for _ in 0..1000 {
-        let mut stubs: Vec<u32> = (0..n as u32)
-            .flat_map(|v| std::iter::repeat_n(v, d))
-            .collect();
+        stubs.clear();
+        stubs.extend((0..n as u32).flat_map(|v| std::iter::repeat_n(v, d)));
         stubs.shuffle(&mut rng);
+        filled.fill(0);
+        for pair in stubs.chunks_exact(2) {
+            let (u, v) = (pair[0] as usize, pair[1] as usize);
+            if u == v || nbrs[u * d..u * d + filled[u]].contains(&pair[1]) {
+                continue 'attempt;
+            }
+            nbrs[u * d + filled[u]] = pair[1];
+            nbrs[v * d + filled[v]] = pair[0];
+            filled[u] += 1;
+            filled[v] += 1;
+        }
         let mut b = PortGraphBuilder::new(n);
-        let mut seen = std::collections::BTreeSet::new();
-        for pair in stubs.chunks(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v {
-                continue 'attempt;
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue 'attempt;
-            }
-            b.add_edge(u, v);
+        for pair in stubs.chunks_exact(2) {
+            b.add_edge(pair[0], pair[1]);
         }
         if let Ok(g) = b.build() {
             return g;

@@ -389,7 +389,14 @@ impl PortGraphBuilder {
             self.error = Some(GraphError::SelfLoop(NodeId(u)));
             return self;
         }
-        if self.adj[u as usize].contains(&v) {
+        // The lists are symmetric, so the shorter one decides: a star's
+        // hub is never scanned.
+        let (a, b) = if self.adj[u as usize].len() <= self.adj[v as usize].len() {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        if self.adj[a as usize].contains(&b) {
             self.error = Some(GraphError::DuplicateEdge(NodeId(u), NodeId(v)));
             return self;
         }

@@ -208,6 +208,12 @@ impl CoverProcess for ParallelWalk<'_> {
     fn is_node_visited(&self, node: usize) -> bool {
         self.visited.contains(node)
     }
+
+    /// The word-wise pass over the visited set,
+    /// [`VisitSet::domain_stats`].
+    fn domain_stats(&self) -> rotor_core::domains::DomainStats {
+        self.visited.domain_stats()
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +298,37 @@ mod tests {
         w.reset_cover_epoch();
         assert_eq!(w.cover_round(), None, "24 nodes, 1 occupied: not covered");
         assert!(CoverProcess::run_until_covered(&mut w, 10_000_000).is_some());
+    }
+
+    #[test]
+    fn domain_stats_match_scan_every_round() {
+        use rotor_core::domains::scan_domain_stats;
+        let graphs = [
+            builders::torus(9, 14),
+            builders::hypercube(7),
+            builders::binary_tree(200),
+            builders::star(150),
+            builders::random_regular(130, 3, 5),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.node_count() as u32;
+            for k in [1u32, 4, 16] {
+                let starts: Vec<NodeId> = (0..k).map(|i| NodeId::new(i * 37 % n)).collect();
+                let mut w = ParallelWalk::new(g, &starts, u64::from(k) + gi as u64);
+                loop {
+                    assert_eq!(
+                        w.domain_stats(),
+                        scan_domain_stats(&w),
+                        "graph {gi} k={k} round {}",
+                        w.round()
+                    );
+                    if w.cover_round().is_some() || w.round() >= 100_000 {
+                        break;
+                    }
+                    w.step();
+                }
+            }
+        }
     }
 
     #[test]

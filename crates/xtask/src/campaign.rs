@@ -278,8 +278,9 @@ fn median_f64(mut v: Vec<f64>) -> Option<f64> {
 }
 
 /// The `2·D·|E|` lock-in bound of a scenario's graph. Families with a
-/// closed-form diameter skip the all-pairs BFS — on `K_4096` that scan is
-/// `O(n·(n+m))` ≈ 7·10¹⁰ and would dwarf the simulation itself.
+/// closed-form diameter skip the all-pairs BFS: even at 64 sources per
+/// pass, `algo::diameter` on `K_4096` costs `⌈n/64⌉·2|E|` ≈ 10⁹ word
+/// operations, more than the simulation itself.
 fn lockin_bound(sc: &Scenario) -> u64 {
     let g = sc.graph();
     let diameter = match sc.family {
@@ -305,8 +306,8 @@ fn walk_budget(n: usize) -> u64 {
     64 * (n as u64) * (n as u64)
 }
 
-/// Wall-clock ratio of every-round §2.2 sampling through the `O(n)` scan
-/// fallback versus the `RingRouter`'s incremental counters, at
+/// Wall-clock ratio of every-round §2.2 sampling through the `O(n)`
+/// reference scan versus the `RingRouter`'s incremental counters, at
 /// `n = 4096` — recorded in every `general_graphs` report's meta (the
 /// validator requires it to stay above 1; the bench smoke asserts ≥ 5×).
 pub fn domain_sampler_speedup() -> f64 {
@@ -409,8 +410,8 @@ struct RotorRun {
 /// Runs one rotor cell to cover with §2.2 domain sampling. The budget is
 /// `4·2·D·|E|` of the cell's own graph; the sampling stride scales to the
 /// expected run length: every round on short runs, ~4096 samples on long
-/// ones — the scan fallback stays affordable off the ring, and the sample
-/// buffer stays small on it.
+/// ones, which keeps the sample buffer small; each sample is an `O(1)`
+/// read on the ring and an `O(n / 64)` word-wise pass elsewhere.
 fn run_rotor_cell(sc: &Scenario) -> RotorRun {
     let bound = lockin_bound(sc);
     let mut sampler = DomainSampler::every((bound / 4096).max(1));
