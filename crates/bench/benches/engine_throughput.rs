@@ -1,14 +1,13 @@
 //! Round throughput of the general-graph engine on the standard workloads
 //! (grid, hypercube, random regular) — the binding constraint on every
-//! sweep in this repository — plus the segmented ring and segmented torus
-//! backends' rounds/sec-vs-partition-count curves on worst-case cells.
+//! sweep in this repository — plus the segmented ring backend's
+//! rounds/sec-vs-partition-count curve on a worst-case cell.
 //!
 //! Writes `BENCH_engine_throughput.json` (schema `rotor-experiment/1`)
 //! with rounds/sec per workload (x = node count) and per segment count
-//! (x = P) for the two segmented curves. The validator requires both
-//! segmented curves to exist, to sweep P ∈ {1, 2, 4, 8}, and to stay at
-//! least as fast as their serial baselines at P ≥ 4 (the ring curve also
-//! at P = 8).
+//! (x = P) for the segmented curve. The validator requires the segmented
+//! curve to exist, to sweep P ∈ {1, 2, 4, 8}, and to stay at least as
+//! fast as its serial baseline at P ∈ {4, 8}.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rotor_bench::report::{Curve, ExperimentReport, Json, Point};
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
-use rotor_core::{Engine, SegmentedRing, SegmentedTorus};
+use rotor_core::{Engine, SegmentedRing};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::time::Instant;
 
@@ -84,45 +83,6 @@ fn measure_segmented_curve(n: usize, k: usize, rounds: u64, reps: usize) -> Vec<
     best
 }
 
-/// Rounds/sec of the torus backends on a worst-case cell (all agents on
-/// one node, pointers toward it), one value per entry of [`SEGMENTS`]:
-/// `P = 1` is the serial [`Engine`] on the same torus;
-/// `P ≥ 2` runs the lean row-banded [`SegmentedTorus`]. Best-of-`reps`
-/// round-robin, as in [`measure_segmented_curve`].
-fn measure_torus_curve(rows: usize, cols: usize, k: usize, rounds: u64, reps: usize) -> Vec<f64> {
-    let g = builders::torus(rows, cols);
-    let ids: Vec<NodeId> = Placement::AllOnOne(0)
-        .positions(rows * cols, k)
-        .iter()
-        .map(|&v| NodeId::new(v))
-        .collect();
-    let init = PointerInit::TowardNearestAgent;
-    let mut serial = Engine::new(&g, &ids, &init);
-    serial.run(rounds / 2 + 1); // warm-up: spread the occupied set
-    let mut banded: Vec<SegmentedTorus> = SEGMENTS[1..]
-        .iter()
-        .map(|&p| {
-            let mut t = SegmentedTorus::new(rows, cols, &ids, &init, p);
-            t.run(rounds / 2 + 1);
-            t
-        })
-        .collect();
-    let mut best = vec![0f64; SEGMENTS.len()];
-    for _ in 0..reps {
-        // lint: allow(wall-clock) -- best-of-reps torus-curve timing, a measured quantity
-        let start = Instant::now();
-        serial.run(rounds);
-        best[0] = best[0].max(rounds as f64 / start.elapsed().as_secs_f64());
-        for (b, t) in best[1..].iter_mut().zip(&mut banded) {
-            // lint: allow(wall-clock) -- best-of-reps torus-curve timing, a measured quantity
-            let start = Instant::now();
-            t.run(rounds);
-            *b = b.max(rounds as f64 / start.elapsed().as_secs_f64());
-        }
-    }
-    best
-}
-
 fn bench(c: &mut Criterion) {
     let rounds: u64 = if c.is_test_mode() { 64 } else { 4096 };
 
@@ -173,36 +133,6 @@ fn bench(c: &mut Criterion) {
         ));
     }
     report.curves.push(seg_curve);
-
-    // The segmented torus backend against the serial engine on the same
-    // cell: x = P, with x = 1 the true general-engine baseline, so the
-    // curve states the backend-swap win TorusSegmented buys a sweep.
-    let (t_rows, t_cols, t_k, t_rounds, t_reps) = if c.is_test_mode() {
-        (64, 64, 64, 64, 1)
-    } else {
-        (1024, 1024, 8192, 2048, 5)
-    };
-    let mut torus_curve = Curve::new("segmented_torus_rounds_per_sec")
-        .meta("rows", Json::Int(t_rows as u64))
-        .meta("cols", Json::Int(t_cols as u64))
-        .meta("k", Json::Int(t_k as u64))
-        .meta("placement", Json::Str("all_on_one".into()))
-        .meta("init", Json::Str("toward_nearest_agent".into()))
-        .meta("rounds", Json::Int(t_rounds))
-        .meta("reps", Json::Int(t_reps as u64));
-    let torus_rps = measure_torus_curve(t_rows, t_cols, t_k, t_rounds, t_reps);
-    let torus_base = torus_rps[0];
-    for (p, rps) in SEGMENTS.into_iter().zip(torus_rps) {
-        torus_curve.points.push(Point::new(
-            p as u64,
-            [
-                ("segments", Json::Int(p as u64)),
-                ("rounds_per_sec", Json::Num(rps)),
-                ("speedup_vs_serial", Json::Num(rps / torus_base)),
-            ],
-        ));
-    }
-    report.curves.push(torus_curve);
 
     if c.is_test_mode() {
         println!("test mode: BENCH_engine_throughput.json left untouched");

@@ -165,7 +165,7 @@ impl FaultPlan {
 /// cover predicate can be restarted — the surface the fault-injection
 /// layer needs from a backend.
 ///
-/// Both rotor engines implement every hook; the random-walk baseline
+/// Every rotor engine implements every hook; the random-walk baseline
 /// implements removal and epoch reset but has no pointers to corrupt
 /// (a documented no-op), so recovery experiments can still run the walk
 /// as a comparison column for crash faults.
@@ -226,20 +226,6 @@ impl Perturb for crate::SegmentedRing {
 
     fn reset_cover_epoch(&mut self) {
         crate::SegmentedRing::reset_cover_epoch(self);
-    }
-}
-
-impl Perturb for crate::SegmentedTorus {
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedTorus::corrupt_pointers(self, seed, count)
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedTorus::remove_agents(self, seed, count)
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        crate::SegmentedTorus::reset_cover_epoch(self);
     }
 }
 

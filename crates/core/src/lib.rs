@@ -30,10 +30,6 @@
 //!   into `P` contiguous segments exchanging boundary agent streams at a
 //!   per-round barrier, bit-identical to [`RingRouter`] at every `P`
 //!   (`ROTOR_SEGMENTS` selects `P`; `P = 1` is the serial path).
-//! * [`SegmentedTorus`] — the same cut off the ring: the `rows × cols`
-//!   torus in `P` contiguous row bands exchanging their two boundary
-//!   *rows* of agent counts (an `O(cols)` message) at the barrier,
-//!   bit-identical to [`Engine`] on the torus at every `P`.
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -91,12 +87,10 @@ mod process;
 mod ring;
 pub mod rng;
 pub mod segring;
-pub mod segtorus;
 
 pub use engine::{Engine, EngineState};
 pub use process::{CoverProcess, Observer, Probe};
 pub use ring::{RingRouter, RingState};
 pub use segring::SegmentedRing;
-pub use segtorus::SegmentedTorus;
 
 pub use rotor_graph::{NodeId, PortGraph};

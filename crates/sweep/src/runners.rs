@@ -11,7 +11,7 @@
 use crate::scenario::Scenario;
 use rotor_core::limit::{self, CycleInfo};
 use rotor_core::rng::{stream, STREAM_WALK};
-use rotor_core::{CoverProcess, Engine, Observer, RingRouter, SegmentedRing, SegmentedTorus};
+use rotor_core::{CoverProcess, Engine, Observer, RingRouter, SegmentedRing};
 use rotor_graph::{NodeId, PortGraph};
 use rotor_walks::ParallelWalk;
 use std::time::Instant;
@@ -30,13 +30,6 @@ pub enum ProcessKind {
     /// intra-instance workers and sweep shards never oversubscribe the
     /// machine. Only valid on the ring.
     RotorSegmented,
-    /// The segmented-parallel torus backend ([`SegmentedTorus`]): the
-    /// torus cut into `ROTOR_SEGMENTS` contiguous row bands, bit-identical
-    /// to the general [`Engine`] at every band count, with the
-    /// worker-thread count taken from the
-    /// [`thread_plan`](crate::driver::thread_plan) budget like the ring
-    /// backend. Only valid on the torus family.
-    TorusSegmented,
     /// The general-graph rotor-router ([`Engine`]) — on the ring, used to
     /// cross-check the specialised engine at sweep scale.
     RotorGeneral,
@@ -50,7 +43,6 @@ impl ProcessKind {
         match self {
             ProcessKind::Rotor => "rotor",
             ProcessKind::RotorSegmented => "rotor_seg",
-            ProcessKind::TorusSegmented => "rotor_torus_seg",
             ProcessKind::RotorGeneral => "rotor_general",
             ProcessKind::RandomWalk => "walk",
         }
@@ -77,7 +69,7 @@ pub struct CoverSample {
     pub nanos: u64,
     /// Which engine actually ran the cell
     /// ([`CoverProcess::kind_name`]): `"rotor_ring"`, `"rotor_ring_seg"`,
-    /// `"rotor_general"`, `"rotor_torus_seg"` or `"walk"` — the resolution
+    /// `"rotor_general"` or `"walk"` — the resolution
     /// of the [`ProcessKind::Rotor`] auto-dispatch, recorded so reports can
     /// carry the backend column.
     pub backend: &'static str,
@@ -106,8 +98,7 @@ impl CoverSample {
 /// # Panics
 ///
 /// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
-/// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
-/// family is not the torus.
+/// family is not the ring.
 pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverSample {
     // The unobserved run is the observed one with a no-op instrument —
     // one dispatch to keep in sync, and the "observation must not perturb
@@ -133,8 +124,7 @@ pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverS
 /// # Panics
 ///
 /// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
-/// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
-/// family is not the torus.
+/// family is not the ring.
 pub fn run_scenario_observed<O>(
     sc: &Scenario,
     kind: ProcessKind,
@@ -144,7 +134,6 @@ pub fn run_scenario_observed<O>(
 where
     O: Observer<RingRouter>
         + Observer<SegmentedRing>
-        + Observer<SegmentedTorus>
         + for<'g> Observer<Engine<'g>>
         + for<'g> Observer<ParallelWalk<'g>>,
 {
@@ -168,21 +157,6 @@ where
                 "RotorSegmented requires the Ring family, got {}",
                 sc.family.label()
             )
-        }
-        ProcessKind::TorusSegmented => {
-            let crate::scenario::GraphFamily::Torus { rows, cols } = sc.family else {
-                panic!(
-                    "TorusSegmented requires the Torus family, got {}",
-                    sc.family.label()
-                )
-            };
-            let g = sc.graph();
-            let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
-            let ptrs = initial_pointers(sc, &g, &positions, &ids);
-            let segments = rotor_core::segring::segment_count_from_env();
-            let workers = crate::driver::thread_plan().1;
-            let mut p = SegmentedTorus::with_pointers(rows, cols, &ids, ptrs, segments, workers);
-            finish_observed(sc, &mut p, max_rounds, observer)
         }
         ProcessKind::Rotor | ProcessKind::RotorGeneral => {
             let g = sc.graph();
@@ -532,49 +506,15 @@ mod tests {
     }
 
     #[test]
-    fn torus_segmented_kind_matches_general_kind_cell_by_cell() {
-        // ProcessKind::TorusSegmented must be a pure backend swap for the
-        // general engine on the torus: same cover, same rounds, for every
-        // cell — whatever ROTOR_SEGMENTS is set to in the environment.
-        for (rows, cols) in [(4, 5), (7, 3)] {
-            let scenarios = ScenarioGrid {
-                families: vec![GraphFamily::Torus { rows, cols }],
-                ns: vec![rows * cols],
-                ks: vec![1, 3, 6],
-                seed_count: 2,
-                base_seed: 23,
-                placement: PlacementSpec::Random,
-                init: InitSpec::Random,
-            }
-            .scenarios();
-            let general: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-                run_scenario(s, ProcessKind::RotorGeneral, 1 << 22)
-            });
-            let seg: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-                run_scenario(s, ProcessKind::TorusSegmented, 1 << 22)
-            });
-            for (g, s) in general.iter().zip(&seg) {
-                assert_eq!(
-                    (g.cover, g.rounds),
-                    (s.cover, s.rounds),
-                    "torus segmented backend diverged at n={} k={} seed={}",
-                    g.n,
-                    g.k,
-                    g.seed
-                );
-                assert_eq!(s.backend, "rotor_torus_seg");
-            }
-        }
-    }
-
-    #[test]
     fn ring_backends_match_cell_by_cell() {
         // One ScenarioGrid through Rotor, RotorGeneral and RotorSegmented
         // must produce field-identical reports under `xtask compare`
         // semantics — every CoverSample field except `nanos` (a declared
         // NONDETERMINISTIC_FIELDS timing column) and `backend`
         // (compare-stable *within* a backend; across backends it differs
-        // by construction and is asserted exactly).
+        // by construction and is asserted exactly). Of the four
+        // kind_names — rotor_ring, rotor_general, rotor_ring_seg and
+        // walk — only the random-walk baseline covers differently.
         let scenarios = ScenarioGrid {
             families: vec![GraphFamily::Ring],
             ns: vec![32, 61],
@@ -606,21 +546,6 @@ mod tests {
                 assert_eq!((r.backend, o.backend), ("rotor_ring", backend));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "TorusSegmented requires the Torus family")]
-    fn torus_segmented_on_non_torus_panics() {
-        let sc = Scenario {
-            family: GraphFamily::Ring,
-            n: 8,
-            k: 1,
-            seed_index: 0,
-            seed: 1,
-            placement: PlacementSpec::AllOnOne,
-            init: InitSpec::Uniform(0),
-        };
-        run_scenario(&sc, ProcessKind::TorusSegmented, 100);
     }
 
     #[test]

@@ -39,12 +39,13 @@
 //!   [`run_sharded_checked`] driver, so one poisoned cell surfaces in the
 //!   report meta instead of killing the pass. Writes
 //!   `BENCH_recovery.json`.
-//! * [`TORUS_SEG`] — the segmented-torus canary: worst-case and seeded
-//!   random cover curves per torus shape, measured on the row-banded
-//!   [`ProcessKind::TorusSegmented`] backend (band count from
-//!   `ROTOR_SEGMENTS`, bit-identical to the serial engine at every
-//!   setting), so the determinism-drift job has a torus report to diff
-//!   across partition counts. Writes `BENCH_torus_seg.json`.
+//! * [`TORUS_SEG`] — the torus canary: worst-case and seeded random
+//!   cover curves per torus shape, measured on the general
+//!   [`Engine`](rotor_core::Engine) through [`ProcessKind::Rotor`], so the
+//!   determinism-drift job can diff a full-scale rerun against the
+//!   committed torus report. The name and report file are kept from the
+//!   retired row-banded torus backend, so older reports stay comparable.
+//!   Writes `BENCH_torus_seg.json`.
 //!
 //! The `general_graphs` and `recovery` bench targets are thin smoke-mode
 //! wrappers over [`family_speedup_report`] / [`recovery_report`], so the
@@ -75,7 +76,7 @@ pub const FAMILY_SPEEDUP: &str = "family-speedup";
 pub const RING_LARGE_N: &str = "ring-large-n";
 /// The fault-injection recovery campaign (writes `BENCH_recovery.json`).
 pub const RECOVERY: &str = "recovery";
-/// The segmented-torus backend canary (writes `BENCH_torus_seg.json`).
+/// The torus canary on the general engine (writes `BENCH_torus_seg.json`).
 pub const TORUS_SEG: &str = "torus-seg";
 /// Every defined campaign name, for CLI help and dispatch.
 pub const NAMES: [&str; 4] = [FAMILY_SPEEDUP, RING_LARGE_N, RECOVERY, TORUS_SEG];
@@ -1193,8 +1194,8 @@ pub fn recovery_report(
 // torus-seg
 // ---------------------------------------------------------------------------
 
-/// Torus shapes the segmented-torus campaign sweeps, per scale; the
-/// non-square shapes keep `rows mod P ≠ 0` partitions in the canary.
+/// Torus shapes the torus campaign sweeps, per scale: one square and one
+/// non-square shape.
 fn torus_shapes(scale: Scale) -> &'static [(usize, usize)] {
     match scale {
         Scale::Full => &[(64, 64), (96, 48)],
@@ -1215,10 +1216,10 @@ fn torus_seg_seed_count(scale: Scale) -> usize {
 
 const TORUS_SEG_BASE_SEED: u64 = 0x70B5;
 
-/// Runs one shape unit of the segmented-torus campaign: the
-/// deterministic worst-case column (all agents on one node, pointers
-/// toward them) and a seeded random column, both measured on the
-/// row-banded backend over the shared `k` ladder.
+/// Runs one shape unit of the torus campaign: the deterministic
+/// worst-case column (all agents on one node, pointers toward them) and a
+/// seeded random column, both measured on the general engine over the
+/// shared `k` ladder.
 fn run_torus_seg_unit(rows: usize, cols: usize, scale: Scale, threads: usize) -> Json {
     let n = rows * cols;
     let ks = ks_for(n);
@@ -1248,12 +1249,11 @@ fn run_torus_seg_unit(rows: usize, cols: usize, scale: Scale, threads: usize) ->
             init,
         };
         let scenarios = grid.scenarios();
-        // The row-banded backend is bit-identical to the serial engine
-        // at every ROTOR_SEGMENTS (pinned by the equivalence property
-        // tests), so the drift job can diff this report across
-        // partition counts — the torus analogue of the ring canary.
+        // Off the ring `Rotor` dispatches to the general engine; every
+        // cover is deterministic, so the drift job diffs a rerun of this
+        // report against the committed one.
         let samples: Vec<CoverSample> = run_sharded(&scenarios, threads, |_, sc| {
-            run_scenario(sc, ProcessKind::TorusSegmented, u64::MAX)
+            run_scenario(sc, ProcessKind::Rotor, u64::MAX)
         });
         let mut curve = Curve::new(format!("{name}/{rows}x{cols}"))
             .meta("process", Json::Str("rotor".into()))
@@ -1289,8 +1289,8 @@ fn run_torus_seg_unit(rows: usize, cols: usize, scale: Scale, threads: usize) ->
 }
 
 /// Builds the `torus-seg` report (bench `torus_seg`): per-shape
-/// worst-case and random cover curves, every cell measured on
-/// [`ProcessKind::TorusSegmented`].
+/// worst-case and random cover curves, every cell measured on the
+/// general engine through [`ProcessKind::Rotor`].
 ///
 /// # Errors
 ///
@@ -1487,7 +1487,7 @@ mod tests {
                 .get("meta")
                 .and_then(|m| m.get("backend"))
                 .and_then(Json::as_str);
-            assert_eq!(backend, Some("rotor_torus_seg"));
+            assert_eq!(backend, Some("rotor_general"));
         }
     }
 

@@ -173,16 +173,16 @@ fn check_bench_rules(
     match bench {
         "torus_seg" => {
             check_x_increasing(ctx, points, errors);
-            // The campaign exists to canary the segmented torus backend;
-            // a report claiming another engine ran is a wiring regression.
+            // The campaign canaries the general engine on the torus; a
+            // report claiming another engine ran is a wiring regression.
             match curve
                 .get("meta")
                 .and_then(|m| m.get("backend"))
                 .and_then(Json::as_str)
             {
-                Some("rotor_torus_seg") => {}
+                Some("rotor_general") => {}
                 other => errors.push(format!(
-                    "{ctx}: meta.backend = {other:?}, expected \"rotor_torus_seg\""
+                    "{ctx}: meta.backend = {other:?}, expected \"rotor_general\""
                 )),
             }
         }
@@ -653,53 +653,46 @@ fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut 
         }
     }
     if bench == "engine_throughput" {
-        // The parallel-backend contract, per segmented backend: the
-        // report must carry the rounds/sec-vs-segments curve over the
-        // full P ladder, and the backend must never be slower than its
-        // serial baseline at the gated P values (the sanity floor under
-        // the ≥ 2× target). The ring gates P ∈ {4, 8}; the torus gates
-        // P = 4 (its committed win criterion).
-        let backends: [(&str, &str, &[u64]); 2] = [
-            ("segmented_ring_rounds_per_sec", "segmented ring", &[4, 8]),
-            ("segmented_torus_rounds_per_sec", "segmented torus", &[4]),
-        ];
-        for (label, what, gated) in backends {
-            let seg = curves
-                .iter()
-                .find(|c| c.get("label").and_then(Json::as_str) == Some(label));
-            match seg {
-                None => errors.push(format!(
-                    "missing the {what} rounds/sec-vs-segments curve (label \"{label}\")"
-                )),
-                Some(curve) => {
-                    let points = curve
-                        .get("points")
-                        .and_then(Json::as_arr)
-                        .map(<[Json]>::to_vec)
-                        .unwrap_or_default();
-                    let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-                    if xs != [1, 2, 4, 8] {
-                        errors.push(format!(
-                            "{what} curve x = {xs:?}, expected segment counts [1, 2, 4, 8]"
-                        ));
-                    }
-                    let rps_at = |x: u64| {
-                        points
-                            .iter()
-                            .find(|p| p.get("x").and_then(Json::as_u64) == Some(x))
-                            .and_then(|p| p.get("rounds_per_sec"))
-                            .and_then(Json::as_f64)
-                    };
-                    if let Some(base) = rps_at(1) {
-                        for &x in gated {
-                            match rps_at(x) {
-                                Some(r) if r >= base => {}
-                                Some(r) => errors.push(format!(
-                                    "{what} backend at P = {x} ({r:.0} rounds/sec) is slower \
-                                     than the serial path ({base:.0} rounds/sec)"
-                                )),
-                                None => {}
-                            }
+        // The parallel-backend contract: the report must carry the
+        // segmented ring's rounds/sec-vs-segments curve over the full P
+        // ladder, and the backend must never be slower than its serial
+        // baseline at P ∈ {4, 8} (the sanity floor under the ≥ 2× target).
+        const LABEL: &str = "segmented_ring_rounds_per_sec";
+        let seg = curves
+            .iter()
+            .find(|c| c.get("label").and_then(Json::as_str) == Some(LABEL));
+        match seg {
+            None => errors.push(format!(
+                "missing the segmented ring rounds/sec-vs-segments curve (label \"{LABEL}\")"
+            )),
+            Some(curve) => {
+                let points = curve
+                    .get("points")
+                    .and_then(Json::as_arr)
+                    .map(<[Json]>::to_vec)
+                    .unwrap_or_default();
+                let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
+                if xs != [1, 2, 4, 8] {
+                    errors.push(format!(
+                        "segmented ring curve x = {xs:?}, expected segment counts [1, 2, 4, 8]"
+                    ));
+                }
+                let rps_at = |x: u64| {
+                    points
+                        .iter()
+                        .find(|p| p.get("x").and_then(Json::as_u64) == Some(x))
+                        .and_then(|p| p.get("rounds_per_sec"))
+                        .and_then(Json::as_f64)
+                };
+                if let Some(base) = rps_at(1) {
+                    for x in [4, 8] {
+                        match rps_at(x) {
+                            Some(r) if r >= base => {}
+                            Some(r) => errors.push(format!(
+                                "segmented ring backend at P = {x} ({r:.0} rounds/sec) is \
+                                 slower than the serial path ({base:.0} rounds/sec)"
+                            )),
+                            None => {}
                         }
                     }
                 }
@@ -1064,8 +1057,8 @@ mod tests {
     }
 
     /// A well-formed engine_throughput report: the workload curve (x not
-    /// monotone by design) plus the two required segmented curves.
-    fn throughput_report_full(seg_points: &str, torus_points: &str) -> Json {
+    /// monotone by design) plus the required segmented ring curve.
+    fn throughput_report(seg_points: &str) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"rotor-experiment/1","bench":"engine_throughput","threads":1,
                  "meta":{{}},
@@ -1073,22 +1066,10 @@ mod tests {
                    {{"label":"rounds_per_sec","meta":{{}},"fit":null,
                      "points":[{{"x":4096,"rounds_per_sec":1.0}},{{"x":1024,"rounds_per_sec":2.0}}]}},
                    {{"label":"segmented_ring_rounds_per_sec","meta":{{"n":2097152}},"fit":null,
-                     "points":{seg_points}}},
-                   {{"label":"segmented_torus_rounds_per_sec","meta":{{"rows":1024}},"fit":null,
-                     "points":{torus_points}}}
+                     "points":{seg_points}}}
                  ]}}"#
         ))
         .expect("well-formed test report")
-    }
-
-    /// [`throughput_report_full`] with a known-good torus curve, for
-    /// tests that exercise the ring rules.
-    fn throughput_report(seg_points: &str) -> Json {
-        throughput_report_full(
-            seg_points,
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":140.0},
-                {"x":4,"rounds_per_sec":130.0},{"x":8,"rounds_per_sec":110.0}]"#,
-        )
     }
 
     #[test]
@@ -1142,50 +1123,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_throughput_requires_the_torus_curve() {
-        let good_ring = r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":150.0},
-                            {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#;
+    fn torus_seg_requires_the_general_engine_backend() {
+        let points = r#"[{"x":1,"cover":5},{"x":4,"cover":3}]"#;
+        let ok = minimal("torus_seg", points, r#"{"backend":"rotor_general"}"#, "{}");
+        assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
 
-        // missing torus curve: a report carrying only the ring curve
-        let ring_only = Json::parse(&format!(
-            r#"{{"schema":"rotor-experiment/1","bench":"engine_throughput","threads":1,
-                 "meta":{{}},
-                 "curves":[
-                   {{"label":"segmented_ring_rounds_per_sec","meta":{{}},"fit":null,
-                     "points":{good_ring}}}
-                 ]}}"#
-        ))
-        .unwrap();
-        assert!(validate(&ring_only, &Options::default())
-            .iter()
-            .any(|e| e.contains("missing the segmented torus")));
-
-        // wrong P ladder on the torus curve
-        let short = throughput_report_full(
-            good_ring,
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":4,"rounds_per_sec":130.0}]"#,
+        // the retired row-banded torus backend is a wiring regression
+        let banded = minimal(
+            "torus_seg",
+            points,
+            r#"{"backend":"rotor_torus_seg"}"#,
+            "{}",
         );
-        assert!(validate(&short, &Options::default())
+        assert!(validate(&banded, &Options::default())
             .iter()
-            .any(|e| e.contains("segmented torus curve x")));
-
-        // the torus gates P = 4 but not P = 8: a slow P = 8 point passes
-        let slow8 = throughput_report_full(
-            good_ring,
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":140.0},
-                {"x":4,"rounds_per_sec":130.0},{"x":8,"rounds_per_sec":60.0}]"#,
-        );
-        assert_eq!(validate(&slow8, &Options::default()), Vec::<String>::new());
-
-        // a slow P = 4 point trips the committed-win floor
-        let slow4 = throughput_report_full(
-            good_ring,
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":140.0},
-                {"x":4,"rounds_per_sec":80.0},{"x":8,"rounds_per_sec":110.0}]"#,
-        );
-        assert!(validate(&slow4, &Options::default())
-            .iter()
-            .any(|e| e.contains("segmented torus backend at P = 4") && e.contains("slower")));
+            .any(|e| e.contains("meta.backend = Some(\"rotor_torus_seg\")")));
     }
 
     #[test]
