@@ -349,6 +349,29 @@ impl<'g> Engine<'g> {
     }
 }
 
+/// Agents first: a mismatch in who sits where settles most comparisons
+/// before the pointer vector is read.
+impl crate::limit::ConfigSnapshot for Engine<'_> {
+    type Config = EngineState;
+
+    fn config(&self) -> EngineState {
+        self.state()
+    }
+
+    fn config_into(&self, out: &mut EngineState) {
+        out.pointers.clone_from(&self.pointers);
+        out.agents.clone_from(&self.agents);
+    }
+
+    fn config_eq(&self, c: &EngineState) -> bool {
+        c.agents == self.agents && c.pointers == self.pointers
+    }
+
+    fn same_config(&self, other: &Self) -> bool {
+        self.agents == other.agents && self.pointers == other.pointers
+    }
+}
+
 impl crate::CoverProcess for Engine<'_> {
     fn kind_name(&self) -> &'static str {
         "rotor_general"

@@ -12,7 +12,13 @@
 //!
 //! Brent's algorithm finds `(μ, λ)` with `O(μ + λ)` steps and `O(1)`
 //! stored snapshots, which matters here because configurations are
-//! `Θ(n)`-sized.
+//! `Θ(n)`-sized. The observer probes go further and allocate nothing per
+//! round: [`ConfigSnapshot`] compares the *live* process state to the one
+//! stored tortoise snapshot ([`config_eq`](ConfigSnapshot::config_eq)) or
+//! to a second live process ([`same_config`](ConfigSnapshot::same_config))
+//! in place, checking the `O(k)` occupancy before the `Θ(n)` pointers, and
+//! a teleporting tortoise overwrites its snapshot's buffers
+//! ([`config_into`](ConfigSnapshot::config_into)).
 //!
 //! Two formulations live here:
 //!
@@ -26,10 +32,10 @@
 //!   [`ring_cycle`] / [`engine_cycle`] are built on it (property-tested
 //!   equal to [`brent`]).
 
-use crate::engine::{Engine, EngineState};
+use crate::engine::Engine;
 use crate::init::PointerInit;
 use crate::process::{CoverProcess, Observer, Probe};
-use crate::ring::{RingRouter, RingState};
+use crate::ring::RingRouter;
 use rotor_graph::{NodeId, PortGraph};
 
 /// The eventually-periodic structure of a deterministic sequence: a tail of
@@ -113,36 +119,44 @@ where
 /// A [`CoverProcess`] whose full mutable configuration can be snapshotted
 /// for equality testing — the surface the cycle probes need. Equal
 /// configurations must imply identical futures (the rotor-router is
-/// deterministic, so both engines qualify; the random-walk baseline does
-/// not and deliberately has no impl).
+/// deterministic, so every rotor backend qualifies; the random-walk
+/// baseline does not and deliberately has no impl).
+///
+/// The in-place methods have no allocating defaults, so every backend
+/// states its own comparison. Each must agree with the snapshot's
+/// `PartialEq` on *every* pair — different `k` (after a crash) and
+/// different partitions included:
+///
+/// * `p.config_eq(&c) == (p.config() == c)`;
+/// * `p.same_config(&q) == (p.config() == q.config())`;
+/// * after `p.config_into(&mut c)`, `c == p.config()`.
 pub trait ConfigSnapshot: CoverProcess {
     /// Snapshot type; equality certifies equal configurations.
     type Config: Clone + PartialEq;
 
-    /// Snapshot of the current configuration.
+    /// Snapshot of the current configuration (allocates).
     fn config(&self) -> Self::Config;
+
+    /// Overwrites `out` with the current configuration, reusing its
+    /// buffers.
+    fn config_into(&self, out: &mut Self::Config);
+
+    /// Whether the current configuration equals the snapshot `c`,
+    /// compared in place.
+    fn config_eq(&self, c: &Self::Config) -> bool;
+
+    /// Whether `self` and `other` are in the same configuration, compared
+    /// in place.
+    fn same_config(&self, other: &Self) -> bool;
 }
 
-impl ConfigSnapshot for RingRouter {
-    type Config = RingState;
-
-    fn config(&self) -> RingState {
-        self.state()
-    }
-}
-
-impl ConfigSnapshot for Engine<'_> {
-    type Config = EngineState;
-
-    fn config(&self) -> EngineState {
-        self.state()
-    }
-}
-
-/// Brent phase 1 as a snapshot-taking [`Observer`]: finds the limit-cycle
-/// period `λ` of the configuration sequence during a single
-/// [`run_probed`](CoverProcess::run_probed) drive, holding `O(1)`
-/// snapshots.
+/// Brent phase 1 as an [`Observer`]: finds the limit-cycle period `λ` of
+/// the configuration sequence during a single
+/// [`run_probed`](CoverProcess::run_probed) drive, holding one tortoise
+/// snapshot. The snapshot is taken once, at round 0; afterwards the live
+/// configuration is compared to it in place
+/// ([`config_eq`](ConfigSnapshot::config_eq)) and a teleport overwrites
+/// its buffers ([`config_into`](ConfigSnapshot::config_into)).
 ///
 /// The observation stream replays [`brent`]'s phase 1 exactly (the
 /// tortoise waits at `x_{2^i − 1}` while the hare walks), so the detected
@@ -197,18 +211,18 @@ impl<P: ConfigSnapshot> Observer<P> for CycleProbe<P::Config> {
         if self.period.is_some() {
             return;
         }
-        let hare = p.config();
-        let Some(tortoise) = &self.tortoise else {
-            // Round 0: the tortoise starts at the initial configuration.
-            self.tortoise = Some(hare);
+        let Some(tortoise) = &mut self.tortoise else {
+            // Round 0: the tortoise starts at the initial configuration —
+            // the only snapshot this pass allocates.
+            self.tortoise = Some(p.config());
             return;
         };
-        if *tortoise == hare {
+        if p.config_eq(tortoise) {
             self.period = Some(self.lambda);
             return;
         }
         if self.power == self.lambda {
-            self.tortoise = Some(hare);
+            p.config_into(tortoise);
             self.power = self.power.checked_mul(2).expect("power-of-two overflow");
             self.lambda = 0;
         }
@@ -228,10 +242,11 @@ impl<P: ConfigSnapshot> Probe<P> for CycleProbe<P::Config> {
 /// behind the observed one — the first round `r` with `x_{r−λ} = x_r` has
 /// `μ = r − λ`.
 ///
-/// Memory is one extra machine and `O(1)` snapshots per comparison, like
-/// [`brent`]'s phase 2 (configurations are `Θ(n)`-sized, so a `λ`-deep
-/// snapshot window would be `Θ(λ·n)` — prohibitive at the sweep sizes the
-/// ring campaigns run at).
+/// Memory is one extra machine and no snapshot at all: each round compares
+/// the trailing machine with the observed one in place
+/// ([`same_config`](ConfigSnapshot::same_config)). A `λ`-deep snapshot
+/// window would be `Θ(λ·n)` — prohibitive at the sweep sizes the ring
+/// campaigns run at.
 #[derive(Clone, Debug)]
 pub struct TailProbe<P> {
     lambda: u64,
@@ -275,7 +290,7 @@ impl<P: ConfigSnapshot> Observer<P> for TailProbe<P> {
         // x_seen; once it is λ ahead, the trailing machine sits at
         // x_{seen−λ} and every mismatch advances it by one round.
         if self.seen >= self.lambda {
-            if self.trailing.config() == p.config() {
+            if self.trailing.same_config(p) {
                 self.tail = Some(self.seen - self.lambda);
                 return;
             }
@@ -299,15 +314,25 @@ impl<P: ConfigSnapshot> Probe<P> for TailProbe<P> {
 /// (any engine constructor from fixed inputs qualifies). Returns `None`
 /// when no cycle is certified within `max_steps` rounds — the same budget
 /// semantics as [`brent`], to which this is property-tested equal.
+///
+/// The budget counts rounds from the state `make` returns, not absolute
+/// rounds: a process that has already run `r` rounds (a disturbed copy in
+/// the recovery runner, say) still gets the full `max_steps`, and `μ` is
+/// indexed from that state.
 pub fn probe_cycle<P: ConfigSnapshot>(make: impl Fn() -> P, max_steps: u64) -> Option<CycleInfo> {
     let mut first = make();
     let mut head = CycleProbe::new();
-    first.run_probed(max_steps, &mut head);
+    let until = first.round().saturating_add(max_steps);
+    first.run_probed(until, &mut head);
     let period = head.period()?;
     let mut second = make();
     let mut tail_probe = TailProbe::new(period, make());
     // μ ≤ max_steps is certified at round μ + λ of the second pass.
-    second.run_probed(max_steps.saturating_add(period), &mut tail_probe);
+    let until = second
+        .round()
+        .saturating_add(max_steps)
+        .saturating_add(period);
+    second.run_probed(until, &mut tail_probe);
     tail_probe.tail().map(|tail| CycleInfo { tail, period })
 }
 
@@ -351,8 +376,14 @@ pub fn ring_return_time(n: usize, starts: &[u32], dirs: &[u8], max_steps: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineState;
     use crate::init::CW;
+    use crate::placement::Placement;
+    use crate::ring::RingState;
+    use crate::rng::splitmix64;
+    use crate::segring::SegmentedRing;
     use rotor_graph::builders;
+    use std::cell::Cell;
 
     /// Reference: naive cycle detection storing every state.
     fn naive_ring_cycle(n: usize, starts: &[u32], dirs: &[u8], max: u64) -> Option<CycleInfo> {
@@ -422,10 +453,8 @@ mod tests {
     #[test]
     fn probe_cycle_matches_brent_reference_on_random_rings() {
         // The observer reformulation must certify the exact (μ, λ) the
-        // restartable reference finds, seed by seed.
-        use crate::init::PointerInit;
-        use crate::placement::Placement;
-        use crate::rng::splitmix64;
+        // restartable reference finds, seed by seed — on the serial ring
+        // and on the segmented ring at every partition count.
         for i in 0..30u64 {
             let h = splitmix64(0x9B1E ^ i);
             let n = 4 + (h % 12) as usize;
@@ -441,7 +470,140 @@ mod tests {
             );
             assert_eq!(probed, reference, "n={n} k={k} i={i}");
             assert!(probed.is_some(), "small systems always cycle");
+            for p in [2usize, 3] {
+                let seg = probe_cycle(|| SegmentedRing::new(n, &starts, &dirs, p), 1_000_000);
+                assert_eq!(seg, reference, "segmented p={p} n={n} k={k} i={i}");
+            }
         }
+    }
+
+    #[test]
+    fn probe_cycle_matches_brent_reference_on_engine_graphs() {
+        // The general engine's in-place comparisons certify the (μ, λ) the
+        // allocating reference finds, off the ring too.
+        for (name, g) in [
+            ("torus_3x3", builders::torus(3, 3)),
+            ("hypercube_3", builders::hypercube(3)),
+            ("random_regular_d4", builders::random_regular(10, 4, 0x5EED)),
+        ] {
+            let n = g.node_count();
+            for i in 0..8u64 {
+                let h = splitmix64(0xE9 ^ i);
+                let k = 1 + (h % 3) as usize;
+                let ids: Vec<NodeId> = Placement::Random(h)
+                    .positions(n, k)
+                    .into_iter()
+                    .map(NodeId::new)
+                    .collect();
+                let ptrs = PointerInit::Random(splitmix64(h ^ 1)).pointers(&g, &ids);
+                let make = || Engine::with_pointers(&g, &ids, ptrs.clone());
+                let probed = probe_cycle(make, 1_000_000);
+                let reference = brent(
+                    make,
+                    Engine::step,
+                    |e| -> EngineState { e.state() },
+                    1_000_000,
+                );
+                assert_eq!(probed, reference, "{name} k={k} i={i}");
+                assert!(probed.is_some(), "small systems always cycle");
+            }
+        }
+    }
+
+    #[test]
+    fn probe_cycle_budget_counts_from_the_factory_state() {
+        // A router already past the budget still gets the full budget,
+        // and its (μ, λ) is that of a fresh router built from its state.
+        let n = 9usize;
+        let dirs = PointerInit::Random(7).ring_directions(n, &[0, 4]);
+        let budget = 1_000;
+        let mut r = RingRouter::new(n, &[0, 4], &dirs);
+        r.run(budget + 5);
+        let state = r.state();
+        let starts: Vec<u32> = state
+            .occupied
+            .iter()
+            .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+            .collect();
+        let fresh = probe_cycle(|| RingRouter::new(n, &starts, &state.dirs), budget);
+        assert!(fresh.is_some(), "the fresh router cycles within the budget");
+        assert_eq!(probe_cycle(|| r.clone(), budget), fresh);
+    }
+
+    /// A ring router that counts its allocating snapshots.
+    #[derive(Clone)]
+    struct Counted<'c> {
+        inner: RingRouter,
+        snapshots: &'c Cell<u32>,
+    }
+
+    impl CoverProcess for Counted<'_> {
+        fn kind_name(&self) -> &'static str {
+            "counted"
+        }
+        fn node_count(&self) -> usize {
+            self.inner.n() as usize
+        }
+        fn round(&self) -> u64 {
+            self.inner.round()
+        }
+        fn step(&mut self) {
+            self.inner.step();
+        }
+        fn cover_round(&self) -> Option<u64> {
+            self.inner.cover_round()
+        }
+        fn visited_count(&self) -> usize {
+            CoverProcess::visited_count(&self.inner)
+        }
+        fn is_node_visited(&self, node: usize) -> bool {
+            self.inner.is_visited(node as u32)
+        }
+    }
+
+    impl ConfigSnapshot for Counted<'_> {
+        type Config = RingState;
+
+        fn config(&self) -> RingState {
+            self.snapshots.set(self.snapshots.get() + 1);
+            self.inner.config()
+        }
+        fn config_into(&self, out: &mut RingState) {
+            self.inner.config_into(out);
+        }
+        fn config_eq(&self, c: &RingState) -> bool {
+            self.inner.config_eq(c)
+        }
+        fn same_config(&self, other: &Self) -> bool {
+            self.inner.same_config(&other.inner)
+        }
+    }
+
+    #[test]
+    fn probes_snapshot_at_most_once_per_pass() {
+        let n = 12usize;
+        let dirs = PointerInit::Random(3).ring_directions(n, &[0, 5, 5]);
+        let snapshots = Cell::new(0);
+        let make = || Counted {
+            inner: RingRouter::new(n, &[0, 5, 5], &dirs),
+            snapshots: &snapshots,
+        };
+        let mut head = CycleProbe::new();
+        assert!(make().run_probed(1_000_000, &mut head));
+        assert_eq!(snapshots.get(), 1, "the round-0 tortoise only");
+        let period = head.period().unwrap();
+        assert!(period > 1, "the tortoise teleported at least once");
+        let mut tail = TailProbe::new(period, make());
+        assert!(make().run_probed(1_000_000, &mut tail));
+        assert_eq!(snapshots.get(), 1, "the tail pass compares in place");
+        let expected = ring_cycle(n, &[0, 5, 5], &dirs, 1_000_000);
+        assert_eq!(
+            Some(CycleInfo {
+                tail: tail.tail().unwrap(),
+                period
+            }),
+            expected
+        );
     }
 
     #[test]
@@ -533,12 +695,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_agent_period_divides_multiple_of_two_e() {
-        // In the limit, every arc is traversed the same number of times per
-        // period, so the period is a multiple of 2|E|/k' for some split; the
-        // robust check is that the total traversal count per period is a
-        // multiple of... keep to the paper-backed fact: period >= 1 and the
-        // cycle really repeats.
+    fn multi_agent_certified_period_replays() {
+        // The certified (μ, λ) of a two-agent ring is a real cycle: the
+        // configuration reached after μ rounds recurs λ rounds later.
         let n = 8usize;
         let starts = [0u32, 4];
         let dirs = vec![CW; n];

@@ -217,6 +217,11 @@ impl RingRouter {
             .collect()
     }
 
+    /// Pointer direction per node (`0` = clockwise).
+    pub(crate) fn direction_bits(&self) -> &[u8] {
+        &self.dirs
+    }
+
     /// Occupied nodes, sorted ascending.
     pub fn occupied_nodes(&self) -> &[u32] {
         &self.occ_nodes
@@ -515,6 +520,47 @@ impl RingRouter {
             domains: self.domains,
             borders: self.borders,
         } = self.visited.domain_stats();
+    }
+}
+
+/// Whether the SoA occupied halves `nodes`/`counts` spell out exactly the
+/// `(node, count)` pairs of a [`RingState`] snapshot.
+pub(crate) fn occupied_eq(nodes: &[u32], counts: &[u32], pairs: &[(u32, u32)]) -> bool {
+    pairs.len() == nodes.len()
+        && pairs
+            .iter()
+            .zip(nodes.iter().zip(counts))
+            .all(|(&(v, c), (&w, &d))| v == w && c == d)
+}
+
+/// Occupancy first: the `O(k)` occupied list settles most mismatches
+/// before the `n`-byte direction vector is read.
+impl crate::limit::ConfigSnapshot for RingRouter {
+    type Config = RingState;
+
+    fn config(&self) -> RingState {
+        self.state()
+    }
+
+    fn config_into(&self, out: &mut RingState) {
+        out.dirs.clone_from(&self.dirs);
+        out.occupied.clear();
+        out.occupied.extend(
+            self.occ_nodes
+                .iter()
+                .copied()
+                .zip(self.occ_counts.iter().copied()),
+        );
+    }
+
+    fn config_eq(&self, c: &RingState) -> bool {
+        occupied_eq(&self.occ_nodes, &self.occ_counts, &c.occupied) && c.dirs == self.dirs
+    }
+
+    fn same_config(&self, other: &Self) -> bool {
+        self.occ_nodes == other.occ_nodes
+            && self.occ_counts == other.occ_counts
+            && self.dirs == other.dirs
     }
 }
 

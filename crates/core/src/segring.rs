@@ -43,7 +43,7 @@
 
 use crate::bitset::VisitSet;
 use crate::init::CW;
-use crate::ring::{RingRouter, RingState};
+use crate::ring::{occupied_eq, RingRouter, RingState};
 
 /// Environment variable overriding the intra-instance segment count used
 /// by sweeps and campaigns (`1` — the serial path — when unset).
@@ -782,19 +782,9 @@ impl SegmentedRing {
     /// Sorted `(node, count)` pairs of occupied nodes (concatenating the
     /// segments preserves global sort order).
     pub fn occupied(&self) -> Vec<(u32, u32)> {
-        match &self.inner {
-            Inner::Serial(r) => r.occupied(),
-            Inner::Seg(s) => s
-                .segments
-                .iter()
-                .flat_map(|seg| {
-                    seg.occ_nodes
-                        .iter()
-                        .copied()
-                        .zip(seg.occ_counts.iter().copied())
-                })
-                .collect(),
-        }
+        self.parts()
+            .flat_map(|(_, nodes, counts)| nodes.iter().copied().zip(counts.iter().copied()))
+            .collect()
     }
 
     /// Whether `v` has ever been visited (or initially held an agent).
@@ -828,17 +818,12 @@ impl SegmentedRing {
     /// [`RingRouter::state`], so equality (and Brent cycle probing over
     /// it) is directly comparable across the two engines.
     pub fn state(&self) -> RingState {
-        match &self.inner {
-            Inner::Serial(r) => r.state(),
-            Inner::Seg(s) => RingState {
-                dirs: s
-                    .segments
-                    .iter()
-                    .flat_map(|seg| seg.dirs.iter().copied())
-                    .collect(),
-                occupied: self.occupied(),
-            },
-        }
+        let mut state = RingState {
+            dirs: Vec::with_capacity(self.n() as usize),
+            occupied: Vec::new(),
+        };
+        crate::limit::ConfigSnapshot::config_into(self, &mut state);
+        state
     }
 
     /// Advances one synchronous round: every agent moves.
@@ -1185,11 +1170,86 @@ impl crate::CoverProcess for SegmentedRing {
     }
 }
 
+impl SegmentedRing {
+    /// The configuration as `(dirs, occupied nodes, occupied counts)`
+    /// pieces in ring order — one per segment, or the whole serial router
+    /// — so comparisons never materialise the global vectors.
+    fn parts(&self) -> impl Iterator<Item = (&[u8], &[u32], &[u32])> {
+        let (serial, segments) = match &self.inner {
+            Inner::Serial(r) => (
+                Some((r.direction_bits(), r.occupied_nodes(), r.occupied_counts())),
+                &[][..],
+            ),
+            Inner::Seg(s) => (None, &s.segments[..]),
+        };
+        serial.into_iter().chain(
+            segments
+                .iter()
+                .map(|g| (&g.dirs[..], &g.occ_nodes[..], &g.occ_counts[..])),
+        )
+    }
+}
+
+/// Segment by segment, occupancy before directions, against the slices
+/// of the snapshot (or of the other router) at the same offsets.
 impl crate::limit::ConfigSnapshot for SegmentedRing {
     type Config = RingState;
 
     fn config(&self) -> RingState {
         self.state()
+    }
+
+    fn config_into(&self, out: &mut RingState) {
+        out.dirs.clear();
+        out.occupied.clear();
+        for (dirs, nodes, counts) in self.parts() {
+            out.dirs.extend_from_slice(dirs);
+            out.occupied
+                .extend(nodes.iter().copied().zip(counts.iter().copied()));
+        }
+    }
+
+    fn config_eq(&self, c: &RingState) -> bool {
+        let mut at = 0;
+        for (_, nodes, counts) in self.parts() {
+            match c.occupied.get(at..at + nodes.len()) {
+                Some(pairs) if occupied_eq(nodes, counts, pairs) => at += nodes.len(),
+                _ => return false,
+            }
+        }
+        if at != c.occupied.len() {
+            return false;
+        }
+        let mut at = 0;
+        for (dirs, ..) in self.parts() {
+            if c.dirs.get(at..at + dirs.len()) != Some(dirs) {
+                return false;
+            }
+            at += dirs.len();
+        }
+        at == c.dirs.len()
+    }
+
+    fn same_config(&self, other: &Self) -> bool {
+        fn occupied(r: &SegmentedRing) -> impl Iterator<Item = (&u32, &u32)> {
+            r.parts()
+                .flat_map(|(_, nodes, counts)| nodes.iter().zip(counts))
+        }
+        fn dirs(r: &SegmentedRing) -> impl Iterator<Item = &u8> {
+            r.parts().flat_map(|(dirs, ..)| dirs)
+        }
+        let seg_len = |(dirs, ..): (&[u8], &[u32], &[u32])| dirs.len();
+        if !self.parts().map(seg_len).eq(other.parts().map(seg_len)) {
+            // Different partitions: compare the concatenations.
+            return occupied(self).eq(occupied(other)) && dirs(self).eq(dirs(other));
+        }
+        self.parts()
+            .zip(other.parts())
+            .all(|((_, an, ac), (_, bn, bc))| an == bn && ac == bc)
+            && self
+                .parts()
+                .zip(other.parts())
+                .all(|((a, ..), (b, ..))| a == b)
     }
 }
 

@@ -106,7 +106,8 @@ pub struct RecoveryOptions {
     /// from the disturbance; stalled rounds count).
     pub recover_budget: u64,
     /// When `Some`, probe the disturbed configuration with Brent cycle
-    /// detection for the re-lock-in tail/period, with this step budget.
+    /// detection for the re-lock-in tail/period, with this step budget
+    /// (counted from the disturbed configuration, whatever its round).
     /// Expensive (`O(μ + λ)` extra simulation per cell) — campaigns enable
     /// it only where the lock-in theory says it is affordable (small `k`).
     pub relock_budget: Option<u64>,
@@ -468,17 +469,25 @@ mod tests {
     fn relock_probe_finds_single_agent_eulerian_period() {
         // k = 1 on the ring: whatever the corruption did, the re-locked
         // limit cycle is the Eulerian traversal, period 2n = 2|E| (§1.2).
+        // The budget counts from the disturbance: a fault that strikes
+        // after more rounds than the budget still gets all of it, as a
+        // churn cell's fresh engine does.
         let n = 16;
         let sc = ring_grid(n, vec![1]).scenarios()[0];
         let mut o = opts();
-        o.relock_budget = Some(1 << 22);
-        let s = run_scenario_recovery(&sc, &fault(FaultKind::CorruptPointers), &o);
-        assert_eq!(
-            s.period,
-            Some(2 * n as u64),
-            "Eulerian lock-in survives faults"
-        );
-        assert!(s.relock.is_some());
+        let budget = 4 * 2 * n as u64 * n as u64;
+        o.relock_budget = Some(budget);
+        for after_cover in [16, 2 * budget] {
+            let mut f = fault(FaultKind::CorruptPointers);
+            f.after_cover = after_cover;
+            let s = run_scenario_recovery(&sc, &f, &o);
+            assert_eq!(
+                s.period,
+                Some(2 * n as u64),
+                "Eulerian lock-in survives faults (after_cover {after_cover})"
+            );
+            assert!(s.relock.is_some());
+        }
     }
 
     #[test]
