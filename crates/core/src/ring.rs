@@ -296,10 +296,12 @@ impl RingRouter {
 
     /// Snapshot of the mutable configuration.
     pub fn state(&self) -> RingState {
-        RingState {
-            dirs: self.dirs.clone(),
-            occupied: self.occupied(),
-        }
+        let mut state = RingState {
+            dirs: Vec::new(),
+            occupied: Vec::with_capacity(self.occ_nodes.len()),
+        };
+        crate::limit::ConfigSnapshot::config_into(self, &mut state);
+        state
     }
 
     /// Clockwise neighbour of `v`.

@@ -1190,8 +1190,8 @@ impl SegmentedRing {
     }
 }
 
-/// Segment by segment, occupancy before directions, against the slices
-/// of the snapshot (or of the other router) at the same offsets.
+/// Occupancy before directions, walking the segments in ring order so
+/// the global vectors are never materialised.
 impl crate::limit::ConfigSnapshot for SegmentedRing {
     type Config = RingState;
 
@@ -1238,18 +1238,7 @@ impl crate::limit::ConfigSnapshot for SegmentedRing {
         fn dirs(r: &SegmentedRing) -> impl Iterator<Item = &u8> {
             r.parts().flat_map(|(dirs, ..)| dirs)
         }
-        let seg_len = |(dirs, ..): (&[u8], &[u32], &[u32])| dirs.len();
-        if !self.parts().map(seg_len).eq(other.parts().map(seg_len)) {
-            // Different partitions: compare the concatenations.
-            return occupied(self).eq(occupied(other)) && dirs(self).eq(dirs(other));
-        }
-        self.parts()
-            .zip(other.parts())
-            .all(|((_, an, ac), (_, bn, bc))| an == bn && ac == bc)
-            && self
-                .parts()
-                .zip(other.parts())
-                .all(|((a, ..), (b, ..))| a == b)
+        occupied(self).eq(occupied(other)) && dirs(self).eq(dirs(other))
     }
 }
 

@@ -201,15 +201,17 @@ fn perturbations_mid_run_match() {
 #[test]
 fn brent_cycle_structure_matches() {
     let mut rng = SmallRng::seed_from_u64(0xB3E7);
-    for _case in 0..12 {
+    for case in 0..12u64 {
         let n = rng.gen_range(3..16usize);
         let k = rng.gen_range(1..4usize);
         let starts: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n as u32)).collect();
-        let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-        let serial = probe_cycle(|| RingRouter::new(n, &starts, &dirs), 200_000);
-        for p in PARTITIONS {
-            let seg = probe_cycle(|| SegmentedRing::new(n, &starts, &dirs, p), 200_000);
-            assert_eq!(serial, seg, "(μ, λ) drift: n={n} k={k} p={p}");
+        for init in [PointerInit::TowardNearestAgent, PointerInit::Random(case)] {
+            let dirs = init.ring_directions(n, &starts);
+            let serial = probe_cycle(|| RingRouter::new(n, &starts, &dirs), 200_000);
+            for p in PARTITIONS {
+                let seg = probe_cycle(|| SegmentedRing::new(n, &starts, &dirs, p), 200_000);
+                assert_eq!(serial, seg, "(μ, λ) drift: n={n} k={k} p={p} {init:?}");
+            }
         }
     }
 }
