@@ -1,13 +1,13 @@
 //! Round throughput of the general-graph engine on the standard workloads
 //! (grid, hypercube, random regular) — the binding constraint on every
-//! sweep in this repository — plus the segmented ring backend's
-//! rounds/sec-vs-partition-count curve on a worst-case cell.
+//! sweep in this repository — plus the ring fast path against the general
+//! engine on the same ring cells.
 //!
 //! Writes `BENCH_engine_throughput.json` (schema `rotor-experiment/1`)
-//! with rounds/sec per workload (x = node count) and per segment count
-//! (x = P) for the segmented curve. The validator requires the segmented
-//! curve to exist, to sweep P ∈ {1, 2, 4, 8}, and to stay at least as
-//! fast as its serial baseline at P ∈ {4, 8}.
+//! with rounds/sec per workload (x = node count) and, for the ring cells,
+//! `RingRouter` and `Engine` rounds/sec per agent count (x = k). The
+//! validator requires the ring curve to exist, to sweep k ∈ {1, 16, 8192},
+//! and the ring fast path to be at least as fast as `Engine` at every k.
 
 #![forbid(unsafe_code)]
 
@@ -15,16 +15,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rotor_bench::report::{Curve, ExperimentReport, Json, Point};
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
-use rotor_core::{Engine, SegmentedRing};
+use rotor_core::{Engine, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::time::Instant;
 
 /// Agents per workload: enough to keep a meaningful occupied set alive.
 const AGENTS: u32 = 64;
 
-/// Segment counts of the segmented-ring curve (x axis; `P = 1` is the
-/// serial [`rotor_core::RingRouter`] path).
-const SEGMENTS: [usize; 4] = [1, 2, 4, 8];
+/// Agent counts of the ring-vs-general curve (x axis), each with the
+/// rounds timed per repetition: enough for a few milliseconds per timing.
+const RING_CELLS: [(usize, u64); 3] = [(1, 1 << 20), (16, 1 << 18), (8192, 4096)];
 
 fn workloads() -> Vec<(&'static str, PortGraph)> {
     vec![
@@ -54,33 +54,47 @@ fn measure_rounds_per_sec(g: &PortGraph, rounds: u64) -> f64 {
     rounds as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Rounds/sec of the segmented ring backend on the worst-case cell (all
+/// Rounds/sec of `RingRouter` and of `Engine` on the same ring cell (all
 /// agents on one node, pointers toward it — Theorem 1's initialisation),
-/// one value per entry of [`SEGMENTS`]. Each engine is measured `reps`
-/// times in a round-robin over the partition counts and the best
-/// repetition is kept, so transient machine interference cannot skew the
-/// P-to-P comparison the validator gates on.
-fn measure_segmented_curve(n: usize, k: usize, rounds: u64, reps: usize) -> Vec<f64> {
-    let starts = Placement::AllOnOne(0).positions(n, k);
-    let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-    let mut engines: Vec<SegmentedRing> = SEGMENTS
+/// one pair per entry of `cells`. Every engine is measured `reps` times in
+/// a round-robin over the cells and the best repetition is kept, so
+/// transient machine interference cannot skew the ring-vs-general
+/// comparison the validator gates on. Both engines of a cell start from
+/// the same configuration and step in lockstep, so each repetition times
+/// the same rounds on both.
+fn measure_ring_vs_general(n: usize, cells: &[(usize, u64)], reps: usize) -> Vec<(f64, f64)> {
+    let g = builders::ring(n);
+    let mut engines: Vec<(RingRouter, Engine)> = cells
         .iter()
-        .map(|&p| {
-            let mut r = SegmentedRing::new(n, &starts, &dirs, p);
-            r.run(rounds / 2 + 1); // warm-up: spread the occupied band
-            r
+        .map(|&(k, rounds)| {
+            let starts = Placement::AllOnOne(0).positions(n, k);
+            let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
+            let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
+            let ptrs = dirs.iter().map(|&d| u32::from(d)).collect();
+            let mut ring = RingRouter::new(n, &starts, &dirs);
+            let mut general = Engine::with_pointers(&g, &ids, ptrs);
+            // warm-up: spread the occupied band
+            ring.run(rounds / 2 + 1);
+            general.run(rounds / 2 + 1);
+            (ring, general)
         })
         .collect();
-    let mut best = vec![0f64; engines.len()];
+    let mut best = vec![(0f64, 0f64); cells.len()];
     for _ in 0..reps {
-        for (b, r) in best.iter_mut().zip(&mut engines) {
-            // lint: allow(wall-clock) -- best-of-reps segmented-curve timing, a measured quantity
-            let start = Instant::now();
-            r.run(rounds);
-            *b = b.max(rounds as f64 / start.elapsed().as_secs_f64());
+        for ((b, (ring, general)), &(_, rounds)) in best.iter_mut().zip(&mut engines).zip(cells) {
+            b.0 = b.0.max(timed_rounds_per_sec(rounds, |r| ring.run(r)));
+            b.1 = b.1.max(timed_rounds_per_sec(rounds, |r| general.run(r)));
         }
     }
     best
+}
+
+/// Rounds/sec of one `run(rounds)` call.
+fn timed_rounds_per_sec(rounds: u64, run: impl FnOnce(u64)) -> f64 {
+    // lint: allow(wall-clock) -- best-of-reps ring-vs-general timing, a measured quantity
+    let start = Instant::now();
+    run(rounds);
+    rounds as f64 / start.elapsed().as_secs_f64()
 }
 
 fn bench(c: &mut Criterion) {
@@ -104,35 +118,36 @@ fn bench(c: &mut Criterion) {
     }
     report.curves.push(curve);
 
-    // The segmented ring backend on a worst-case large-n cell: x = P.
-    // P = 1 is the serial router; P ≥ 2 runs the fused segmented kernel,
-    // so the curve is the honest price/win of the backend swap the
-    // ring-large-n campaign rides.
-    let (seg_n, seg_k, seg_rounds, seg_reps) = if c.is_test_mode() {
-        (4096, 64, 64, 1)
+    // The ring fast path against the general engine on worst-case ring
+    // cells: x = k. Test mode keeps the k ladder on a small ring.
+    let (ring_n, ring_reps, scale) = if c.is_test_mode() {
+        (4096, 1, 1 << 10)
     } else {
-        (1 << 21, 8192, 4096, 5)
+        (1 << 21, 5, 1)
     };
-    let mut seg_curve = Curve::new("segmented_ring_rounds_per_sec")
-        .meta("n", Json::Int(seg_n as u64))
-        .meta("k", Json::Int(seg_k as u64))
+    let cells: Vec<(usize, u64)> = RING_CELLS
+        .iter()
+        .map(|&(k, rounds)| (k, (rounds / scale).max(64)))
+        .collect();
+    let mut ring_curve = Curve::new("ring_vs_general_rounds_per_sec")
+        .meta("n", Json::Int(ring_n as u64))
         .meta("placement", Json::Str("all_on_one".into()))
         .meta("init", Json::Str("toward_nearest_agent".into()))
-        .meta("rounds", Json::Int(seg_rounds))
-        .meta("reps", Json::Int(seg_reps as u64));
-    let rps_curve = measure_segmented_curve(seg_n, seg_k, seg_rounds, seg_reps);
-    let base = rps_curve[0];
-    for (p, rps) in SEGMENTS.into_iter().zip(rps_curve) {
-        seg_curve.points.push(Point::new(
-            p as u64,
+        .meta("reps", Json::Int(ring_reps as u64));
+    let measured = measure_ring_vs_general(ring_n, &cells, ring_reps);
+    for (&(k, rounds), (ring, general)) in cells.iter().zip(measured) {
+        ring_curve.points.push(Point::new(
+            k as u64,
             [
-                ("segments", Json::Int(p as u64)),
-                ("rounds_per_sec", Json::Num(rps)),
-                ("speedup_vs_serial", Json::Num(rps / base)),
+                ("k", Json::Int(k as u64)),
+                ("rounds", Json::Int(rounds)),
+                ("rounds_per_sec", Json::Num(ring)),
+                ("general_rounds_per_sec", Json::Num(general)),
+                ("ring_over_general", Json::Num(ring / general)),
             ],
         ));
     }
-    report.curves.push(seg_curve);
+    report.curves.push(ring_curve);
 
     if c.is_test_mode() {
         println!("test mode: BENCH_engine_throughput.json left untouched");

@@ -215,20 +215,6 @@ impl Perturb for crate::Engine<'_> {
     }
 }
 
-impl Perturb for crate::SegmentedRing {
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedRing::corrupt_pointers(self, seed, count)
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedRing::remove_agents(self, seed, count)
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        crate::SegmentedRing::reset_cover_epoch(self);
-    }
-}
-
 /// Edge churn: up to `swaps` connectivity-preserving double-edge swaps on
 /// `g`, drawn deterministically from `seed`. Returns the churned graph and
 /// the number of swaps actually applied.

@@ -22,14 +22,11 @@
 //!   traversal identity `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉`
 //!   are tested on a per-agent reference that the engine matches round by
 //!   round.
-//! * [`RingRouter`] — a ring-specialised engine (pointer = direction bit,
-//!   `O(k)` per round) used by the large parameter sweeps, with
-//!   incremental §2.2 domain/border counters; the per-visit metadata of
-//!   the domain analysis comes from the opt-in [`domains::VisitLog`].
-//! * [`SegmentedRing`] — the intra-instance parallel backend: the ring cut
-//!   into `P` contiguous segments exchanging boundary agent streams at a
-//!   per-round barrier, bit-identical to [`RingRouter`] at every `P`
-//!   (`ROTOR_SEGMENTS` selects `P`; `P = 1` is the serial path).
+//! * [`RingRouter`] — the ring-specialised engine (pointer = direction
+//!   bit, one `O(k)` pass per round, delayed or not) used by the large
+//!   parameter sweeps, with incremental §2.2 domain/border counters; the
+//!   per-visit metadata of the domain analysis comes from the opt-in
+//!   [`domains::VisitLog`].
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -86,11 +83,9 @@ pub mod placement;
 mod process;
 mod ring;
 pub mod rng;
-pub mod segring;
 
 pub use engine::{Engine, EngineState};
 pub use process::{CoverProcess, Observer, Probe};
 pub use ring::{RingRouter, RingState};
-pub use segring::SegmentedRing;
 
 pub use rotor_graph::{NodeId, PortGraph};

@@ -453,8 +453,7 @@ mod tests {
     #[test]
     fn probe_cycle_matches_brent_reference_on_random_rings() {
         // The observer reformulation must certify the exact (μ, λ) the
-        // restartable reference finds, seed by seed (the segmented ring is
-        // pinned to the serial one in `tests/segring_equivalence.rs`).
+        // restartable reference finds, seed by seed.
         for i in 0..30u64 {
             let h = splitmix64(0x9B1E ^ i);
             let n = 4 + (h % 12) as usize;

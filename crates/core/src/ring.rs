@@ -8,21 +8,21 @@
 //! its pointer direction and `⌊c/2⌋` the other way, and flips its pointer
 //! iff `c` is odd.
 //!
-//! The engine maintains only the occupied-node list, and exploits the fact
-//! that both arrival streams of a round are *already sorted*: walking the
-//! sorted occupied list emits clockwise destinations in increasing order
-//! (up to one wrap at `n−1 → 0`) and likewise for anticlockwise ones, so a
-//! round is a true `O(k)` three-way merge of the held/CW/ACW streams — no
-//! per-round sort at all. This matters for the `Θ(n²/log k)` worst-case
+//! The engine maintains only the sorted occupied-node list, and a round is
+//! one `O(k)` pass over it with no per-round sort. Node `v` sends its
+//! shares to `v−1`, `v` (held agents, §2.1) and `v+1`, and every earlier
+//! node's destinations are `≤ v`, so walking the list in ascending order
+//! writes the next list already sorted: the held share merges with its
+//! last entry or is appended, the clockwise share is appended, and an
+//! anticlockwise share lands at most one entry behind the tail (the only
+//! entry that can follow `v−1` is `v`, node `v−1`'s clockwise share). The
+//! two shares that cross the `n−1 | 0` seam are applied after the pass, at
+//! the two ends of the list. This matters for the `Θ(n²/log k)` worst-case
 //! cover sweeps of experiment E1, which run millions of rounds.
 //!
-//! The occupied list and the three per-round streams are stored
-//! structure-of-arrays (split `nodes: Vec<u32>` / `counts: Vec<u32>`): the
-//! merge's head comparisons only touch the node arrays, so twice as many
-//! stream heads fit per cache line as with `(node, count)` tuples, and the
-//! merge itself is branchless — each stream carries a `u32::MAX` sentinel,
-//! the winning destination is a three-way `min`, and every stream advances
-//! by the boolean `head == dest` with counts masked in by the same flag.
+//! The occupied list is stored structure-of-arrays (split
+//! `nodes: Vec<u32>` / `counts: Vec<u32>`), so the sorted-position checks
+//! of a round only touch the node half.
 //!
 //! Per round the engine writes only what cover sweeps read: the pointer
 //! bits, the occupied list, the visited set with its cover round, and the
@@ -78,42 +78,66 @@ pub struct RingRouter {
     /// §2.2 border count (visited nodes adjacent to an unvisited node),
     /// maintained incrementally alongside `domains`.
     borders: u32,
-    /// Scratch buffers reused between rounds: the three pre-sorted move
-    /// streams of a round (held agents, clockwise arrivals, anticlockwise
-    /// arrivals) and the merge output, each split nodes/counts.
-    held: SoaStream,
-    cw_moves: SoaStream,
-    acw_moves: SoaStream,
-    next_occ: SoaStream,
+    /// Scratch buffer for the next occupied list, reused between rounds.
+    next_occ: SoaList,
 }
 
-/// One pre-sorted per-round move stream in structure-of-arrays form.
+/// A sorted occupied list under construction, split nodes/counts.
 #[derive(Clone, Debug, Default)]
-struct SoaStream {
+struct SoaList {
     nodes: Vec<u32>,
     counts: Vec<u32>,
 }
 
-impl SoaStream {
+impl SoaList {
     fn clear(&mut self) {
         self.nodes.clear();
         self.counts.clear();
     }
 
+    /// Appends `v`, which must lie past the tail.
     #[inline]
-    fn push(&mut self, node: u32, count: u32) {
-        self.nodes.push(node);
+    fn push(&mut self, v: u32, count: u32) {
+        debug_assert!(
+            self.nodes.last().is_none_or(|&t| t < v),
+            "push past the tail"
+        );
+        self.nodes.push(v);
         self.counts.push(count);
     }
 
-    fn len(&self) -> usize {
-        self.nodes.len()
+    /// Adds `count` agents at `v`, which is the tail or lies past it.
+    #[inline]
+    fn add_last(&mut self, v: u32, count: u32) {
+        match self.nodes.last() {
+            Some(&t) if t == v => *self.counts.last_mut().expect("non-empty") += count,
+            _ => self.push(v, count),
+        }
     }
 
-    /// Appends the `u32::MAX` stream-exhausted sentinel so the merge can
-    /// index heads unconditionally.
-    fn seal(&mut self) {
-        self.push(u32::MAX, 0);
+    /// Adds `count` agents at `v`, which may lie one entry behind the
+    /// tail: the only node that can follow it is `v + 1`.
+    #[inline]
+    fn add_behind(&mut self, v: u32, count: u32) {
+        let len = self.nodes.len();
+        if len == 0 || self.nodes[len - 1] <= v {
+            self.add_last(v, count);
+        } else if len > 1 && self.nodes[len - 2] == v {
+            self.counts[len - 2] += count;
+        } else {
+            self.nodes.insert(len - 1, v);
+            self.counts.insert(len - 1, count);
+        }
+    }
+
+    /// Adds `count` agents at `v`, which is the head or lies before it.
+    fn add_first(&mut self, v: u32, count: u32) {
+        if self.nodes.first() == Some(&v) {
+            self.counts[0] += count;
+        } else {
+            self.nodes.insert(0, v);
+            self.counts.insert(0, count);
+        }
     }
 }
 
@@ -166,10 +190,7 @@ impl RingRouter {
             cover_round,
             domains,
             borders,
-            held: SoaStream::default(),
-            cw_moves: SoaStream::default(),
-            acw_moves: SoaStream::default(),
-            next_occ: SoaStream::default(),
+            next_occ: SoaList::default(),
         }
     }
 
@@ -215,11 +236,6 @@ impl RingRouter {
             .copied()
             .zip(self.occ_counts.iter().copied())
             .collect()
-    }
-
-    /// Pointer direction per node (`0` = clockwise).
-    pub(crate) fn direction_bits(&self) -> &[u8] {
-        &self.dirs
     }
 
     /// Occupied nodes, sorted ascending.
@@ -333,105 +349,64 @@ impl RingRouter {
     /// Advances one round of a *delayed deployment* (§2.1): `delay(v, c)`
     /// is `D(v, t)` — how many of the `c` agents at node `v` stay put this
     /// round (clamped to `c`). Held agents neither move nor flip pointers,
-    /// and staying put does not count as a visit.
+    /// and staying put does not count as a visit. `delay` is called once
+    /// per occupied node, in ascending node order, with the node's
+    /// pre-round count, so stateful schedules see a fixed call sequence.
     pub fn step_delayed(&mut self, mut delay: impl FnMut(u32, u32) -> u32) {
         self.round += 1;
-        let mut held = std::mem::take(&mut self.held);
-        let mut cw_moves = std::mem::take(&mut self.cw_moves);
-        let mut acw_moves = std::mem::take(&mut self.acw_moves);
-        let mut next_occ = std::mem::take(&mut self.next_occ);
-        held.clear();
-        cw_moves.clear();
-        acw_moves.clear();
-        next_occ.clear();
-        // Departures. Walking the occupied list in ascending node order
-        // emits each move stream already sorted by destination: clockwise
-        // destinations `v+1` are increasing except for one possible wrap
-        // from `n−1` to `0` (necessarily the last element), anticlockwise
-        // destinations `v−1` likewise except for one wrap from `0` to
-        // `n−1` (necessarily the first element). Held agents inherit the
-        // sort order of the occupied list directly.
+        let mut next = std::mem::take(&mut self.next_occ);
+        next.clear();
+        let last = self.n - 1;
+        // The two shares that cross the `n−1 | 0` seam, applied after the
+        // pass: node 0's anticlockwise share and node `n−1`'s clockwise one.
+        let (mut to_last, mut to_first) = (0, 0);
+        // One ascending pass writing the next list in sorted order (see the
+        // module docs for why each share lands where it does).
         for i in 0..self.occ_nodes.len() {
             let v = self.occ_nodes[i];
             let c = self.occ_counts[i];
-            let h = delay(v, c).min(c);
-            let moving = c - h;
-            if h > 0 {
-                held.push(v, h);
-            }
-            if moving == 0 {
-                continue;
-            }
+            let held = delay(v, c).min(c);
+            let moving = c - held;
             let d = self.dirs[v as usize];
-            let with_ptr = moving.div_ceil(2);
-            let against = moving / 2;
-            if moving % 2 == 1 {
-                self.dirs[v as usize] ^= 1;
-            }
+            self.dirs[v as usize] ^= (moving & 1) as u8;
+            let (with_ptr, against) = (moving.div_ceil(2), moving / 2);
             let (cw_cnt, acw_cnt) = if d == CW {
                 (with_ptr, against)
             } else {
                 (against, with_ptr)
             };
-            if cw_cnt > 0 {
-                cw_moves.push(self.cw(v), cw_cnt);
-            }
             if acw_cnt > 0 {
-                acw_moves.push(self.acw(v), acw_cnt);
-            }
-        }
-        // Rotate the single possible wrap element home; both streams are
-        // then strictly increasing in destination (sources are distinct and
-        // `v ↦ v±1` is injective on the ring).
-        if cw_moves.len() > 1 && cw_moves.nodes[cw_moves.len() - 1] == 0 {
-            cw_moves.nodes.rotate_right(1);
-            cw_moves.counts.rotate_right(1);
-        }
-        if acw_moves.len() > 1 && acw_moves.nodes[0] == self.n - 1 {
-            acw_moves.nodes.rotate_left(1);
-            acw_moves.counts.rotate_left(1);
-        }
-        // O(k) branchless three-way merge of the pre-sorted streams. The
-        // sentinels make every head load unconditional; each destination
-        // appears at most once per stream, so the winning streams all
-        // advance by their `head == dest` flag and their counts are masked
-        // in by the same flag — no per-element branching on stream shape.
-        held.seal();
-        cw_moves.seal();
-        acw_moves.seal();
-        let (mut hi, mut ci, mut ai) = (0usize, 0usize, 0usize);
-        loop {
-            let hd = held.nodes[hi];
-            let cd = cw_moves.nodes[ci];
-            let ad = acw_moves.nodes[ai];
-            let dest = hd.min(cd).min(ad);
-            if dest == u32::MAX {
-                break;
-            }
-            let take_h = u32::from(hd == dest);
-            let take_c = u32::from(cd == dest);
-            let take_a = u32::from(ad == dest);
-            let stationary = take_h * held.counts[hi];
-            let arrived = take_c * cw_moves.counts[ci] + take_a * acw_moves.counts[ai];
-            hi += take_h as usize;
-            ci += take_c as usize;
-            ai += take_a as usize;
-            // Held agents do not revisit; only arrivals can be first visits.
-            if arrived > 0 && self.visited.insert(dest as usize) {
-                self.unvisited -= 1;
-                self.note_first_visit(dest);
-                if self.unvisited == 0 && self.cover_round.is_none() {
-                    self.cover_round = Some(self.round);
+                if v == 0 {
+                    to_last = acw_cnt;
+                } else {
+                    next.add_behind(v - 1, acw_cnt);
+                    self.arrive(v - 1);
                 }
             }
-            next_occ.push(dest, stationary + arrived);
+            // Held agents do not revisit; only arrivals can be first visits.
+            if held > 0 {
+                next.add_last(v, held);
+            }
+            if cw_cnt > 0 {
+                if v == last {
+                    to_first = cw_cnt;
+                } else {
+                    next.push(v + 1, cw_cnt);
+                    self.arrive(v + 1);
+                }
+            }
         }
-        std::mem::swap(&mut self.occ_nodes, &mut next_occ.nodes);
-        std::mem::swap(&mut self.occ_counts, &mut next_occ.counts);
-        self.held = held;
-        self.cw_moves = cw_moves;
-        self.acw_moves = acw_moves;
-        self.next_occ = next_occ;
+        if to_last > 0 {
+            next.add_last(last, to_last);
+            self.arrive(last);
+        }
+        if to_first > 0 {
+            next.add_first(0, to_first);
+            self.arrive(0);
+        }
+        std::mem::swap(&mut self.occ_nodes, &mut next.nodes);
+        std::mem::swap(&mut self.occ_counts, &mut next.counts);
+        self.next_occ = next;
         debug_assert!(self.occ_nodes.windows(2).all(|w| w[0] < w[1]), "occ sorted");
         debug_assert_eq!(
             u64::from(self.unvisited),
@@ -443,6 +418,19 @@ impl RingRouter {
             self.k,
             "agents conserved"
         );
+    }
+
+    /// First-visit bookkeeping for an arrival at `v` in the current round;
+    /// skipped once the ring is covered.
+    #[inline]
+    fn arrive(&mut self, v: u32) {
+        if self.unvisited > 0 && self.visited.insert(v as usize) {
+            self.unvisited -= 1;
+            self.note_first_visit(v);
+            if self.unvisited == 0 {
+                self.cover_round = Some(self.round);
+            }
+        }
     }
 
     /// Runs until every node has been visited, or gives up after
@@ -527,7 +515,7 @@ impl RingRouter {
 
 /// Whether the SoA occupied halves `nodes`/`counts` spell out exactly the
 /// `(node, count)` pairs of a [`RingState`] snapshot.
-pub(crate) fn occupied_eq(nodes: &[u32], counts: &[u32], pairs: &[(u32, u32)]) -> bool {
+fn occupied_eq(nodes: &[u32], counts: &[u32], pairs: &[(u32, u32)]) -> bool {
     pairs.len() == nodes.len()
         && pairs
             .iter()
@@ -810,6 +798,25 @@ mod tests {
         assert_eq!(r.agents_at(2), 1);
         assert_eq!(r.agents_at(3), 1);
         assert_eq!(r.direction(2), ACW, "one mover flips the pointer");
+    }
+
+    #[test]
+    fn delay_sees_each_occupied_node_once_in_ascending_order() {
+        // §2.1 schedules may be stateful: each round must call `delay`
+        // once per occupied node, ascending, with its pre-round count.
+        let n = 16;
+        let starts = [0u32, 0, 0, 3, 7, 7, 8, 15, 15];
+        let dirs = PointerInit::Random(3).ring_directions(n, &starts);
+        let mut r = RingRouter::new(n, &starts, &dirs);
+        for t in 0..200u32 {
+            let before = r.occupied();
+            let mut calls = Vec::new();
+            r.step_delayed(|v, c| {
+                calls.push((v, c));
+                (v + t) % (c + 1)
+            });
+            assert_eq!(calls, before, "round {}", t + 1);
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! allocating one per round. Each must return exactly what
 //! `config() == other` returns, for *any* pair: random pairs, near misses
 //! (same occupancy with one pointer changed, same pointers with one agent
-//! moved), pairs with different `k` and, for [`SegmentedRing`], pairs
-//! with different partitions.
+//! moved) and pairs with different `k`.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +17,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rotor_core::init::PointerInit;
 use rotor_core::limit::ConfigSnapshot;
 use rotor_core::placement::Placement;
-use rotor_core::{Engine, RingRouter, SegmentedRing};
+use rotor_core::{Engine, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::fmt::Debug;
 
@@ -138,30 +137,6 @@ fn ring_router_in_place_equality_matches_snapshots() {
         let mut crashed = a.clone();
         if crashed.remove_agents(n as u64, 1) == 1 {
             assert!(!check_pair(&a, &crashed, "crash"));
-        }
-    }
-}
-
-#[test]
-fn segmented_ring_in_place_equality_matches_snapshots() {
-    for ((n, sa, da), (m, sb, db), expect, kind) in ring_pairs(0x5E61) {
-        for (pa, pb) in [(2usize, 2usize), (3, 3), (2, 3), (3, 1), (1, 2)] {
-            let a = SegmentedRing::new(n, &sa, &da, pa);
-            let b = SegmentedRing::new(m, &sb, &db, pb);
-            let ctx = format!("{kind} pa={pa} pb={pb} n={n} m={m}");
-            let got = check_pair(&a, &b, &ctx);
-            if let Some(e) = expect {
-                assert_eq!(got, e, "{ctx}");
-            }
-            // The serial router's snapshot is the same RingState.
-            let own = RingRouter::new(n, &sa, &da).config();
-            assert_eq!(a.config(), own, "snapshot vs serial ({ctx})");
-            let serial = RingRouter::new(m, &sb, &db);
-            assert_eq!(a.config_eq(&serial.config()), got, "vs serial ({ctx})");
-            let mut crashed = a.clone();
-            if crashed.remove_agents(m as u64, 1) == 1 {
-                assert!(!check_pair(&a, &crashed, &format!("crash {ctx}")));
-            }
         }
     }
 }

@@ -13,18 +13,25 @@
 //!    exit/visit balance `e_v(t+1) = n_v(t)` — so by state equality the
 //!    engine's executions do too,
 //!
-//! and additionally that the ring-specialised merge stepper matches the
-//! general engine on random rings, and that the [`VisitLog`] replay of
-//! §2.2 visit records matches the reference's per-arrival records.
+//! and additionally that the [`VisitLog`] replay of §2.2 visit records
+//! matches the reference's per-arrival records.
+//!
+//! The ring fast path has its own differential suite: [`RingRouter`]'s
+//! single-pass round is stepped against the general [`Engine`] on
+//! [`builders::ring`] — an independent implementation of the same model —
+//! through floods, both seam crossings, §2.1 delay schedules and mid-run
+//! [`Perturb`] strikes, and compared every round on agents, pointers,
+//! visited set, cover round and §2.2 domain statistics.
 
 #![forbid(unsafe_code)]
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rotor_core::domains::{VisitLog, VisitRecord};
+use rand::{Rng, RngCore, SeedableRng};
+use rotor_core::domains::{scan_domain_stats, VisitLog, VisitRecord};
+use rotor_core::faults::Perturb;
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
-use rotor_core::{Engine, EngineState, Observer, RingRouter};
+use rotor_core::{CoverProcess, Engine, EngineState, Observer, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 
 /// The last round in which agents arrived at a node, as the per-agent
@@ -314,37 +321,156 @@ fn exits_visits_balance() {
     }
 }
 
+/// A random ring instance: `n ∈ [3, 64)`, `k` from one agent up to
+/// floods of three agents per node, and placements that put agents on the
+/// seam nodes `0` and `n − 1` often, so both wrap paths of a round run.
+fn ring_instance(rng: &mut SmallRng) -> (usize, Vec<u32>, Vec<u8>) {
+    let n = rng.gen_range(3..64usize);
+    let k = match rng.gen_range(0..3u32) {
+        0 => rng.gen_range(1..13usize),
+        1 => rng.gen_range(1..n + 1),
+        _ => rng.gen_range(n..3 * n + 1),
+    };
+    let anchor = match rng.gen_range(0..3u32) {
+        0 => 0,
+        1 => n as u32 - 1,
+        _ => rng.gen_range(0..n as u32),
+    };
+    let placement = match rng.gen_range(0..4u32) {
+        0 => Placement::AllOnOne(anchor),
+        1 => Placement::EquallySpaced { offset: anchor },
+        2 => Placement::Random(rng.next_u64()),
+        _ => Placement::Custom((0..k).map(|_| rng.gen_range(0..n as u32)).collect()),
+    };
+    let starts = placement.positions(n, k);
+    let dirs = match rng.gen_range(0..4u32) {
+        0 => PointerInit::TowardNearestAgent.ring_directions(n, &starts),
+        1 => PointerInit::AwayFromNearestAgent.ring_directions(n, &starts),
+        2 => PointerInit::Random(rng.next_u64()).ring_directions(n, &starts),
+        _ => PointerInit::Uniform(rng.gen_range(0..2)).ring_directions(n, &starts),
+    };
+    (n, starts, dirs)
+}
+
+/// The §2.1 delay schedules the ring suite runs, applied identically to
+/// both processes.
+#[derive(Clone, Copy, Debug)]
+enum Schedule {
+    Undelayed,
+    /// A pure `(v, c)`-dependent share.
+    Hashed,
+    /// Holds about half of the agents at the seam nodes `0` and `n − 1`.
+    Seam,
+    /// Holds by call index, so it matches only if both processes call the
+    /// schedule in the same order with the same counts.
+    Stateful,
+}
+
+/// `D(v, t)` of `schedule` for `c` agents at `v` in round `t` on an
+/// `n`-ring; `calls` is the per-process count of earlier calls.
+fn hold(schedule: Schedule, n: u32, t: u64, v: u32, c: u32, calls: &mut u32) -> u32 {
+    *calls += 1;
+    match schedule {
+        Schedule::Undelayed => 0,
+        Schedule::Hashed => (v.wrapping_mul(0x9E37_79B9) >> 27).wrapping_add(c) % (c + 1),
+        Schedule::Seam if v == 0 || v == n - 1 => (c + (t % 2) as u32) / 2,
+        Schedule::Seam => 0,
+        Schedule::Stateful => (*calls * 7 + c) % (c + 1),
+    }
+}
+
+/// Every deterministic field of the ring fast path against the general
+/// engine on the same ring, plus the fast path's incremental §2.2
+/// counters against the `O(n)` scan.
+fn assert_same_ring(ring: &RingRouter, general: &Engine, ctx: &str) {
+    for v in 0..ring.n() {
+        let id = NodeId::new(v);
+        assert_eq!(
+            ring.agents_at(v),
+            general.agents_at(id),
+            "{ctx}: agents at node {v}"
+        );
+        assert_eq!(
+            u32::from(ring.direction(v)),
+            general.pointer(id),
+            "{ctx}: pointer at node {v}"
+        );
+        assert_eq!(
+            ring.is_visited(v),
+            general.is_visited(id),
+            "{ctx}: visited bit of node {v}"
+        );
+    }
+    assert_eq!(
+        ring.cover_round(),
+        general.cover_round(),
+        "{ctx}: cover round"
+    );
+    let stats = CoverProcess::domain_stats(ring);
+    assert_eq!(
+        stats,
+        scan_domain_stats(ring),
+        "{ctx}: §2.2 counters vs scan"
+    );
+    assert_eq!(
+        stats,
+        CoverProcess::domain_stats(general),
+        "{ctx}: §2.2 stats"
+    );
+}
+
+/// The ring stepper merges every share straight into the next sorted
+/// occupied list; it must match the general engine on the same ring every
+/// round, under every delay schedule and across mid-run strikes.
 #[test]
 fn ring_merge_stepper_matches_general_engine() {
-    const CASES: usize = 40;
-    const ROUNDS: u64 = 1000;
+    const CASES: usize = 60;
     let mut rng = SmallRng::seed_from_u64(0x416);
     for case in 0..CASES {
-        let n = rng.gen_range(3..64usize);
+        let (n, starts, dirs) = ring_instance(&mut rng);
         let g = builders::ring(n);
-        let k = rng.gen_range(1..7usize);
-        let starts_u: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n as u32)).collect();
-        let starts: Vec<NodeId> = starts_u.iter().map(|&s| NodeId::new(s)).collect();
-        let dirs = PointerInit::Random(case as u64).ring_directions(n, &starts_u);
+        let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
         let ptrs: Vec<u32> = dirs.iter().map(|&d| u32::from(d)).collect();
-        let mut ring = RingRouter::new(n, &starts_u, &dirs);
-        let mut general = Engine::with_pointers(&g, &starts, ptrs);
-        for t in 1..=ROUNDS {
-            ring.step();
-            general.step();
-            for v in 0..n as u32 {
-                assert_eq!(
-                    ring.agents_at(v),
-                    general.agents_at(NodeId::new(v)),
-                    "case {case} (n={n}, k={k}): agents diverged at node {v}, round {t}"
-                );
-                assert_eq!(
-                    u32::from(ring.direction(v)),
-                    general.pointer(NodeId::new(v)),
-                    "case {case}: pointers diverged at node {v}, round {t}"
-                );
+        let strike_seed = rng.next_u64();
+        for schedule in [
+            Schedule::Undelayed,
+            Schedule::Hashed,
+            Schedule::Seam,
+            Schedule::Stateful,
+        ] {
+            let mut ring = RingRouter::new(n, &starts, &dirs);
+            let mut general = Engine::with_pointers(&g, &ids, ptrs.clone());
+            let (mut ring_calls, mut general_calls) = (0, 0);
+            let ctx = format!("case {case} (n={n}, k={}, {schedule:?})", starts.len());
+            assert_same_ring(&ring, &general, &format!("{ctx}, round 0"));
+            let rounds = 4 * n as u64 + 32;
+            for t in 1..=rounds {
+                // Mid-run strikes: corrupt pointers, crash agents, then
+                // restart the cover epoch, each on both processes.
+                if t == rounds / 4 {
+                    let flips = 1 + (strike_seed % 7) as u32;
+                    assert_eq!(
+                        Perturb::corrupt_pointers(&mut ring, strike_seed, flips),
+                        Perturb::corrupt_pointers(&mut general, strike_seed, flips),
+                        "{ctx}: corrupt_pointers at round {t}"
+                    );
+                } else if t == rounds / 2 {
+                    let kills = 1 + (strike_seed % 5) as u32;
+                    assert_eq!(
+                        Perturb::remove_agents(&mut ring, strike_seed ^ 1, kills),
+                        Perturb::remove_agents(&mut general, strike_seed ^ 1, kills),
+                        "{ctx}: remove_agents at round {t}"
+                    );
+                } else if t == 3 * rounds / 4 {
+                    Perturb::reset_cover_epoch(&mut ring);
+                    Perturb::reset_cover_epoch(&mut general);
+                }
+                let n32 = n as u32;
+                ring.step_delayed(|v, c| hold(schedule, n32, t, v, c, &mut ring_calls));
+                general.step_delayed(|v, c| hold(schedule, n32, t, v, c, &mut general_calls));
+                assert_same_ring(&ring, &general, &format!("{ctx}, round {t}"));
             }
-            assert_eq!(ring.cover_round(), general.cover_round(), "case {case}");
+            assert_eq!(ring_calls, general_calls, "{ctx}: schedule calls");
         }
     }
 }

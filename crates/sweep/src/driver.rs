@@ -37,45 +37,6 @@ pub fn threads_from(var: Option<&str>) -> usize {
         .unwrap_or(1)
 }
 
-/// Splits a total thread budget between sweep shards and intra-instance
-/// segment workers so their product never exceeds `total`.
-///
-/// `shards` and `segment_workers` are the *requested* counts (0 is treated
-/// as 1). Shards are granted first — cell-level parallelism has no
-/// synchronization cost, while segment workers barrier every round — and
-/// the segment workers are then clamped to the per-shard remainder
-/// `total / shards`. The returned pair always satisfies
-/// `shards' * workers' ≤ max(total, 1)` and both components are ≥ 1.
-pub fn split_budget(total: usize, shards: usize, segment_workers: usize) -> (usize, usize) {
-    let total = total.max(1);
-    let shards = shards.max(1).min(total);
-    let workers = segment_workers.max(1).min(total / shards);
-    (shards, workers.max(1))
-}
-
-/// The machine-wide thread plan `(sweep shards, segment workers per
-/// shard)`: reads `ROTOR_SWEEP_THREADS` and `ROTOR_SEGMENTS`, then clamps
-/// the pair with [`split_budget`] so `shards × workers` never exceeds the
-/// available parallelism (or the explicit `ROTOR_SWEEP_THREADS` budget,
-/// whichever was requested).
-///
-/// Note the asymmetry with [`rotor_core::segring::segment_count_from_env`]:
-/// the segment *partition* count `P` is a deterministic simulation
-/// parameter and is never clamped; only the number of OS threads driving
-/// those segments is budgeted here.
-pub fn thread_plan() -> (usize, usize) {
-    let shards = thread_count();
-    let budget = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(shards);
-    split_budget(
-        budget,
-        shards,
-        rotor_core::segring::segment_count_from_env(),
-    )
-}
-
 /// Runs `f(index, &cells[index])` for every cell, fanned across `threads`
 /// scoped worker threads, and returns the results **in cell order**.
 ///
@@ -236,54 +197,6 @@ mod tests {
             assert!(c != 3, "boom");
             c
         });
-    }
-
-    #[test]
-    fn split_budget_never_oversubscribes() {
-        for total in 1..=32usize {
-            for shards in 0..=40usize {
-                for workers in 0..=40usize {
-                    let (s, w) = split_budget(total, shards, workers);
-                    assert!(
-                        s >= 1 && w >= 1,
-                        "({total},{shards},{workers}) -> ({s},{w})"
-                    );
-                    assert!(
-                        s * w <= total,
-                        "oversubscribed: ({total},{shards},{workers}) -> ({s},{w})"
-                    );
-                    assert!(
-                        s <= shards.max(1) && w <= workers.max(1),
-                        "never grants more than asked"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_budget_grants_shards_first() {
-        // 8-way box, 8 shards requested: segments get no extra threads.
-        assert_eq!(split_budget(8, 8, 4), (8, 1));
-        // 8-way box, 2 shards: 4 segment workers each fit exactly.
-        assert_eq!(split_budget(8, 2, 4), (2, 4));
-        // Segment request larger than the remainder is clamped.
-        assert_eq!(split_budget(8, 2, 100), (2, 4));
-        // Single-core box: everything degrades to (1, 1).
-        assert_eq!(split_budget(1, 16, 16), (1, 1));
-        // Zero requests are treated as one.
-        assert_eq!(split_budget(4, 0, 0), (1, 1));
-    }
-
-    #[test]
-    fn thread_plan_is_within_budget() {
-        let (shards, workers) = thread_plan();
-        assert!(shards >= 1 && workers >= 1);
-        let budget = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .max(thread_count());
-        assert!(shards * workers <= budget);
     }
 
     #[test]

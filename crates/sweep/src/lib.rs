@@ -67,7 +67,7 @@ pub mod recovery;
 pub mod runners;
 pub mod scenario;
 
-pub use driver::{run_sharded, run_sharded_checked, split_budget, thread_count, thread_plan};
+pub use driver::{run_sharded, run_sharded_checked, thread_count};
 pub use recovery::{
     run_recovery_grid, run_scenario_recovery, FaultSpec, RecoveryGrid, RecoveryOptions,
     RecoverySample,

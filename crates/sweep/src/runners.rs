@@ -11,7 +11,7 @@
 use crate::scenario::Scenario;
 use rotor_core::limit::{self, CycleInfo};
 use rotor_core::rng::{stream, STREAM_WALK};
-use rotor_core::{CoverProcess, Engine, Observer, RingRouter, SegmentedRing};
+use rotor_core::{CoverProcess, Engine, Observer, RingRouter};
 use rotor_graph::{NodeId, PortGraph};
 use rotor_walks::ParallelWalk;
 use std::time::Instant;
@@ -23,13 +23,6 @@ pub enum ProcessKind {
     /// scenario's family is the ring, the general [`Engine`] otherwise.
     /// The right default for every rotor sweep.
     Rotor,
-    /// The segmented-parallel ring backend ([`SegmentedRing`]): the ring
-    /// cut into `ROTOR_SEGMENTS` contiguous segments, bit-identical to
-    /// [`RingRouter`] at every segment count, with the worker-thread count
-    /// taken from the [`thread_plan`](crate::driver::thread_plan) budget so
-    /// intra-instance workers and sweep shards never oversubscribe the
-    /// machine. Only valid on the ring.
-    RotorSegmented,
     /// The general-graph rotor-router ([`Engine`]) — on the ring, used to
     /// cross-check the specialised engine at sweep scale.
     RotorGeneral,
@@ -42,7 +35,6 @@ impl ProcessKind {
     pub fn label(&self) -> &'static str {
         match self {
             ProcessKind::Rotor => "rotor",
-            ProcessKind::RotorSegmented => "rotor_seg",
             ProcessKind::RotorGeneral => "rotor_general",
             ProcessKind::RandomWalk => "walk",
         }
@@ -68,8 +60,8 @@ pub struct CoverSample {
     /// Wall-clock nanoseconds spent simulating (excludes setup).
     pub nanos: u64,
     /// Which engine actually ran the cell
-    /// ([`CoverProcess::kind_name`]): `"rotor_ring"`, `"rotor_ring_seg"`,
-    /// `"rotor_general"` or `"walk"` — the resolution
+    /// ([`CoverProcess::kind_name`]): `"rotor_ring"`, `"rotor_general"`
+    /// or `"walk"` — the resolution
     /// of the [`ProcessKind::Rotor`] auto-dispatch, recorded so reports can
     /// carry the backend column.
     pub backend: &'static str,
@@ -94,11 +86,6 @@ impl CoverSample {
 /// the ring, pointer initialisation goes through the direction-bit form
 /// for *all* kinds, so general-engine cross-checks see exactly the
 /// specialised engine's initial configuration.
-///
-/// # Panics
-///
-/// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
-/// family is not the ring.
 pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverSample {
     // The unobserved run is the observed one with a no-op instrument —
     // one dispatch to keep in sync, and the "observation must not perturb
@@ -120,11 +107,6 @@ pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverS
 /// build" — any `impl Observer<P> for all P: CoverProcess` instrument
 /// (such as [`DomainSampler`](rotor_core::domains::DomainSampler))
 /// satisfies it directly.
-///
-/// # Panics
-///
-/// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
-/// family is not the ring.
 pub fn run_scenario_observed<O>(
     sc: &Scenario,
     kind: ProcessKind,
@@ -132,10 +114,7 @@ pub fn run_scenario_observed<O>(
     observer: &mut O,
 ) -> CoverSample
 where
-    O: Observer<RingRouter>
-        + Observer<SegmentedRing>
-        + for<'g> Observer<Engine<'g>>
-        + for<'g> Observer<ParallelWalk<'g>>,
+    O: Observer<RingRouter> + for<'g> Observer<Engine<'g>> + for<'g> Observer<ParallelWalk<'g>>,
 {
     let positions = sc.positions();
     let on_ring = sc.family.is_ring();
@@ -144,19 +123,6 @@ where
             let dirs = sc.ring_directions(&positions);
             let mut p = RingRouter::new(sc.n, &positions, &dirs);
             finish_observed(sc, &mut p, max_rounds, observer)
-        }
-        ProcessKind::RotorSegmented if on_ring => {
-            let dirs = sc.ring_directions(&positions);
-            let segments = rotor_core::segring::segment_count_from_env();
-            let workers = crate::driver::thread_plan().1;
-            let mut p = SegmentedRing::with_workers(sc.n, &positions, &dirs, segments, workers);
-            finish_observed(sc, &mut p, max_rounds, observer)
-        }
-        ProcessKind::RotorSegmented => {
-            panic!(
-                "RotorSegmented requires the Ring family, got {}",
-                sc.family.label()
-            )
         }
         ProcessKind::Rotor | ProcessKind::RotorGeneral => {
             let g = sc.graph();
@@ -472,49 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn segmented_kind_matches_ring_kind_cell_by_cell() {
-        // ProcessKind::RotorSegmented must be a pure backend swap: same
-        // cover, same rounds, for every cell — whatever ROTOR_SEGMENTS is
-        // set to in the environment running this test.
-        let scenarios = ScenarioGrid {
-            families: vec![GraphFamily::Ring],
-            ns: vec![32, 61],
-            ks: vec![1, 2, 5],
-            seed_count: 2,
-            base_seed: 11,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .scenarios();
-        let ring: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-            run_scenario(s, ProcessKind::Rotor, 1 << 22)
-        });
-        let seg: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-            run_scenario(s, ProcessKind::RotorSegmented, 1 << 22)
-        });
-        for (r, s) in ring.iter().zip(&seg) {
-            assert_eq!(
-                (r.cover, r.rounds),
-                (s.cover, s.rounds),
-                "segmented backend diverged at n={} k={} seed={}",
-                r.n,
-                r.k,
-                r.seed
-            );
-            assert_eq!(s.backend, "rotor_ring_seg");
-        }
-    }
-
-    #[test]
     fn ring_backends_match_cell_by_cell() {
-        // One ScenarioGrid through Rotor, RotorGeneral and RotorSegmented
-        // must produce field-identical reports under `xtask compare`
-        // semantics — every CoverSample field except `nanos` (a declared
+        // One ScenarioGrid through Rotor and RotorGeneral must produce
+        // field-identical reports under `xtask compare` semantics — every
+        // CoverSample field except `nanos` (a declared
         // NONDETERMINISTIC_FIELDS timing column) and `backend`
         // (compare-stable *within* a backend; across backends it differs
-        // by construction and is asserted exactly). Of the four
-        // kind_names — rotor_ring, rotor_general, rotor_ring_seg and
-        // walk — only the random-walk baseline covers differently.
+        // by construction and is asserted exactly). Of the three
+        // kind_names — rotor_ring, rotor_general and walk — only the
+        // random-walk baseline covers differently.
         let scenarios = ScenarioGrid {
             families: vec![GraphFamily::Ring],
             ns: vec![32, 61],
@@ -530,37 +462,17 @@ mod tests {
         };
         let deterministic = |c: &CoverSample| (c.n, c.k, c.seed_index, c.seed, c.cover, c.rounds);
         let ring = run(ProcessKind::Rotor);
-        for (kind, backend) in [
-            (ProcessKind::RotorGeneral, "rotor_general"),
-            (ProcessKind::RotorSegmented, "rotor_ring_seg"),
-        ] {
-            for (r, o) in ring.iter().zip(&run(kind)) {
-                assert_eq!(
-                    deterministic(r),
-                    deterministic(o),
-                    "{kind:?} diverged at n={} k={} seed={}",
-                    r.n,
-                    r.k,
-                    r.seed
-                );
-                assert_eq!((r.backend, o.backend), ("rotor_ring", backend));
-            }
+        for (r, o) in ring.iter().zip(&run(ProcessKind::RotorGeneral)) {
+            assert_eq!(
+                deterministic(r),
+                deterministic(o),
+                "RotorGeneral diverged at n={} k={} seed={}",
+                r.n,
+                r.k,
+                r.seed
+            );
+            assert_eq!((r.backend, o.backend), ("rotor_ring", "rotor_general"));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "RotorSegmented requires the Ring family")]
-    fn segmented_on_non_ring_panics() {
-        let sc = Scenario {
-            family: GraphFamily::Complete,
-            n: 8,
-            k: 1,
-            seed_index: 0,
-            seed: 1,
-            placement: PlacementSpec::AllOnOne,
-            init: InitSpec::Uniform(0),
-        };
-        run_scenario(&sc, ProcessKind::RotorSegmented, 100);
     }
 
     #[test]

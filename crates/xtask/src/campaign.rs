@@ -23,13 +23,10 @@
 //!   across all three sizes. Writes `BENCH_general_graphs.json`.
 //! * [`RING_LARGE_N`] — the ring `walk_vs_rotor` / `table1` grids at
 //!   `n ≥ 10⁵` (worst-case, best-case and paired random columns). The
-//!   rotor columns run the segmented-parallel backend
-//!   ([`ProcessKind::RotorSegmented`], partition count from
-//!   `ROTOR_SEGMENTS`, bit-identical at every setting), and the sweep
-//!   shard count is clamped against the segment workers by the shared
-//!   thread budget — so the campaign is a laptop run, not a
-//!   wait-for-a-big-box one; the resumable unit granularity still covers
-//!   interruptions. Writes `BENCH_ring_large_n.json`.
+//!   rotor columns run the [`RingRouter`] fast
+//!   path through [`ProcessKind::Rotor`]; the resumable unit granularity
+//!   covers interruptions of the long worst-case cells. Writes
+//!   `BENCH_ring_large_n.json`.
 //! * [`RECOVERY`] — the fault-injection robustness campaign: every
 //!   disturbance kind (pointer corruption, agent crashes, §2.1 stalls,
 //!   edge churn) struck after cover on ring, random-regular and
@@ -797,12 +794,8 @@ fn run_large_unit(column: &RingColumn, n: usize, scale: Scale, threads: usize) -
         init: column.init,
     };
     let scenarios = grid.scenarios();
-    // The rotor columns run the segmented backend (bit-identical to the
-    // serial router at every ROTOR_SEGMENTS — pinned by the equivalence
-    // property tests), so the worst-case large-n cells parallelize inside
-    // the instance instead of serializing behind the cell boundary.
     let rotor: Vec<CoverSample> = run_sharded(&scenarios, threads, |_, sc| {
-        run_scenario(sc, ProcessKind::RotorSegmented, u64::MAX)
+        run_scenario(sc, ProcessKind::Rotor, u64::MAX)
     });
     let walks: Option<Vec<CoverSample>> = column.paired.then(|| {
         run_sharded(&scenarios, threads, |_, sc| {

@@ -2,10 +2,10 @@
 //!
 //! Every result in this workspace is sold as a pure function of
 //! `(family, n, k, seed, placement, init, kind)`. That claim is enforced
-//! *dynamically* by the CI drift jobs (1-vs-2-thread, `ROTOR_SEGMENTS`)
-//! and the equivalence property tests — but a stray `HashMap` iteration
-//! or an ad-hoc RNG seed ships silently until a drift job happens to
-//! catch it. This module is the missing *static* layer: a hand-rolled,
+//! *dynamically* by the CI drift jobs (1-vs-2-thread reruns, the full
+//! engine canary) and the equivalence property tests — but a stray
+//! `HashMap` iteration or an ad-hoc RNG seed ships silently until a drift
+//! job happens to catch it. This module is the missing *static* layer: a hand-rolled,
 //! dependency-free source scanner (a small lexer that correctly skips
 //! line/block comments, strings, raw strings and char literals — no
 //! `syn`, the workspace is offline) feeding a rule engine with per-rule
@@ -81,7 +81,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: R_ENV,
-        summary: "std::env::var only reads the documented ROTOR_* overrides (ROTOR_SWEEP_THREADS, ROTOR_SEGMENTS, ROTOR_SWEEP_SMOKE)",
+        summary: "std::env::var only reads the documented ROTOR_* overrides (ROTOR_SWEEP_THREADS, ROTOR_SWEEP_SMOKE)",
     },
     Rule {
         id: R_TODO,
@@ -105,7 +105,7 @@ pub const REPORT_CRATES: &[&str] = &["analysis", "sweep", "xtask", "bench"];
 /// The documented runtime override set (rule `env-allowlist`); everything
 /// else read from the environment would be an undeclared input to a
 /// "pure" result.
-pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS", "ROTOR_SEGMENTS", "ROTOR_SWEEP_SMOKE"];
+pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS", "ROTOR_SWEEP_SMOKE"];
 
 /// The `--list-rules` output: one `<id>  <summary>` line per rule, in
 /// contract order. Golden-tested, and a second test keeps the README
@@ -919,7 +919,7 @@ let e = "thread_rng";
 
     #[test]
     fn env_rule_checks_literals() {
-        let ok = "let v = std::env::var(\"ROTOR_SEGMENTS\");\n";
+        let ok = "let v = std::env::var(\"ROTOR_SWEEP_THREADS\");\n";
         assert!(lint_source("f", &core_src(), ok).is_empty());
         let bad = "let v = std::env::var(\"PATH\");\n";
         let f = lint_source("f", &core_src(), bad);

@@ -167,9 +167,7 @@ fn run_campaign(args: Vec<&str>) -> ExitCode {
     } else {
         campaign::Scale::Full
     };
-    // Default shard count comes from the shared budget: sweep shards ×
-    // ring-segment workers never oversubscribe the machine.
-    let threads = threads.unwrap_or_else(|| rotor_sweep::thread_plan().0);
+    let threads = threads.unwrap_or_else(rotor_sweep::thread_count);
     match campaign::run(name, scale, threads, out, state, fresh) {
         Ok(summary) => {
             println!(

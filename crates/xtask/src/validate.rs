@@ -653,17 +653,17 @@ fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut 
         }
     }
     if bench == "engine_throughput" {
-        // The parallel-backend contract: the report must carry the
-        // segmented ring's rounds/sec-vs-segments curve over the full P
-        // ladder, and the backend must never be slower than its serial
-        // baseline at P ∈ {4, 8} (the sanity floor under the ≥ 2× target).
-        const LABEL: &str = "segmented_ring_rounds_per_sec";
-        let seg = curves
+        // The ring fast-path contract: the report must carry the ring
+        // cells' rounds/sec against the general engine over the full k
+        // ladder, and `RingRouter` must be at least as fast as `Engine`
+        // on the same ring at every point.
+        const LABEL: &str = "ring_vs_general_rounds_per_sec";
+        let ring = curves
             .iter()
             .find(|c| c.get("label").and_then(Json::as_str) == Some(LABEL));
-        match seg {
+        match ring {
             None => errors.push(format!(
-                "missing the segmented ring rounds/sec-vs-segments curve (label \"{LABEL}\")"
+                "missing the ring-vs-general rounds/sec curve (label \"{LABEL}\")"
             )),
             Some(curve) => {
                 let points = curve
@@ -672,28 +672,22 @@ fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut 
                     .map(<[Json]>::to_vec)
                     .unwrap_or_default();
                 let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-                if xs != [1, 2, 4, 8] {
+                if xs != [1, 16, 8192] {
                     errors.push(format!(
-                        "segmented ring curve x = {xs:?}, expected segment counts [1, 2, 4, 8]"
+                        "ring-vs-general curve x = {xs:?}, expected agent counts [1, 16, 8192]"
                     ));
                 }
-                let rps_at = |x: u64| {
-                    points
-                        .iter()
-                        .find(|p| p.get("x").and_then(Json::as_u64) == Some(x))
-                        .and_then(|p| p.get("rounds_per_sec"))
-                        .and_then(Json::as_f64)
-                };
-                if let Some(base) = rps_at(1) {
-                    for x in [4, 8] {
-                        match rps_at(x) {
-                            Some(r) if r >= base => {}
-                            Some(r) => errors.push(format!(
-                                "segmented ring backend at P = {x} ({r:.0} rounds/sec) is \
-                                 slower than the serial path ({base:.0} rounds/sec)"
-                            )),
-                            None => {}
-                        }
+                for p in &points {
+                    let x = p.get("x").and_then(Json::as_u64).unwrap_or_default();
+                    let ring = p.get("rounds_per_sec").and_then(Json::as_f64);
+                    match (ring, num_field(p, "general_rounds_per_sec")) {
+                        (Some(r), Ok(g)) if r >= g => {}
+                        (Some(r), Ok(g)) => errors.push(format!(
+                            "ring fast path at k = {x} ({r:.0} rounds/sec) is slower than \
+                             the general engine ({g:.0} rounds/sec)"
+                        )),
+                        (_, Err(e)) => errors.push(format!("ring-vs-general k = {x}: {e}")),
+                        (None, _) => {}
                     }
                 }
             }
@@ -1057,30 +1051,31 @@ mod tests {
     }
 
     /// A well-formed engine_throughput report: the workload curve (x not
-    /// monotone by design) plus the required segmented ring curve.
-    fn throughput_report(seg_points: &str) -> Json {
+    /// monotone by design) plus the required ring-vs-general curve.
+    fn throughput_report(ring_points: &str) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"rotor-experiment/1","bench":"engine_throughput","threads":1,
                  "meta":{{}},
                  "curves":[
                    {{"label":"rounds_per_sec","meta":{{}},"fit":null,
                      "points":[{{"x":4096,"rounds_per_sec":1.0}},{{"x":1024,"rounds_per_sec":2.0}}]}},
-                   {{"label":"segmented_ring_rounds_per_sec","meta":{{"n":2097152}},"fit":null,
-                     "points":{seg_points}}}
+                   {{"label":"ring_vs_general_rounds_per_sec","meta":{{"n":2097152}},"fit":null,
+                     "points":{ring_points}}}
                  ]}}"#
         ))
         .expect("well-formed test report")
     }
 
+    const RING_POINTS: &str = r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
+        {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
+        {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#;
+
     #[test]
-    fn engine_throughput_requires_the_segmented_curve() {
-        let ok = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":150.0},
-                {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#,
-        );
+    fn engine_throughput_requires_the_ring_vs_general_curve() {
+        let ok = throughput_report(RING_POINTS);
         assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
 
-        // missing segmented curve
+        // missing ring curve
         let missing = minimal(
             "engine_throughput",
             r#"[{"x":4096,"rounds_per_sec":1.0}]"#,
@@ -1089,33 +1084,42 @@ mod tests {
         );
         assert!(validate(&missing, &Options::default())
             .iter()
-            .any(|e| e.contains("missing the segmented ring")));
+            .any(|e| e.contains("missing the ring-vs-general")));
 
-        // wrong P ladder
-        let short =
-            throughput_report(r#"[{"x":1,"rounds_per_sec":100.0},{"x":4,"rounds_per_sec":250.0}]"#);
+        // wrong k ladder
+        let short = throughput_report(
+            r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
+                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
+        );
         assert!(validate(&short, &Options::default())
             .iter()
-            .any(|e| e.contains("expected segment counts")));
+            .any(|e| e.contains("expected agent counts")));
 
-        // a P >= 4 point slower than serial trips the sanity floor
+        // a ring point slower than the general engine fails, and only it
         let slow = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":90.0},
-                {"x":4,"rounds_per_sec":80.0},{"x":8,"rounds_per_sec":120.0}]"#,
+            r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
+                {"x":16,"rounds_per_sec":9.0,"general_rounds_per_sec":14.0},
+                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
         );
         let errors = validate(&slow, &Options::default());
-        assert!(errors
-            .iter()
-            .any(|e| e.contains("P = 4") && e.contains("slower")));
-        assert!(
-            !errors.iter().any(|e| e.contains("P = 2")),
-            "P = 2 is not gated"
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("k = 16") && errors[0].contains("slower"));
+
+        // the general engine's figure is required
+        let unpaired = throughput_report(
+            r#"[{"x":1,"rounds_per_sec":130.0},
+                {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
+                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
         );
+        assert!(validate(&unpaired, &Options::default())
+            .iter()
+            .any(|e| e.contains("k = 1: general_rounds_per_sec missing")));
 
         // a rounds_per_sec point <= 0 trips the generic point rule
         let zero = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":0.0},{"x":2,"rounds_per_sec":150.0},
-                {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#,
+            r#"[{"x":1,"rounds_per_sec":0.0,"general_rounds_per_sec":0.0},
+                {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
+                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
         );
         assert!(validate(&zero, &Options::default())
             .iter()
@@ -1142,10 +1146,7 @@ mod tests {
 
     #[test]
     fn x_monotonicity_is_per_bench() {
-        let throughput = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":100.0},{"x":2,"rounds_per_sec":150.0},
-                {"x":4,"rounds_per_sec":250.0},{"x":8,"rounds_per_sec":240.0}]"#,
-        );
+        let throughput = throughput_report(RING_POINTS);
         assert_eq!(
             validate(&throughput, &Options::default()),
             Vec::<String>::new()
