@@ -22,7 +22,7 @@
 //!   ([`recovery::summarize_recovery`]), with honest timeout bookkeeping
 //!   (`recovered ≤ attempts`, timed-out cells never enter the medians);
 //! * the shared experiment-report schema ([`report`]):
-//!   [`ExperimentReport`](report::ExperimentReport) /
+//!   [`report_json`](report::report_json) /
 //!   [`Curve`](report::Curve) and the dependency-free
 //!   [`Json`](report::Json) builder every `BENCH_<name>.json` is written
 //!   through.

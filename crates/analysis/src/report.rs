@@ -1,12 +1,10 @@
 //! The one experiment-report schema every `BENCH_<name>.json` goes
 //! through.
 //!
-//! Before this module, each bench target shaped its own ad-hoc JSON, so
-//! cross-PR tooling had to know five layouts. Now a bench builds an
-//! [`ExperimentReport`] — named [`Curve`]s of [`Point`]s with an optional
-//! [`RegimeFit`] verdict per curve — and writes it with
-//! [`ExperimentReport::write`]; the layout is tagged with
-//! [`SCHEMA`] so consumers can detect drift. The underlying [`Json`]
+//! Every report is named [`Curve`]s of [`Point`]s, each curve with an
+//! optional [`RegimeFit`] verdict, wrapped by [`report_json`] and written
+//! with [`write_summary`]; the layout is tagged with [`SCHEMA`] so
+//! consumers can detect drift. The underlying [`Json`]
 //! value builder (hand-rolled — serde is not available in the offline
 //! build environment) lives here too and remains available for free-form
 //! extras inside `meta` / point fields.
@@ -561,61 +559,18 @@ pub fn fit_json(fit: &Option<RegimeFit>) -> Json {
     }
 }
 
-/// A complete experiment report: what one bench target measured, in the
-/// shared `rotor-experiment/1` layout.
-#[derive(Clone, Debug)]
-pub struct ExperimentReport {
-    /// Bench name; the file goes to `BENCH_<bench>.json`.
-    pub bench: String,
-    /// Worker threads the sweep ran on.
-    pub threads: u64,
-    /// Bench-wide metadata (grid shape, seeds, derived scalars).
-    pub meta: Vec<(String, Json)>,
-    /// The measured curves.
-    pub curves: Vec<Curve>,
-}
-
-impl ExperimentReport {
-    /// An empty report for the named bench.
-    pub fn new(bench: impl Into<String>, threads: u64) -> ExperimentReport {
-        ExperimentReport {
-            bench: bench.into(),
-            threads,
-            meta: Vec::new(),
-            curves: Vec::new(),
-        }
-    }
-
-    /// Adds a report-level metadata field (builder style).
-    pub fn meta(mut self, key: &str, value: Json) -> ExperimentReport {
-        self.meta.push((key.to_string(), value));
-        self
-    }
-
-    /// The report as a [`Json`] value in the `rotor-experiment/1` layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("bench".to_string(), Json::Str(self.bench.clone())),
-            ("threads".to_string(), Json::Int(self.threads)),
-            ("meta".to_string(), Json::Obj(self.meta.clone())),
-            (
-                "curves".to_string(),
-                Json::Arr(self.curves.iter().map(Curve::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Writes `BENCH_<bench>.json` at the repository root and returns the
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors — a bench run that cannot record its summary
-    /// should fail loudly, not silently.
-    pub fn write(&self) -> PathBuf {
-        write_summary(&self.bench, &self.to_json())
-    }
+/// A complete experiment report in the `rotor-experiment/1` layout: the
+/// envelope (schema tag, bench name, worker threads, report meta) around
+/// the rendered curves, in that key order. Every `BENCH_<bench>.json` is
+/// built here.
+pub fn report_json(bench: &str, threads: usize, meta: Json, curves: Vec<Json>) -> Json {
+    Json::Obj(vec![
+        ("schema".into(), Json::Str(SCHEMA.into())),
+        ("bench".into(), Json::Str(bench.into())),
+        ("threads".into(), Json::Int(threads as u64)),
+        ("meta".into(), meta),
+        ("curves".into(), Json::Arr(curves)),
+    ])
 }
 
 /// The canonical output path for a bench summary: `BENCH_<name>.json`
@@ -631,7 +586,7 @@ pub fn bench_json_path(name: &str) -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on I/O errors — a bench run that cannot record its summary
+/// Panics on I/O errors — a campaign that cannot record its report
 /// should fail loudly, not silently.
 pub fn write_summary(name: &str, value: &Json) -> PathBuf {
     let path = bench_json_path(name);
@@ -688,10 +643,8 @@ mod tests {
         curve
             .points
             .push(Point::new(2, [("cover", Json::Int(400))]));
-        let report = ExperimentReport::new("demo", 2).meta("seed_count", Json::Int(5));
-        let mut report = report;
-        report.curves.push(curve);
-        let body = report.to_json().render();
+        let meta = Json::obj([("seed_count", Json::Int(5))]);
+        let body = report_json("demo", 2, meta, vec![curve.to_json()]).render();
         assert!(body.starts_with(r#"{"schema":"rotor-experiment/1","bench":"demo","threads":2"#));
         assert!(body.contains(r#""meta":{"seed_count":5}"#));
         assert!(body.contains(r#""label":"rotor/random/n64""#));
@@ -711,9 +664,8 @@ mod tests {
                 ("bound", Json::Null),
             ],
         ));
-        let mut report = ExperimentReport::new("demo", 2).meta("note", Json::Str("a\"b\n".into()));
-        report.curves.push(curve);
-        let body = report.to_json().render();
+        let meta = Json::obj([("note", Json::Str("a\"b\n".into()))]);
+        let body = report_json("demo", 2, meta, vec![curve.to_json()]).render();
         let parsed = Json::parse(&body).expect("round trip");
         assert_eq!(parsed.render(), body, "parse inverts render");
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));

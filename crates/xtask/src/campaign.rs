@@ -1,9 +1,9 @@
-//! Named, resumable sweep campaigns — the full-scale experiment passes
-//! behind `cargo run -p xtask -- campaign <name>`.
+//! Named, resumable sweep campaigns — every experiment pass behind
+//! `cargo run -p xtask -- campaign <name>`, and the only writer of the
+//! committed `BENCH_*.json` reports.
 //!
 //! A *campaign* is a fixed list of **units** (one `(column, n)` grid pair
-//! each), executed in order through the same sharded [`run_sharded`]
-//! driver as every bench sweep.
+//! each), executed in order through the sharded [`run_sharded`] driver.
 //! After each unit completes, its curves are persisted into a JSON state
 //! file, so an interrupted pass — a large-`n` run killed halfway through,
 //! a laptop lid closed — resumes from the last finished unit instead of
@@ -11,9 +11,28 @@
 //! campaign's base seed, so a resumed unit is bit-identical to an
 //! uninterrupted one (pinned by tests).
 //!
-//! Four campaigns are defined:
+//! Eight campaigns are defined:
 //!
-//! * [`FAMILY_SPEEDUP`] — the paper's headline comparison *off* the ring:
+//! * [`TABLE1`] — the paper's Table 1 on the ring at `n = 1024`: the
+//!   worst-case column (all agents on one node, pointers toward it —
+//!   Theorems 1–2, `Θ(n²/log k)`), the best-case column (equally spaced —
+//!   Theorems 3–4) and the median over random placements, each with a
+//!   [`fit_regime`] verdict. Writes `BENCH_table1.json`.
+//! * [`RETURN_TIME`] — §4's return times: Brent cycle probes of the
+//!   worst-case start on ring, torus, hypercube and lollipop cells,
+//!   reporting the tail `μ` and period `λ` per `k`. Writes
+//!   `BENCH_return_time.json`.
+//! * [`WALK_VS_ROTOR`] — the headline comparison on the ring: rotor-router
+//!   against `k` random walks over one shared grid, for random and
+//!   all-on-one placements, with bootstrap bands, regime fits and the
+//!   fitted speed-up exponent per `(placement, n)`. Writes
+//!   `BENCH_walk_vs_rotor.json`.
+//! * [`ENGINE_THROUGHPUT`] — rounds/sec of the general engine on three
+//!   standard graphs, and of [`RingRouter`] against
+//!   [`Engine`] on the same worst-case ring cells. The only
+//!   timing campaign: it never stores units, so every pass re-times.
+//!   Writes `BENCH_engine_throughput.json`.
+//! * [`FAMILY_SPEEDUP`] — the headline comparison *off* the ring:
 //!   every shape-free graph family (ring, path, complete, star, binary
 //!   tree, random-regular) at `n ∈ {256, 1024, 4096}` and
 //!   `k ∈ {1, 4, 16, n/16}`, with paired rotor-router and random-walk
@@ -34,39 +53,46 @@
 //!   cells, the Brent-probed re-lock-in tail and period of the disturbed
 //!   configuration). Scenarios run through the panic-contained
 //!   [`run_sharded_checked`] driver, so one poisoned cell surfaces in the
-//!   report meta instead of killing the pass. Writes
-//!   `BENCH_recovery.json`.
+//!   report meta instead of killing the pass; [`run`] still writes that
+//!   report and then fails. Writes `BENCH_recovery.json`.
 //! * [`TORUS_SEG`] — the torus canary: worst-case and seeded random
 //!   cover curves per torus shape, measured on the general
-//!   [`Engine`](rotor_core::Engine) through [`ProcessKind::Rotor`], so the
+//!   [`Engine`] through [`ProcessKind::Rotor`], so the
 //!   determinism-drift job can diff a full-scale rerun against the
 //!   committed torus report. The name and report file are kept from the
 //!   retired row-banded torus backend, so older reports stay comparable.
 //!   Writes `BENCH_torus_seg.json`.
 //!
-//! The `general_graphs` and `recovery` bench targets are thin smoke-mode
-//! wrappers over [`family_speedup_report`] / [`recovery_report`], so the
-//! CI smoke grids and the full campaigns can never drift: same unit code,
-//! same aggregation, same validator.
+//! Every campaign has three [`Scale`]s: the committed full grids, the CI
+//! `--smoke` grids and the tiny grids the unit tests run.
 
 use crate::validate;
 use rotor_analysis::recovery::{summarize_recovery, RecoveryObs};
-use rotor_analysis::report::{write_summary, Curve, Json, Point, SCHEMA};
+use rotor_analysis::report::{report_json, write_summary, Curve, Json, Point};
 use rotor_analysis::{
-    bootstrap_median_band, fit_regime_scaled, median, speedup_exponent, RegimeFit,
+    bootstrap_median_band, fit_regime, fit_regime_scaled, median, speedup_exponent, RegimeFit,
 };
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
 use rotor_core::faults::FaultKind;
-use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
-use rotor_graph::algo;
+use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, Engine, RingRouter};
+use rotor_graph::{algo, builders, NodeId, PortGraph};
 use rotor_sweep::{
-    run_scenario, run_scenario_observed, run_scenario_recovery, run_sharded, run_sharded_checked,
-    CoverSample, FaultSpec, GraphFamily, InitSpec, PlacementSpec, ProcessKind, RecoveryOptions,
-    RecoverySample, Scenario, ScenarioGrid,
+    run_scenario, run_scenario_cycle, run_scenario_observed, run_scenario_recovery, run_sharded,
+    run_sharded_checked, CoverSample, FaultSpec, GraphFamily, InitSpec, PlacementSpec, ProcessKind,
+    RecoveryOptions, RecoverySample, Scenario, ScenarioGrid,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// Table 1 on the ring (writes `BENCH_table1.json`).
+pub const TABLE1: &str = "table1";
+/// §4 return times by Brent cycle probing (writes `BENCH_return_time.json`).
+pub const RETURN_TIME: &str = "return-time";
+/// Rotor-router against random walks on the ring (writes
+/// `BENCH_walk_vs_rotor.json`).
+pub const WALK_VS_ROTOR: &str = "walk-vs-rotor";
+/// Engine rounds/sec (writes `BENCH_engine_throughput.json`).
+pub const ENGINE_THROUGHPUT: &str = "engine-throughput";
 /// The per-family speed-up campaign (writes `BENCH_general_graphs.json`).
 pub const FAMILY_SPEEDUP: &str = "family-speedup";
 /// The large-`n` ring campaign (writes `BENCH_ring_large_n.json`).
@@ -76,7 +102,16 @@ pub const RECOVERY: &str = "recovery";
 /// The torus canary on the general engine (writes `BENCH_torus_seg.json`).
 pub const TORUS_SEG: &str = "torus-seg";
 /// Every defined campaign name, for CLI help and dispatch.
-pub const NAMES: [&str; 4] = [FAMILY_SPEEDUP, RING_LARGE_N, RECOVERY, TORUS_SEG];
+pub const NAMES: [&str; 8] = [
+    TABLE1,
+    RETURN_TIME,
+    WALK_VS_ROTOR,
+    ENGINE_THROUGHPUT,
+    FAMILY_SPEEDUP,
+    RING_LARGE_N,
+    RECOVERY,
+    TORUS_SEG,
+];
 
 /// Schema tag of the campaign state file.
 pub const STATE_SCHEMA: &str = "rotor-campaign-state/1";
@@ -85,6 +120,10 @@ pub const STATE_SCHEMA: &str = "rotor-campaign-state/1";
 /// reports under, or `None` for an unknown campaign name.
 pub fn bench_name(campaign: &str) -> Option<&'static str> {
     match campaign {
+        TABLE1 => Some("table1"),
+        RETURN_TIME => Some("return_time"),
+        WALK_VS_ROTOR => Some("walk_vs_rotor"),
+        ENGINE_THROUGHPUT => Some("engine_throughput"),
         FAMILY_SPEEDUP => Some("general_graphs"),
         RING_LARGE_N => Some("ring_large_n"),
         RECOVERY => Some("recovery"),
@@ -98,9 +137,11 @@ pub fn bench_name(campaign: &str) -> Option<&'static str> {
 pub enum Scale {
     /// The real experiment grids (the committed baselines).
     Full,
-    /// The CI grids: `n ≤ 256`, completes in seconds on two threads.
+    /// The CI grids (`--smoke`): cover campaigns stay at `n ≤ 256` and
+    /// finish in seconds on two threads.
     Smoke,
-    /// Tiny grids for `cargo test` / `-- --test`: `n ≤ 128`.
+    /// The tiny grids the unit tests run: each campaign finishes in
+    /// seconds even in a debug build.
     Test,
 }
 
@@ -136,8 +177,8 @@ pub struct CampaignState {
 }
 
 impl CampaignState {
-    /// An in-memory state that never touches disk — the bench wrapper's
-    /// mode, where every unit is computed fresh.
+    /// An in-memory state that never touches disk, so every unit is
+    /// computed fresh.
     pub fn ephemeral(campaign: &str, scale: Scale) -> CampaignState {
         CampaignState {
             path: None,
@@ -307,7 +348,7 @@ fn walk_budget(n: usize) -> u64 {
 /// Wall-clock ratio of every-round §2.2 sampling through the `O(n)`
 /// reference scan versus the `RingRouter`'s incremental counters, at
 /// `n = 4096` — recorded in every `general_graphs` report's meta (the
-/// validator requires it to stay above 1; the bench smoke asserts ≥ 5×).
+/// validator requires at least 5×).
 pub fn domain_sampler_speedup() -> f64 {
     let n = 4096;
     let rounds = 2048;
@@ -388,8 +429,9 @@ fn speedup_seed_count(scale: Scale) -> usize {
 
 const SPEEDUP_BASE_SEED: u64 = 0xFA111E5;
 
-/// Bootstrap resamples behind every `band_lo`/`band_hi` pair (matches the
-/// `walk_vs_rotor` bench so band widths are comparable across reports).
+/// Bootstrap resamples behind every `band_lo`/`band_hi` pair (shared by
+/// `family-speedup` and `walk-vs-rotor`, so band widths are comparable
+/// across reports).
 const BOOTSTRAP_RESAMPLES: usize = 300;
 /// Confidence level of the bootstrap median bands.
 const BAND_CONFIDENCE: f64 = 0.95;
@@ -738,9 +780,12 @@ fn ring_bound(n: usize) -> u64 {
     2 * (n as u64 / 2) * (n as u64)
 }
 
-/// One sweep column of the large-`n` ring campaign.
+/// One sweep column of the ring campaigns (`table1`, `walk-vs-rotor`,
+/// `ring-large-n`).
 struct RingColumn {
     name: &'static str,
+    /// The `placement` label its curves carry in their meta.
+    placement_label: &'static str,
     placement: PlacementSpec,
     init: InitSpec,
     /// Whether the column pairs a random-walk run against the rotor run.
@@ -754,6 +799,7 @@ fn ring_columns() -> [RingColumn; 3] {
     [
         RingColumn {
             name: "worst",
+            placement_label: "all_on_one",
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::TowardNearestAgent,
             paired: false,
@@ -761,6 +807,7 @@ fn ring_columns() -> [RingColumn; 3] {
         },
         RingColumn {
             name: "best",
+            placement_label: "equally_spaced",
             placement: PlacementSpec::EquallySpaced,
             init: InitSpec::TowardNearestAgent,
             paired: false,
@@ -768,6 +815,7 @@ fn ring_columns() -> [RingColumn; 3] {
         },
         RingColumn {
             name: "random",
+            placement_label: "random",
             placement: PlacementSpec::Random,
             init: InitSpec::Random,
             paired: true,
@@ -803,15 +851,10 @@ fn run_large_unit(column: &RingColumn, n: usize, scale: Scale, threads: usize) -
         })
     });
 
-    let placement_label = match column.name {
-        "worst" => "all_on_one",
-        "best" => "equally_spaced",
-        _ => "random",
-    };
     let bound = ring_bound(n) as f64;
     let curve_meta = |c: Curve, process: &str| {
         c.meta("process", Json::Str(process.into()))
-            .meta("placement", Json::Str(placement_label.into()))
+            .meta("placement", Json::Str(column.placement_label.into()))
             .meta("n", Json::Int(n as u64))
             .meta("seed_count", Json::Int(seed_count as u64))
     };
@@ -1315,14 +1358,492 @@ pub fn torus_seg_report(
     Ok(report_json("torus_seg", threads, meta, curves))
 }
 
-fn report_json(bench: &str, threads: usize, meta: Json, curves: Vec<Json>) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("bench".into(), Json::Str(bench.into())),
-        ("threads".into(), Json::Int(threads as u64)),
-        ("meta".into(), meta),
-        ("curves".into(), Json::Arr(curves)),
+// ---------------------------------------------------------------------------
+// table1
+// ---------------------------------------------------------------------------
+
+fn table1_n(scale: Scale) -> usize {
+    match scale {
+        Scale::Full => 1024,
+        Scale::Smoke | Scale::Test => 64,
+    }
+}
+
+/// Seed repetitions of the random Table 1 column (the deterministic
+/// worst- and best-case columns run one).
+const TABLE1_RANDOM_SEEDS: usize = 5;
+
+const TABLE1_BASE_SEED: u64 = 0x7AB1E1;
+
+/// Runs one Table 1 column: the ring at size `n` over the power-of-two
+/// `k` ladder up to `n/16`, with a [`fit_regime`] verdict on its cover
+/// curve. The worst-case column also records the ring rounds/sec per `k`.
+fn run_table1_unit(column: &RingColumn, n: usize, threads: usize) -> Json {
+    let ks: Vec<usize> = (0..usize::BITS)
+        .map(|i| 1usize << i)
+        .take_while(|&k| k <= n / 16)
+        .collect();
+    let grid = ScenarioGrid {
+        families: vec![GraphFamily::Ring],
+        ns: vec![n],
+        ks: ks.clone(),
+        seed_count: if column.seeded {
+            TABLE1_RANDOM_SEEDS
+        } else {
+            1
+        },
+        base_seed: TABLE1_BASE_SEED,
+        placement: column.placement,
+        init: column.init,
+    };
+    let samples: Vec<CoverSample> = run_sharded(&grid.scenarios(), threads, |_, sc| {
+        run_scenario(sc, ProcessKind::Rotor, u64::MAX)
+    });
+    let mut curve = Curve::new(format!("{}/n{n}", column.name))
+        .meta("placement", Json::Str(column.placement_label.into()))
+        .meta("n", Json::Int(n as u64));
+    let mut fit_points: Vec<(u64, u64)> = Vec::new();
+    for (ki, &k) in ks.iter().enumerate() {
+        let cells = &samples[grid.point_range(0, 0, ki)];
+        let mut covers: Vec<u64> = cells
+            .iter()
+            .map(|s| s.cover.expect("rotor-router always covers"))
+            .collect();
+        let m = median(&mut covers).expect("non-empty point");
+        fit_points.push((k as u64, m));
+        let fields = match column.name {
+            "worst" => vec![
+                ("cover", Json::Int(m)),
+                ("rounds_per_sec", Json::Num(cells[0].rounds_per_sec())),
+            ],
+            "best" => vec![("cover", Json::Int(m))],
+            _ => vec![("median_cover", Json::Int(m))],
+        };
+        curve.points.push(Point::new(k as u64, fields));
+    }
+    curve.fit = fit_regime(&fit_points);
+    Json::obj([("curves", Json::Arr(vec![curve.to_json()]))])
+}
+
+/// Builds the `table1` report: the worst-case, best-case and random
+/// cover columns on one ring, one unit and one curve per column.
+///
+/// # Errors
+///
+/// Fails when the state cannot be persisted or holds malformed units.
+pub fn table1_report(
+    scale: Scale,
+    threads: usize,
+    state: &mut CampaignState,
+) -> Result<Json, String> {
+    let n = table1_n(scale);
+    let mut curves: Vec<Json> = Vec::new();
+    for column in ring_columns() {
+        let key = format!("{}/n{n}", column.name);
+        let unit = state.unit(&key, || run_table1_unit(&column, n, threads))?;
+        curves.extend(unit_curves(&unit)?);
+    }
+    let meta = Json::obj([
+        ("n", Json::Int(n as u64)),
+        ("random_seeds", Json::Int(TABLE1_RANDOM_SEEDS as u64)),
+    ]);
+    Ok(report_json("table1", threads, meta, curves))
+}
+
+// ---------------------------------------------------------------------------
+// walk-vs-rotor
+// ---------------------------------------------------------------------------
+
+/// The ring grid of the walk-vs-rotor campaign: `(ns, ks, seed_count)`.
+fn walk_vs_rotor_grid(scale: Scale) -> (&'static [usize], &'static [usize], usize) {
+    match scale {
+        Scale::Full => (&[1024, 4096], &[1, 2, 4, 8, 16, 32, 64], 5),
+        Scale::Smoke | Scale::Test => (&[128, 256], &[1, 2, 4], 2),
+    }
+}
+
+const WALK_VS_ROTOR_BASE_SEED: u64 = 0xA10E_5EED;
+
+/// Runs one placement column of the walk-vs-rotor campaign: the
+/// rotor-router and `k` random walks over one shared ring grid, giving a
+/// rotor and a walk curve per `n` and the fitted speed-up exponent of
+/// each pair.
+fn run_walk_vs_rotor_unit(column: &RingColumn, scale: Scale, threads: usize) -> Json {
+    let (ns, ks, seed_count) = walk_vs_rotor_grid(scale);
+    let col = column.placement_label;
+    let grid = ScenarioGrid {
+        families: vec![GraphFamily::Ring],
+        ns: ns.to_vec(),
+        ks: ks.to_vec(),
+        seed_count,
+        base_seed: WALK_VS_ROTOR_BASE_SEED,
+        placement: column.placement,
+        init: column.init,
+    };
+    let scenarios = grid.scenarios();
+    // Both processes get the generous walk budget, which no rotor cell
+    // comes near.
+    let rotor: Vec<CoverSample> = run_sharded(&scenarios, threads, |_, sc| {
+        run_scenario(sc, ProcessKind::Rotor, walk_budget(sc.n))
+    });
+    let walks: Vec<CoverSample> = run_sharded(&scenarios, threads, |_, sc| {
+        run_scenario(sc, ProcessKind::RandomWalk, walk_budget(sc.n))
+    });
+    let covers_at = |samples: &[CoverSample], ni: usize, ki: usize| -> Vec<u64> {
+        samples[grid.point_range(0, ni, ki)]
+            .iter()
+            .filter_map(|s| s.cover)
+            .collect()
+    };
+
+    let mut curves: Vec<Json> = Vec::new();
+    let mut speedups: Vec<Json> = Vec::new();
+    for (ni, &n) in ns.iter().enumerate() {
+        let new_curve = |process: &str| {
+            Curve::new(format!("{process}/{col}/n{n}"))
+                .meta("process", Json::Str(process.into()))
+                .meta("placement", Json::Str(col.into()))
+                .meta("n", Json::Int(n as u64))
+        };
+        let mut rotor_curve = new_curve("rotor");
+        let mut walk_curve = new_curve("walk");
+        let mut rotor_points: Vec<(u64, u64)> = Vec::new();
+        let mut walk_points: Vec<(u64, u64)> = Vec::new();
+        for (ki, &k) in ks.iter().enumerate() {
+            let mut r_covers = covers_at(&rotor, ni, ki);
+            let mut w_covers = covers_at(&walks, ni, ki);
+            // Bands before medians: median() permutes its slice via
+            // select_nth_unstable (an order std leaves unspecified), and
+            // the bootstrap resamples by index — resampling the original
+            // cell order keeps the bands reproducible across Rust
+            // versions.
+            let r_band = bootstrap_median_band(
+                &r_covers,
+                BOOTSTRAP_RESAMPLES,
+                BAND_CONFIDENCE,
+                0xB00 + k as u64,
+            );
+            let w_band = bootstrap_median_band(
+                &w_covers,
+                BOOTSTRAP_RESAMPLES,
+                BAND_CONFIDENCE,
+                0xBA5E + k as u64,
+            );
+            let r_median = median(&mut r_covers);
+            let w_median = median(&mut w_covers);
+            if let (Some(r), Some(w)) = (r_median, w_median) {
+                rotor_points.push((k as u64, r));
+                walk_points.push((k as u64, w));
+            }
+            // Covered counts make a timed-out cell visible: a median over
+            // fewer than seed_count samples is biased toward the cells
+            // that happened to cover in budget.
+            rotor_curve.points.push(Point::new(
+                k as u64,
+                [
+                    ("covered", Json::Int(r_covers.len() as u64)),
+                    ("median_cover", int_or_null(r_median)),
+                    ("band_lo", int_or_null(r_band.as_ref().map(|b| b.lo))),
+                    ("band_hi", int_or_null(r_band.as_ref().map(|b| b.hi))),
+                ],
+            ));
+            let walk_over_rotor = match (r_median, w_median) {
+                (Some(r), Some(w)) if r > 0 => Some(w as f64 / r as f64),
+                _ => None,
+            };
+            walk_curve.points.push(Point::new(
+                k as u64,
+                [
+                    ("covered", Json::Int(w_covers.len() as u64)),
+                    ("median_cover", int_or_null(w_median)),
+                    ("band_lo", int_or_null(w_band.as_ref().map(|b| b.lo))),
+                    ("band_hi", int_or_null(w_band.as_ref().map(|b| b.hi))),
+                    ("walk_over_rotor", num_or_null(walk_over_rotor)),
+                ],
+            ));
+        }
+        rotor_curve.fit = fit_regime(&rotor_points);
+        walk_curve.fit = fit_regime(&walk_points);
+        // The OLS log-log slope of the walk/rotor ratio in k equals the
+        // difference of the two curves' slopes over the shared k support.
+        let speedup = match (&rotor_curve.fit, &walk_curve.fit) {
+            (Some(r), Some(w)) => Some(speedup_exponent(r, w)),
+            _ => None,
+        };
+        speedups.push(Json::obj([
+            ("placement", Json::Str(col.into())),
+            ("n", Json::Int(n as u64)),
+            ("speedup_exponent", num_or_null(speedup)),
+        ]));
+        curves.push(rotor_curve.to_json());
+        curves.push(walk_curve.to_json());
+    }
+    Json::obj([
+        ("curves", Json::Arr(curves)),
+        ("speedups", Json::Arr(speedups)),
     ])
+}
+
+/// Builds the `walk-vs-rotor` report: the random column (typical case)
+/// and the all-on-one column (the worst case of Theorems 1–2) as units,
+/// with the per-`(placement, n)` speed-up exponents in the meta.
+///
+/// # Errors
+///
+/// Fails when the state cannot be persisted or holds malformed units.
+pub fn walk_vs_rotor_report(
+    scale: Scale,
+    threads: usize,
+    state: &mut CampaignState,
+) -> Result<Json, String> {
+    let (_, ks, seed_count) = walk_vs_rotor_grid(scale);
+    let [worst, _, random] = ring_columns();
+    let mut curves: Vec<Json> = Vec::new();
+    let mut speedups: Vec<Json> = Vec::new();
+    for column in [random, worst] {
+        let unit = state.unit(column.placement_label, || {
+            run_walk_vs_rotor_unit(&column, scale, threads)
+        })?;
+        curves.extend(unit_curves(&unit)?);
+        let unit_speedups = unit
+            .get("speedups")
+            .and_then(Json::as_arr)
+            .ok_or("unit is missing speedups")?;
+        speedups.extend(unit_speedups.iter().cloned());
+    }
+    let meta = Json::obj([
+        ("seed_count", Json::Int(seed_count as u64)),
+        (
+            "ks",
+            Json::Arr(ks.iter().map(|&k| Json::Int(k as u64)).collect()),
+        ),
+        ("speedups", Json::Arr(speedups)),
+    ]);
+    Ok(report_json("walk_vs_rotor", threads, meta, curves))
+}
+
+// ---------------------------------------------------------------------------
+// return-time
+// ---------------------------------------------------------------------------
+
+/// Step budget of every Brent probe.
+const RETURN_TIME_MAX_STEPS: u64 = 10_000_000;
+
+/// The return-time sweeps: `(family, n, ks)`, one curve each. Every scale
+/// keeps a non-ring family, so the observer probes run off the ring too.
+fn return_time_sweeps(scale: Scale) -> &'static [(GraphFamily, usize, &'static [usize])] {
+    const TORUS: GraphFamily = GraphFamily::Torus { rows: 4, cols: 4 };
+    match scale {
+        Scale::Full => &[
+            (GraphFamily::Ring, 16, &[1, 2]),
+            (GraphFamily::Ring, 64, &[1, 2, 4]),
+            (GraphFamily::Ring, 256, &[1]),
+            (TORUS, 16, &[1, 2]),
+            (GraphFamily::Hypercube { dim: 4 }, 16, &[1, 2]),
+            (GraphFamily::Lollipop { clique: 8, tail: 8 }, 16, &[1, 2]),
+        ],
+        Scale::Smoke => &[(GraphFamily::Ring, 16, &[1, 2]), (TORUS, 16, &[1, 2])],
+        Scale::Test => &[(GraphFamily::Ring, 16, &[1]), (TORUS, 16, &[1])],
+    }
+}
+
+/// Runs one `(family, n)` unit of the return-time campaign: the
+/// worst-case start (all agents on one node, pointers toward it) probed
+/// for its tail `μ` and period `λ` at every `k`. The start is
+/// deterministic, so the seed fields are inert.
+fn run_return_time_unit(family: GraphFamily, n: usize, ks: &[usize], threads: usize) -> Json {
+    let cells: Vec<Scenario> = ks
+        .iter()
+        .map(|&k| Scenario {
+            family,
+            n,
+            k,
+            seed_index: 0,
+            seed: 0,
+            placement: PlacementSpec::AllOnOne,
+            init: InitSpec::TowardNearestAgent,
+        })
+        .collect();
+    let infos = run_sharded(&cells, threads, |_, sc| {
+        run_scenario_cycle(sc, RETURN_TIME_MAX_STEPS)
+    });
+    let label = family.label();
+    let mut curve = Curve::new(format!("brent/{label}/n{n}"))
+        .meta("family", Json::Str(label))
+        .meta("n", Json::Int(n as u64));
+    for (&k, info) in ks.iter().zip(&infos) {
+        curve.points.push(Point::new(
+            k as u64,
+            [
+                ("found", Json::Bool(info.is_some())),
+                ("tail", int_or_null(info.map(|i| i.tail))),
+                ("period", int_or_null(info.map(|i| i.period))),
+            ],
+        ));
+    }
+    Json::obj([("curves", Json::Arr(vec![curve.to_json()]))])
+}
+
+/// Builds the `return-time` report: one Brent-probe curve per
+/// `(family, n)` sweep, `k` on the x axis.
+///
+/// # Errors
+///
+/// Fails when the state cannot be persisted or holds malformed units.
+pub fn return_time_report(
+    scale: Scale,
+    threads: usize,
+    state: &mut CampaignState,
+) -> Result<Json, String> {
+    let mut curves: Vec<Json> = Vec::new();
+    for &(family, n, ks) in return_time_sweeps(scale) {
+        let key = format!("{}/n{n}", family.label());
+        let unit = state.unit(&key, || run_return_time_unit(family, n, ks, threads))?;
+        curves.extend(unit_curves(&unit)?);
+    }
+    let meta = Json::obj([("max_steps", Json::Int(RETURN_TIME_MAX_STEPS))]);
+    Ok(report_json("return_time", threads, meta, curves))
+}
+
+// ---------------------------------------------------------------------------
+// engine-throughput
+// ---------------------------------------------------------------------------
+
+/// Agents per general-engine workload: enough to keep a meaningful
+/// occupied set alive.
+const THROUGHPUT_AGENTS: u32 = 64;
+
+/// Agent counts of the ring-vs-general curve (x axis), each with the
+/// rounds timed per repetition at full scale: a few milliseconds per
+/// timing.
+const RING_CELLS: [(usize, u64); 3] = [(1, 1 << 20), (16, 1 << 18), (8192, 4096)];
+
+fn throughput_workloads() -> [(&'static str, PortGraph); 3] {
+    [
+        ("grid_64x64", builders::grid(64, 64)),
+        ("hypercube_10", builders::hypercube(10)),
+        (
+            "random_regular_1024_4",
+            builders::random_regular(1024, 4, 1),
+        ),
+    ]
+}
+
+/// Rounds/sec of `Engine` on `g` over a timed run of `rounds` rounds,
+/// after a warm-up.
+fn measure_rounds_per_sec(g: &PortGraph, rounds: u64) -> f64 {
+    let n = g.node_count() as u32;
+    let agents: Vec<NodeId> = (0..THROUGHPUT_AGENTS)
+        .map(|i| NodeId::new(i * n / THROUGHPUT_AGENTS))
+        .collect();
+    let mut e = Engine::new(g, &agents, &PointerInit::Random(7));
+    e.run(rounds / 10 + 1); // warm-up: caches, occupied list steady state
+    timed_rounds_per_sec(rounds, |r| e.run(r))
+}
+
+/// Rounds/sec of `RingRouter` and of `Engine` on the same ring cell (all
+/// agents on one node, pointers toward it — Theorem 1's initialisation),
+/// one pair per entry of `cells`. Every engine is measured `reps` times in
+/// a round-robin over the cells and the best repetition is kept, so
+/// transient machine interference cannot skew the ring-vs-general
+/// comparison the validator gates on. Both engines of a cell start from
+/// the same configuration and step in lockstep, so each repetition times
+/// the same rounds on both.
+fn measure_ring_vs_general(n: usize, cells: &[(usize, u64)], reps: usize) -> Vec<(f64, f64)> {
+    let g = builders::ring(n);
+    let mut engines: Vec<(RingRouter, Engine)> = cells
+        .iter()
+        .map(|&(k, rounds)| {
+            let starts = Placement::AllOnOne(0).positions(n, k);
+            let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
+            let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
+            let ptrs = dirs.iter().map(|&d| u32::from(d)).collect();
+            let mut ring = RingRouter::new(n, &starts, &dirs);
+            let mut general = Engine::with_pointers(&g, &ids, ptrs);
+            // warm-up: spread the occupied band
+            ring.run(rounds / 2 + 1);
+            general.run(rounds / 2 + 1);
+            (ring, general)
+        })
+        .collect();
+    let mut best = vec![(0f64, 0f64); cells.len()];
+    for _ in 0..reps {
+        for ((b, (ring, general)), &(_, rounds)) in best.iter_mut().zip(&mut engines).zip(cells) {
+            b.0 = b.0.max(timed_rounds_per_sec(rounds, |r| ring.run(r)));
+            b.1 = b.1.max(timed_rounds_per_sec(rounds, |r| general.run(r)));
+        }
+    }
+    best
+}
+
+/// Rounds/sec of one `run(rounds)` call.
+fn timed_rounds_per_sec(rounds: u64, run: impl FnOnce(u64)) -> f64 {
+    // lint: allow(wall-clock) -- rounds/sec is the measured quantity of the throughput report, never a deterministic column
+    let start = Instant::now();
+    run(rounds);
+    rounds as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Builds the `engine-throughput` report: `Engine` rounds/sec on the
+/// standard workloads (x = node count), and `RingRouter` against `Engine`
+/// on worst-case ring cells (x = k), which the validator requires to be
+/// at least as fast at every k.
+///
+/// The timed loops run on one thread, so the report records one thread.
+/// Nothing is stored in the campaign state: every pass re-times, so a
+/// resumed pass can never return stale rounds/sec.
+pub fn engine_throughput_report(scale: Scale) -> Json {
+    // The small scales keep the k ladder on a small ring.
+    let (rounds, ring_n, reps, divisor) = match scale {
+        Scale::Full => (4096, 1 << 21, 5, 1),
+        Scale::Smoke | Scale::Test => (64, 4096, 1, 1 << 10),
+    };
+    let mut curve = Curve::new("rounds_per_sec");
+    for (name, g) in throughput_workloads() {
+        curve.points.push(Point::new(
+            g.node_count() as u64,
+            [
+                ("graph", Json::Str(name.into())),
+                ("edges", Json::Int(g.edge_count() as u64)),
+                (
+                    "rounds_per_sec",
+                    Json::Num(measure_rounds_per_sec(&g, rounds)),
+                ),
+            ],
+        ));
+    }
+    let cells: Vec<(usize, u64)> = RING_CELLS
+        .iter()
+        .map(|&(k, rounds)| (k, (rounds / divisor).max(64)))
+        .collect();
+    let mut ring_curve = Curve::new("ring_vs_general_rounds_per_sec")
+        .meta("n", Json::Int(ring_n as u64))
+        .meta("placement", Json::Str("all_on_one".into()))
+        .meta("init", Json::Str("toward_nearest_agent".into()))
+        .meta("reps", Json::Int(reps as u64));
+    let measured = measure_ring_vs_general(ring_n, &cells, reps);
+    for (&(k, rounds), (ring, general)) in cells.iter().zip(measured) {
+        ring_curve.points.push(Point::new(
+            k as u64,
+            [
+                ("k", Json::Int(k as u64)),
+                ("rounds", Json::Int(rounds)),
+                ("rounds_per_sec", Json::Num(ring)),
+                ("general_rounds_per_sec", Json::Num(general)),
+                ("ring_over_general", Json::Num(ring / general)),
+            ],
+        ));
+    }
+    let meta = Json::obj([
+        ("agents", Json::Int(u64::from(THROUGHPUT_AGENTS))),
+        ("rounds", Json::Int(rounds)),
+    ]);
+    report_json(
+        "engine_throughput",
+        1,
+        meta,
+        vec![curve.to_json(), ring_curve.to_json()],
+    )
 }
 
 /// Dispatches a campaign name to its report builder.
@@ -1337,6 +1858,10 @@ pub fn build_report(
     state: &mut CampaignState,
 ) -> Result<Json, String> {
     match campaign {
+        TABLE1 => table1_report(scale, threads, state),
+        RETURN_TIME => return_time_report(scale, threads, state),
+        WALK_VS_ROTOR => walk_vs_rotor_report(scale, threads, state),
+        ENGINE_THROUGHPUT => Ok(engine_throughput_report(scale)),
         FAMILY_SPEEDUP => family_speedup_report(scale, threads, state),
         RING_LARGE_N => ring_large_n_report(scale, threads, state),
         RECOVERY => recovery_report(scale, threads, state),
@@ -1381,7 +1906,9 @@ pub struct RunSummary {
 ///
 /// Fails on unknown campaigns, unusable state files, I/O errors, and —
 /// deliberately — when the assembled report does not pass its own
-/// validator: a campaign must never write a report CI would reject.
+/// validator: a campaign must never write a report CI would reject. A
+/// report whose `meta.failed_cells` is nonzero is written (so its
+/// `meta.failures` ledger can be read) and then fails the run.
 pub fn run(
     campaign: &str,
     scale: Scale,
@@ -1416,6 +1943,17 @@ pub fn run(
         }
         None => write_summary(bench, &report),
     };
+    let failed = report
+        .get("meta")
+        .and_then(|m| m.get("failed_cells"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    if failed > 0 {
+        return Err(format!(
+            "{failed} cell(s) failed; see meta.failures in {}",
+            out_path.display()
+        ));
+    }
     Ok(RunSummary {
         out: out_path,
         computed: state.computed,
@@ -1466,6 +2004,89 @@ mod tests {
         }
     }
 
+    fn curve_labels(report: &Json) -> Vec<&str> {
+        report
+            .get("curves")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|c| c.get("label").and_then(Json::as_str).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn table1_test_scale_passes_its_own_validator() {
+        let mut state = CampaignState::ephemeral(TABLE1, Scale::Test);
+        let report = table1_report(Scale::Test, 2, &mut state).expect("report builds");
+        let errors = validate::validate(&report, &validate::Options::default());
+        assert_eq!(errors, Vec::<String>::new());
+        assert_eq!(
+            curve_labels(&report),
+            ["worst/n64", "best/n64", "random/n64"]
+        );
+        // k = 1 worst case: the single agent covers the ring in n(n−1)/2
+        let worst = &report.get("curves").and_then(Json::as_arr).unwrap()[0];
+        let first = &worst.get("points").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(first.get("cover").and_then(Json::as_u64), Some(64 * 63 / 2));
+    }
+
+    #[test]
+    fn return_time_test_scale_passes_its_own_validator() {
+        let mut state = CampaignState::ephemeral(RETURN_TIME, Scale::Test);
+        let report = return_time_report(Scale::Test, 2, &mut state).expect("report builds");
+        let errors = validate::validate(&report, &validate::Options::default());
+        assert_eq!(errors, Vec::<String>::new());
+        assert_eq!(
+            curve_labels(&report),
+            ["brent/ring/n16", "brent/torus_4x4/n16"]
+        );
+        // the single-agent limit on the ring has period 2n (Theorem 6)
+        let ring = &report.get("curves").and_then(Json::as_arr).unwrap()[0];
+        let first = &ring.get("points").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(first.get("period").and_then(Json::as_u64), Some(32));
+    }
+
+    #[test]
+    fn walk_vs_rotor_test_scale_passes_its_own_validator() {
+        let mut state = CampaignState::ephemeral(WALK_VS_ROTOR, Scale::Test);
+        let report = walk_vs_rotor_report(Scale::Test, 2, &mut state).expect("report builds");
+        let errors = validate::validate(&report, &validate::Options::default());
+        assert_eq!(errors, Vec::<String>::new());
+        let mut expected = Vec::new();
+        for col in ["random", "all_on_one"] {
+            for n in [128, 256] {
+                for process in ["rotor", "walk"] {
+                    expected.push(format!("{process}/{col}/n{n}"));
+                }
+            }
+        }
+        assert_eq!(curve_labels(&report), expected);
+        let speedups = report
+            .get("meta")
+            .and_then(|m| m.get("speedups"))
+            .and_then(Json::as_arr)
+            .unwrap();
+        assert_eq!(speedups.len(), 2 * 2, "one exponent per (placement, n)");
+    }
+
+    #[test]
+    fn engine_throughput_test_scale_passes_its_own_validator() {
+        let report = engine_throughput_report(Scale::Test);
+        // Every rule holds except, possibly, the wall-clock one: a single
+        // 1024-round timing in a debug build puts the k = 1 ring cell
+        // within noise of `Engine`. Full-scale release passes through
+        // `run` keep that gate.
+        let errors: Vec<String> = validate::validate(&report, &validate::Options::default())
+            .into_iter()
+            .filter(|e| !e.contains("slower than the general engine"))
+            .collect();
+        assert_eq!(errors, Vec::<String>::new());
+        assert_eq!(
+            curve_labels(&report),
+            ["rounds_per_sec", "ring_vs_general_rounds_per_sec"]
+        );
+    }
+
     #[test]
     fn torus_seg_test_scale_passes_its_own_validator() {
         let mut state = CampaignState::ephemeral(TORUS_SEG, Scale::Test);
@@ -1498,33 +2119,37 @@ mod tests {
     #[test]
     fn state_resumes_bit_identically() {
         let dir = std::env::temp_dir().join(format!("rotor-campaign-test-{}", std::process::id()));
-        let path = dir.join("state.json");
-        let _ = std::fs::remove_file(&path);
+        for (campaign, units) in [
+            (FAMILY_SPEEDUP, 6 * 2),
+            (WALK_VS_ROTOR, 2),
+            (RETURN_TIME, 2),
+        ] {
+            let path = dir.join(format!("{campaign}.state.json"));
+            let _ = std::fs::remove_file(&path);
 
-        let mut first = CampaignState::load(path.clone(), FAMILY_SPEEDUP, Scale::Test, false)
-            .expect("fresh state");
-        let a = family_speedup_report(Scale::Test, 2, &mut first).expect("first pass");
-        assert_eq!(first.resumed, 0);
-        assert_eq!(first.computed, 6 * 2);
+            let mut first =
+                CampaignState::load(path.clone(), campaign, Scale::Test, false).expect("fresh");
+            let a = build_report(campaign, Scale::Test, 2, &mut first).expect("first pass");
+            assert_eq!((first.resumed, first.computed), (0, units), "{campaign}");
 
-        // A second pass over the same state answers every unit from disk
-        // and reassembles the identical report.
-        let mut second = CampaignState::load(path.clone(), FAMILY_SPEEDUP, Scale::Test, false)
-            .expect("reload state");
-        let b = family_speedup_report(Scale::Test, 2, &mut second).expect("resumed pass");
-        assert_eq!(second.computed, 0);
-        assert_eq!(second.resumed, 6 * 2);
-        // Same determinism contract CI enforces between thread counts:
-        // every field agrees except the wall-clock-derived ones (the
-        // domain-sampler speedup is re-measured at each assembly).
-        assert_eq!(crate::compare::compare(&a, &b), Vec::<String>::new());
+            // A second pass over the same state answers every unit from
+            // disk and reassembles the identical report.
+            let mut second =
+                CampaignState::load(path.clone(), campaign, Scale::Test, false).expect("reload");
+            let b = build_report(campaign, Scale::Test, 2, &mut second).expect("resumed pass");
+            assert_eq!((second.resumed, second.computed), (units, 0), "{campaign}");
+            // Same determinism contract CI enforces between thread
+            // counts: every field agrees except the wall-clock-derived
+            // ones (the domain-sampler speedup is re-measured at each
+            // assembly).
+            assert_eq!(crate::compare::compare(&a, &b), Vec::<String>::new());
 
-        // --fresh discards the stored units.
-        let mut fresh = CampaignState::load(path.clone(), FAMILY_SPEEDUP, Scale::Test, true)
-            .expect("fresh reload");
-        assert!(fresh.unit("probe", || Json::Null).is_ok());
-        assert_eq!(fresh.computed, 1);
-
+            // --fresh discards the stored units.
+            let mut fresh =
+                CampaignState::load(path.clone(), campaign, Scale::Test, true).expect("fresh");
+            assert!(fresh.unit("probe", || Json::Null).is_ok());
+            assert_eq!(fresh.computed, 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1645,5 +2270,11 @@ mod tests {
             .contains("unknown campaign"));
         assert_eq!(bench_name("nope"), None);
         assert_eq!(bench_name(FAMILY_SPEEDUP), Some("general_graphs"));
+        // every defined campaign writes its own report file
+        let mut benches: Vec<&str> = NAMES.iter().filter_map(|&c| bench_name(c)).collect();
+        assert_eq!(benches.len(), NAMES.len());
+        benches.sort_unstable();
+        benches.dedup();
+        assert_eq!(benches.len(), NAMES.len());
     }
 }

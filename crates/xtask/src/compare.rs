@@ -12,6 +12,8 @@ use rotor_analysis::report::Json;
 pub const NONDETERMINISTIC_FIELDS: &[&str] = &[
     "threads",
     "rounds_per_sec",
+    "general_rounds_per_sec",
+    "ring_over_general",
     "nanos",
     "domain_sampler_speedup_n4096",
 ];
@@ -136,6 +138,19 @@ mod tests {
         )
         .unwrap();
         assert!(compare(&a, &b).is_empty());
+
+        // the ring-vs-general throughput curve is timing through and through
+        let ring = |rps: f64, general: f64| {
+            Json::parse(&format!(
+                r#"{{"curves":[{{"label":"ring_vs_general_rounds_per_sec",
+                    "points":[{{"x":1,"k":1,"rounds":1024,"rounds_per_sec":{rps},
+                                "general_rounds_per_sec":{general},
+                                "ring_over_general":{}}}]}}]}}"#,
+                rps / general
+            ))
+            .unwrap()
+        };
+        assert!(compare(&ring(9.0, 6.0), &ring(8.0, 2.0)).is_empty());
     }
 
     #[test]

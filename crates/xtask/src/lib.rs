@@ -4,19 +4,19 @@
 //! full-scale sweep campaigns, so CI, local runs and multi-day campaign
 //! passes all enforce the `rotor-experiment/1` contract with the *same*
 //! code. The `cargo run -p xtask -- <subcommand>` binary is a thin argv
-//! shim over this library; the `general_graphs` bench target links the
-//! library directly and runs the [`campaign`] definitions in smoke mode,
-//! which is what keeps the CI grid and the committed full-campaign
-//! baseline structurally identical.
+//! shim over this library. Every committed `BENCH_*.json` is written by a
+//! [`campaign`], and the CI smoke grids run the same definitions at a
+//! smaller [`Scale`](campaign::Scale), so the two cannot drift apart.
 //!
 //! * [`validate`] — schema, curve/point invariants and per-bench rules
 //!   for every report (`xtask validate <files…>`);
 //! * [`compare`] — deterministic-field diff between two runs of the same
 //!   experiment (`xtask compare a.json b.json`, the CI 1-vs-2-thread
 //!   determinism gate);
-//! * [`campaign`] — named, resumable sweep campaigns
-//!   (`xtask campaign family-speedup`, `xtask campaign ring-large-n`,
-//!   `xtask campaign recovery` — the fault-injection recovery curves);
+//! * [`campaign`] — named, resumable experiment campaigns
+//!   (`xtask campaign table1`, `return-time`, `walk-vs-rotor`,
+//!   `engine-throughput`, `family-speedup`, `ring-large-n`, `recovery`,
+//!   `torus-seg`), one per committed report;
 //! * [`lint`] — the determinism-contract static analysis (`xtask lint`),
 //!   the static complement of the `compare`-based drift jobs: a
 //!   dependency-free source scanner enforcing the workspace's

@@ -81,7 +81,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: R_ENV,
-        summary: "std::env::var only reads the documented ROTOR_* overrides (ROTOR_SWEEP_THREADS, ROTOR_SWEEP_SMOKE)",
+        summary: "std::env::var only reads the documented ROTOR_* override (ROTOR_SWEEP_THREADS)",
     },
     Rule {
         id: R_TODO,
@@ -100,12 +100,12 @@ pub const DETERMINISTIC_CRATES: &[&str] = &["core", "graph", "sweep", "walks", "
 /// Crates on the report-writing path, where float accumulation feeds
 /// fields `xtask compare` treats as deterministic (rule
 /// `float-accumulation`).
-pub const REPORT_CRATES: &[&str] = &["analysis", "sweep", "xtask", "bench"];
+pub const REPORT_CRATES: &[&str] = &["analysis", "sweep", "xtask"];
 
 /// The documented runtime override set (rule `env-allowlist`); everything
 /// else read from the environment would be an undeclared input to a
 /// "pure" result.
-pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS", "ROTOR_SWEEP_SMOKE"];
+pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS"];
 
 /// The `--list-rules` output: one `<id>  <summary>` line per rule, in
 /// contract order. Golden-tested, and a second test keeps the README
@@ -751,7 +751,7 @@ mod tests {
         assert!(!c.in_tests && !c.is_target_root);
         assert!(classify("crates/core/tests/equivalence.rs").in_tests);
         assert!(classify("crates/core/tests/equivalence.rs").is_target_root);
-        assert!(classify("crates/bench/benches/table1.rs").is_target_root);
+        assert!(classify("crates/sweep/benches/driver.rs").is_target_root);
         assert!(classify("src/lib.rs").is_target_root);
         assert_eq!(classify("src/lib.rs").crate_name, "rotor");
         assert!(!classify("crates/core/src/ring.rs").is_target_root);
@@ -906,8 +906,7 @@ let e = "thread_rng";
 
     #[test]
     fn env_rule_resolves_same_file_consts() {
-        let ok =
-            "const SMOKE_ENV: &str = \"ROTOR_SWEEP_SMOKE\";\nlet v = std::env::var(SMOKE_ENV);\n";
+        let ok = "const THREADS_ENV: &str = \"ROTOR_SWEEP_THREADS\";\nlet v = std::env::var(THREADS_ENV);\n";
         assert!(lint_source("f", &core_src(), ok).is_empty());
         let bad = "const HOME_ENV: &str = \"HOME\";\nlet v = std::env::var(HOME_ENV);\n";
         let f = lint_source("f", &core_src(), bad);

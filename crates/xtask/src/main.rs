@@ -2,7 +2,7 @@
 //! experiment reports, so CI and local runs enforce the
 //! `rotor-experiment/1` contract with the *same* code (this used to be an
 //! inline Python heredoc in `ci.yml`). The logic lives in the `xtask`
-//! library (shared with the bench targets); this binary only parses argv.
+//! library; this binary only parses argv.
 //!
 //! Subcommands:
 //!
@@ -13,12 +13,13 @@
 //! * `compare <a.json> <b.json>` — assert two runs of the same experiment
 //!   agree on every deterministic field (timing-derived fields are
 //!   ignored), which is the CI determinism-drift gate between 1-thread and
-//!   2-thread reruns of the smoke sweeps;
+//!   2-thread reruns of the smoke campaigns;
 //! * `campaign <name> [--smoke] [--threads N] [--out PATH] [--state PATH]
 //!   [--fresh]` — run a named, resumable sweep campaign (see
 //!   [`xtask::campaign`]): completed units are answered from the state
 //!   file, the assembled report is validated and written to the
-//!   campaign's canonical `BENCH_<bench>.json` (or `--out`);
+//!   campaign's canonical `BENCH_<bench>.json` (or `--out`); a report
+//!   with failed cells is written and then exits nonzero;
 //! * `lint [--list-rules] [paths...]` — the determinism-contract static
 //!   analysis (see [`xtask::lint`]): walks every non-vendor workspace
 //!   crate (or the given paths), reports findings as `file:line rule

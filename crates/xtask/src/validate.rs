@@ -527,14 +527,16 @@ fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut 
                 "families {families:?} must include at least one non-ring family"
             ));
         }
+        // The incremental §2.2 counters must beat the O(n) reference scan
+        // by a wide margin (about 30× at n = 4096), not merely at all.
         match report
             .get("meta")
             .and_then(|m| m.get("domain_sampler_speedup_n4096"))
             .and_then(Json::as_f64)
         {
-            Some(s) if s > 1.0 => {}
+            Some(s) if s >= 5.0 => {}
             Some(s) => errors.push(format!(
-                "meta.domain_sampler_speedup_n4096 = {s} must be > 1 (incremental path slower than the scan?)"
+                "meta.domain_sampler_speedup_n4096 = {s} must be >= 5 (incremental §2.2 sampling barely beats the scan)"
             )),
             None => errors.push("meta.domain_sampler_speedup_n4096 missing".into()),
         }
@@ -835,6 +837,14 @@ mod tests {
     fn general_graphs_rules() {
         let ok = paired_general_graphs("torus_4x4", "torus_4x4");
         assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
+        let slow_sampler = Json::parse(&ok.render().replace(
+            r#""domain_sampler_speedup_n4096":40"#,
+            r#""domain_sampler_speedup_n4096":4.5"#,
+        ))
+        .unwrap();
+        assert!(validate(&slow_sampler, &Options::default())
+            .iter()
+            .any(|e| e.contains("must be >= 5")));
 
         let bad = minimal(
             "general_graphs",

@@ -20,7 +20,8 @@
 //!   over any `CoverProcess`;
 //! * [`rotor_analysis`] — sweep statistics (medians, bootstrap bands,
 //!   regime fits against the paper's `Θ(n²/log k)` / `Θ(n²/k²)` curves)
-//!   and the shared `ExperimentReport` bench-JSON schema.
+//!   and the shared `rotor-experiment/1` report schema every
+//!   `BENCH_*.json` is written in.
 //!
 //! ```
 //! use rotor::rotor_core::{init::PointerInit, placement::Placement, RingRouter};
