@@ -10,31 +10,31 @@
 //! visited, which is why worst-case arguments may freeze agents freely.
 //!
 //! Both engines expose a per-round closure hook
-//! ([`Engine::step_delayed`], [`RingRouter::step_delayed`]); this module
-//! provides the explicit schedule object `D` the paper's notation uses,
-//! plus drivers that replay it round by round.
+//! ([`Engine::step_delayed`](crate::Engine::step_delayed),
+//! [`RingRouter::step_delayed`](crate::RingRouter::step_delayed)); this
+//! module provides the explicit schedule object `D` the paper's notation
+//! uses, and [`DelaySchedule::at`] turns one round of it into that hook's
+//! closure.
 
-use crate::engine::Engine;
-use crate::ring::RingRouter;
 use std::collections::BTreeMap;
 
 /// An explicit delayed deployment `D : V × N → N`: `delay(v, t)` agents are
 /// held at node `v` in round `t`.
 ///
 /// Rounds are numbered from 1 (the first call to `step`), matching
-/// `Engine::round()` / `RingRouter::round()` after the step completes.
-/// Unspecified pairs default to 0 (no delay).
+/// [`CoverProcess::round`](crate::CoverProcess::round) after the step
+/// completes. Unspecified pairs default to 0 (no delay).
 ///
 /// ```
 /// use rotor_core::delays::DelaySchedule;
-/// use rotor_core::RingRouter;
+/// use rotor_core::{CoverProcess, RingRouter};
 ///
 /// let mut d = DelaySchedule::new();
 /// d.hold(3, 1, 2); // hold two agents at node 3 in round 1
 /// let mut r = RingRouter::new(8, &[3, 3], &[0; 8]);
-/// rotor_core::delays::step_ring(&mut r, &d);
+/// r.step_delayed(d.at(r.round() + 1));
 /// assert_eq!(r.agents_at(3), 2, "both agents held");
-/// rotor_core::delays::step_ring(&mut r, &d);
+/// r.step_delayed(d.at(r.round() + 1));
 /// assert_eq!(r.agents_at(3), 0, "no delay scheduled for round 2");
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -72,36 +72,16 @@ impl DelaySchedule {
         self.held.get(&(v, round)).copied().unwrap_or(0)
     }
 
+    /// Round `round` of the schedule as the `delay(v, c)` closure both
+    /// engines' `step_delayed` take; the round being executed is the
+    /// process's [`round`](crate::CoverProcess::round) plus one.
+    pub fn at(&self, round: u64) -> impl Fn(u32, u32) -> u32 + '_ {
+        move |v, _| self.delay(v, round)
+    }
+
     /// Whether the schedule is identically zero.
     pub fn is_empty(&self) -> bool {
         self.held.values().all(|&c| c == 0)
-    }
-}
-
-/// Advances `engine` one round under `schedule` (the round being executed is
-/// `engine.round() + 1`).
-pub fn step_engine(engine: &mut Engine<'_>, schedule: &DelaySchedule) {
-    let round = engine.round() + 1;
-    engine.step_delayed(|v, _| schedule.delay(v, round));
-}
-
-/// Advances `router` one round under `schedule`.
-pub fn step_ring(router: &mut RingRouter, schedule: &DelaySchedule) {
-    let round = router.round() + 1;
-    router.step_delayed(|v, _| schedule.delay(v, round));
-}
-
-/// Runs `rounds` rounds of `engine` under `schedule`.
-pub fn run_engine(engine: &mut Engine<'_>, schedule: &DelaySchedule, rounds: u64) {
-    for _ in 0..rounds {
-        step_engine(engine, schedule);
-    }
-}
-
-/// Runs `rounds` rounds of `router` under `schedule`.
-pub fn run_ring(router: &mut RingRouter, schedule: &DelaySchedule, rounds: u64) {
-    for _ in 0..rounds {
-        step_ring(router, schedule);
     }
 }
 
@@ -109,6 +89,7 @@ pub fn run_ring(router: &mut RingRouter, schedule: &DelaySchedule, rounds: u64) 
 mod tests {
     use super::*;
     use crate::init::PointerInit;
+    use crate::{CoverProcess, Engine, RingRouter};
     use rotor_graph::{builders, NodeId};
 
     #[test]
@@ -122,7 +103,7 @@ mod tests {
         assert!(schedule.is_empty());
         for _ in 0..50 {
             a.step();
-            step_engine(&mut b, &schedule);
+            b.step_delayed(schedule.at(b.round() + 1));
             assert_eq!(a.state(), b.state());
         }
     }
@@ -137,10 +118,12 @@ mod tests {
         assert_eq!(d.delay(6, 1), 0);
 
         let mut r = RingRouter::new(10, &[5], &[0; 10]);
-        run_ring(&mut r, &d, 3);
+        for _ in 0..3 {
+            r.step_delayed(d.at(r.round() + 1));
+        }
         assert_eq!(r.agents_at(5), 1, "held for rounds 1..4");
         assert_eq!(r.round(), 3);
-        step_ring(&mut r, &d);
+        r.step_delayed(d.at(r.round() + 1));
         assert_eq!(r.agents_at(6), 1, "released in round 4");
     }
 
@@ -158,7 +141,7 @@ mod tests {
         d.hold_during(0, 1..20, 1);
         for _ in 0..200 {
             plain.step();
-            step_ring(&mut slow, &d);
+            slow.step_delayed(d.at(slow.round() + 1));
             for v in 0..n as u32 {
                 // anything the delayed run has visited, the plain run has too
                 if slow.is_visited(v) {
@@ -174,7 +157,7 @@ mod tests {
         let mut e = Engine::new(&g, &[NodeId::new(2)], &PointerInit::Uniform(0));
         let mut d = DelaySchedule::new();
         d.hold(2, 1, 10); // more than present: clamped
-        step_engine(&mut e, &d);
+        e.step_delayed(d.at(1));
         assert_eq!(e.agents_at(NodeId::new(2)), 1);
     }
 }

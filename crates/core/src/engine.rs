@@ -25,7 +25,7 @@ use rotor_graph::{NodeId, PortGraph};
 /// Snapshot of the mutable part of a rotor-router configuration: pointers
 /// and agent counts. Port orders are fixed in the graph and agents are
 /// indistinguishable, so two equal `EngineState`s imply identical futures.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct EngineState {
     /// Current port pointer per node.
     pub pointers: Vec<u32>,
@@ -36,7 +36,7 @@ pub struct EngineState {
 /// The multi-agent rotor-router on a general [`PortGraph`].
 ///
 /// ```
-/// use rotor_core::{Engine, init::PointerInit};
+/// use rotor_core::{init::PointerInit, CoverProcess, Engine};
 /// use rotor_graph::{builders, NodeId};
 ///
 /// let g = builders::grid(4, 4);
@@ -135,11 +135,6 @@ impl<'g> Engine<'g> {
         self.k
     }
 
-    /// Completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Current port pointer `π_v`.
     pub fn pointer(&self, v: NodeId) -> u32 {
         self.pointers[v.index()]
@@ -165,23 +160,12 @@ impl<'g> Engine<'g> {
         self.unvisited
     }
 
-    /// The round at which the last node was first visited, if covering has
-    /// happened (`Some(0)` if the initial placement already covers).
-    pub fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
     /// Snapshot of pointers and agent counts.
     pub fn state(&self) -> EngineState {
         EngineState {
             pointers: self.pointers.clone(),
             agents: self.agents.clone(),
         }
-    }
-
-    /// Advances one synchronous round: every agent moves.
-    pub fn step(&mut self) {
-        self.step_delayed(|_, _| 0);
     }
 
     /// Advances one round of a *delayed deployment* (§2.1): `delay(v, c)`
@@ -269,94 +253,12 @@ impl<'g> Engine<'g> {
             "agents conserved"
         );
     }
-
-    /// Runs until every node has been visited, or gives up after
-    /// `max_rounds`.
-    ///
-    /// Returns the cover time (first round after which no node is
-    /// unvisited), or `None` on timeout.
-    pub fn run_until_covered(&mut self, max_rounds: u64) -> Option<u64> {
-        while self.cover_round.is_none() && self.round < max_rounds {
-            self.step();
-        }
-        self.cover_round
-    }
-
-    /// Runs `rounds` additional rounds (undelayed).
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Fault injection: scrambles `count` port pointers, each draw picking
-    /// a node and a fresh in-range pointer from the chained `seed` stream
-    /// (deterministic in `(seed, count)`; draws may repeat a node). Returns
-    /// how many draws actually changed a pointer.
-    pub fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        let n = self.g.node_count() as u64;
-        let mut s = seed;
-        let mut changed = 0;
-        for _ in 0..count {
-            s = crate::rng::splitmix64(s);
-            let v = (s % n) as usize;
-            let deg = self.g.degree(NodeId::new(v as u32)) as u64;
-            let new_ptr = ((s >> 32) % deg) as u32;
-            changed += u32::from(self.pointers[v] != new_ptr);
-            self.pointers[v] = new_ptr;
-        }
-        changed
-    }
-
-    /// Fault injection: crashes up to `count` agents, each draw removing
-    /// one agent from a seed-chosen occupied node. Always leaves at least
-    /// one agent in the system. Returns how many agents were actually
-    /// removed.
-    pub fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.k <= 1 {
-                break;
-            }
-            s = crate::rng::splitmix64(s);
-            let i = (s % self.occupied.len() as u64) as usize;
-            let v = self.occupied[i] as usize;
-            self.agents[v] -= 1;
-            if self.agents[v] == 0 {
-                self.occupied.remove(i);
-            }
-            self.k -= 1;
-            removed += 1;
-        }
-        removed
-    }
-
-    /// Starts a fresh cover epoch from the current configuration: only the
-    /// currently occupied nodes count as visited and
-    /// [`cover_round`](Self::cover_round) is cleared (unless the occupation
-    /// alone already covers). Pointers, agents and the round counter are
-    /// left as they are.
-    pub fn reset_cover_epoch(&mut self) {
-        let n = self.g.node_count();
-        let mut visited = VisitSet::new(n);
-        for &v in &self.occupied {
-            visited.insert(v as usize);
-        }
-        self.visited = visited;
-        self.unvisited = n - self.occupied.len();
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
-    }
 }
 
 /// Agents first: a mismatch in who sits where settles most comparisons
 /// before the pointer vector is read.
 impl crate::limit::ConfigSnapshot for Engine<'_> {
     type Config = EngineState;
-
-    fn config(&self) -> EngineState {
-        self.state()
-    }
 
     fn config_into(&self, out: &mut EngineState) {
         out.pointers.clone_from(&self.pointers);
@@ -382,15 +284,15 @@ impl crate::CoverProcess for Engine<'_> {
     }
 
     fn round(&self) -> u64 {
-        Engine::round(self)
+        self.round
     }
 
     fn step(&mut self) {
-        Engine::step(self);
+        self.step_delayed(|_, _| 0);
     }
 
     fn cover_round(&self) -> Option<u64> {
-        Engine::cover_round(self)
+        self.cover_round
     }
 
     fn visited_count(&self) -> usize {
@@ -408,9 +310,61 @@ impl crate::CoverProcess for Engine<'_> {
     }
 }
 
+impl crate::faults::Perturb for Engine<'_> {
+    /// Each draw picks a node and a fresh in-range pointer from the
+    /// chained `seed` stream; draws may repeat a node.
+    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
+        let n = self.g.node_count() as u64;
+        let mut s = seed;
+        let mut changed = 0;
+        for _ in 0..count {
+            s = crate::rng::splitmix64(s);
+            let v = (s % n) as usize;
+            let deg = self.g.degree(NodeId::new(v as u32)) as u64;
+            let new_ptr = ((s >> 32) % deg) as u32;
+            changed += u32::from(self.pointers[v] != new_ptr);
+            self.pointers[v] = new_ptr;
+        }
+        changed
+    }
+
+    /// Each draw removes one agent from a seed-chosen occupied node.
+    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
+        let mut s = seed;
+        let mut removed = 0;
+        for _ in 0..count {
+            if self.k <= 1 {
+                break;
+            }
+            s = crate::rng::splitmix64(s);
+            let i = (s % self.occupied.len() as u64) as usize;
+            let v = self.occupied[i] as usize;
+            self.agents[v] -= 1;
+            if self.agents[v] == 0 {
+                self.occupied.remove(i);
+            }
+            self.k -= 1;
+            removed += 1;
+        }
+        removed
+    }
+
+    fn reset_cover_epoch(&mut self) {
+        let n = self.g.node_count();
+        let mut visited = VisitSet::new(n);
+        for &v in &self.occupied {
+            visited.insert(v as usize);
+        }
+        self.visited = visited;
+        self.unvisited = n - self.occupied.len();
+        self.cover_round = (self.unvisited == 0).then_some(self.round);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoverProcess;
     use rotor_graph::builders;
 
     fn ids(xs: &[u32]) -> Vec<NodeId> {

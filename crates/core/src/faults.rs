@@ -165,54 +165,29 @@ impl FaultPlan {
 /// cover predicate can be restarted — the surface the fault-injection
 /// layer needs from a backend.
 ///
-/// Every rotor engine implements every hook; the random-walk baseline
-/// implements removal and epoch reset but has no pointers to corrupt
-/// (a documented no-op), so recovery experiments can still run the walk
-/// as a comparison column for crash faults.
+/// Implemented by the two rotor engines, [`RingRouter`](crate::RingRouter)
+/// and [`Engine`](crate::Engine), next to their state; the random-walk
+/// baseline has no routing state and no impl.
 pub trait Perturb: CoverProcess {
     /// Scrambles up to `count` units of routing state (pointer
     /// directions / port pointers), drawing deterministically from
     /// `seed`. Returns how many draws actually changed state.
     fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32;
 
-    /// Removes up to `count` agents (always leaving at least one),
-    /// drawing deterministically from `seed`. Returns how many were
-    /// removed.
+    /// Removes up to `count` agents, drawing deterministically from
+    /// `seed`. Returns how many were removed.
+    ///
+    /// At least one agent always survives: a process with no agents never
+    /// covers again, which would make every recovery time infinite by
+    /// construction rather than by measurement.
     fn remove_agents(&mut self, seed: u64, count: u32) -> u32;
 
     /// Restarts the cover predicate from the current configuration: only
     /// currently occupied nodes count as visited and
     /// [`cover_round`](CoverProcess::cover_round) is cleared (unless the
-    /// occupation alone covers).
+    /// occupation alone covers). Pointers, agents and the round counter
+    /// are left as they are.
     fn reset_cover_epoch(&mut self);
-}
-
-impl Perturb for crate::RingRouter {
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        crate::RingRouter::corrupt_pointers(self, seed, count)
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        crate::RingRouter::remove_agents(self, seed, count)
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        crate::RingRouter::reset_cover_epoch(self);
-    }
-}
-
-impl Perturb for crate::Engine<'_> {
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        crate::Engine::corrupt_pointers(self, seed, count)
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        crate::Engine::remove_agents(self, seed, count)
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        crate::Engine::reset_cover_epoch(self);
-    }
 }
 
 /// Edge churn: up to `swaps` connectivity-preserving double-edge swaps on

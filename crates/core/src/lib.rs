@@ -37,7 +37,7 @@
 //! * [`faults`] — fault injection: deterministic disturbance schedules
 //!   ([`faults::FaultPlan`]) over pointer corruption, agent crashes,
 //!   stalls and edge churn, plus the [`faults::Perturb`] hooks both
-//!   engines implement so recovery is measurable on any backend.
+//!   rotor engines implement so recovery is measurable on either.
 //! * [`domains`] — agent domains, lazy domains, propagation/reflection
 //!   visit types and vertex-/edge-type borders (§2.2, Fig. 1).
 //! * [`limit`] — Brent cycle detection on the configuration sequence and
@@ -59,7 +59,7 @@
 //! initialisation of Theorem 1 (all agents on one node, pointers toward it):
 //!
 //! ```
-//! use rotor_core::{init::PointerInit, placement::Placement, RingRouter};
+//! use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
 //!
 //! let n = 64;
 //! let placement = Placement::AllOnOne(0).positions(n, 4);

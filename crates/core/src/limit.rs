@@ -16,9 +16,9 @@
 //! round: [`ConfigSnapshot`] compares the *live* process state to the one
 //! stored tortoise snapshot ([`config_eq`](ConfigSnapshot::config_eq)) or
 //! to a second live process ([`same_config`](ConfigSnapshot::same_config))
-//! in place, checking occupancy before pointers (on the ring backends an
-//! `O(k)` occupied list; [`Engine`] keeps `Θ(n)` per-node agent counts),
-//! and a teleporting tortoise overwrites its snapshot's buffers
+//! in place, checking occupancy before pointers (on the ring an `O(k)`
+//! occupied list; [`Engine`](crate::Engine) keeps `Θ(n)` per-node agent
+//! counts), and a teleporting tortoise overwrites its snapshot's buffers
 //! ([`config_into`](ConfigSnapshot::config_into)).
 //!
 //! Two formulations live here:
@@ -29,15 +29,25 @@
 //!   [`Observer`]s driven through [`CoverProcess::run_probed`], so §4
 //!   return-time probing attaches to *any* deterministic backend the
 //!   scenario layer can build (torus, hypercube, lollipop, …) without a
-//!   private drive loop. [`probe_cycle`] composes the two passes, and
-//!   [`ring_cycle`] / [`engine_cycle`] are built on it (property-tested
-//!   equal to [`brent`]).
+//!   private drive loop. [`probe_cycle`] composes the two passes over a
+//!   constructor closure (property-tested equal to [`brent`]).
+//!
+//! The *return time* of §4 is the period of the cycle [`probe_cycle`]
+//! certifies:
+//!
+//! ```
+//! use rotor_core::{init::PointerInit, limit, Engine};
+//! use rotor_graph::{builders, NodeId};
+//!
+//! let g = builders::ring(5);
+//! let agents = [NodeId::new(0)];
+//! let make = || Engine::new(&g, &agents, &PointerInit::Uniform(0));
+//! let info = limit::probe_cycle(make, 10_000).expect("small system cycles quickly");
+//! // single agent: the limit cycle is the Eulerian traversal of 2|E| arcs
+//! assert_eq!(info.period, 10);
+//! ```
 
-use crate::engine::Engine;
-use crate::init::PointerInit;
 use crate::process::{CoverProcess, Observer, Probe};
-use crate::ring::RingRouter;
-use rotor_graph::{NodeId, PortGraph};
 
 /// The eventually-periodic structure of a deterministic sequence: a tail of
 /// `tail` steps followed by a cycle of period `period`.
@@ -123,20 +133,18 @@ where
 /// deterministic, so every rotor backend qualifies; the random-walk
 /// baseline does not and deliberately has no impl).
 ///
-/// The in-place methods have no allocating defaults, so every backend
-/// states its own comparison. Each must agree with the snapshot's
-/// `PartialEq` on *every* pair — different `k` (after a crash) and
-/// different partitions included:
+/// A snapshot is taken by filling a `Default` one with
+/// [`config_into`](Self::config_into); write `snap(p)` for that. The
+/// methods have no defaults, so every backend states its own comparison.
+/// Each must agree with the snapshot's `PartialEq` on *every* pair —
+/// different `k` (after a crash) included:
 ///
-/// * `p.config_eq(&c) == (p.config() == c)`;
-/// * `p.same_config(&q) == (p.config() == q.config())`;
-/// * after `p.config_into(&mut c)`, `c == p.config()`.
+/// * `p.config_eq(&c) == (snap(p) == c)`;
+/// * `p.same_config(&q) == (snap(p) == snap(q))`;
+/// * after `p.config_into(&mut c)`, `c == snap(p)` whatever `c` held.
 pub trait ConfigSnapshot: CoverProcess {
     /// Snapshot type; equality certifies equal configurations.
-    type Config: Clone + PartialEq;
-
-    /// Snapshot of the current configuration (allocates).
-    fn config(&self) -> Self::Config;
+    type Config: Clone + PartialEq + Default;
 
     /// Overwrites `out` with the current configuration, reusing its
     /// buffers.
@@ -215,7 +223,9 @@ impl<P: ConfigSnapshot> Observer<P> for CycleProbe<P::Config> {
         let Some(tortoise) = &mut self.tortoise else {
             // Round 0: the tortoise starts at the initial configuration —
             // the only snapshot this pass allocates.
-            self.tortoise = Some(p.config());
+            let mut first = P::Config::default();
+            p.config_into(&mut first);
+            self.tortoise = Some(first);
             return;
         };
         if p.config_eq(tortoise) {
@@ -337,56 +347,28 @@ pub fn probe_cycle<P: ConfigSnapshot>(make: impl Fn() -> P, max_steps: u64) -> O
     tail_probe.tail().map(|tail| CycleInfo { tail, period })
 }
 
-/// Cycle structure of the general-graph engine from the given start
-/// configuration.
-///
-/// ```
-/// use rotor_core::{init::PointerInit, limit};
-/// use rotor_graph::{builders, NodeId};
-///
-/// let g = builders::ring(5);
-/// let info = limit::engine_cycle(&g, &[NodeId::new(0)], &PointerInit::Uniform(0), 10_000)
-///     .expect("small system cycles quickly");
-/// // single agent: the limit cycle is the Eulerian traversal of 2|E| arcs
-/// assert_eq!(info.period, 10);
-/// ```
-pub fn engine_cycle(
-    g: &PortGraph,
-    agents: &[NodeId],
-    init: &PointerInit,
-    max_steps: u64,
-) -> Option<CycleInfo> {
-    let pointers = init.pointers(g, agents);
-    probe_cycle(
-        || Engine::with_pointers(g, agents, pointers.clone()),
-        max_steps,
-    )
-}
-
-/// Cycle structure of the ring engine from the given start configuration.
-pub fn ring_cycle(n: usize, starts: &[u32], dirs: &[u8], max_steps: u64) -> Option<CycleInfo> {
-    probe_cycle(|| RingRouter::new(n, starts, dirs), max_steps)
-}
-
-/// The *return time* of the limit behaviour on the ring (§4): the period of
-/// the limit cycle reached from the given start configuration.
-pub fn ring_return_time(n: usize, starts: &[u32], dirs: &[u8], max_steps: u64) -> Option<u64> {
-    ring_cycle(n, starts, dirs, max_steps).map(|c| c.period)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineState;
-    use crate::init::CW;
+    use crate::init::{PointerInit, CW};
     use crate::placement::Placement;
-    use crate::ring::RingState;
     use crate::rng::splitmix64;
-    use rotor_graph::builders;
+    use crate::{Engine, EngineState, RingRouter, RingState};
+    use rotor_graph::{builders, NodeId, PortGraph};
     use std::cell::Cell;
 
+    /// The probed `(μ, λ)` of a ring router from the given start.
+    fn ring_probe(n: usize, starts: &[u32], dirs: &[u8], max: u64) -> Option<CycleInfo> {
+        probe_cycle(|| RingRouter::new(n, starts, dirs), max)
+    }
+
+    /// The probed `(μ, λ)` of a general engine from the given start.
+    fn engine_probe(g: &PortGraph, agents: &[NodeId], init: &PointerInit) -> Option<CycleInfo> {
+        probe_cycle(|| Engine::new(g, agents, init), 1_000_000)
+    }
+
     /// Reference: naive cycle detection storing every state.
-    fn naive_ring_cycle(n: usize, starts: &[u32], dirs: &[u8], max: u64) -> Option<CycleInfo> {
+    fn naive_cycle(n: usize, starts: &[u32], dirs: &[u8], max: u64) -> Option<CycleInfo> {
         let mut r = RingRouter::new(n, starts, dirs);
         let mut seen = vec![r.state()];
         for _ in 0..max {
@@ -425,7 +407,7 @@ mod tests {
     #[test]
     fn single_agent_ring_period_is_two_e() {
         for n in [3usize, 5, 8] {
-            let info = ring_cycle(n, &[0], &vec![CW; n], 100_000).unwrap();
+            let info = ring_probe(n, &[0], &vec![CW; n], 100_000).unwrap();
             assert_eq!(info.period, 2 * n as u64, "ring n={n}");
         }
     }
@@ -434,8 +416,8 @@ mod tests {
     fn brent_matches_naive_on_small_rings() {
         for (n, starts) in [(4usize, vec![0u32]), (5, vec![0, 2]), (6, vec![1, 1, 4])] {
             let dirs = vec![CW; n];
-            let fast = ring_cycle(n, &starts, &dirs, 1_000_000).unwrap();
-            let slow = naive_ring_cycle(n, &starts, &dirs, 1_000_000).unwrap();
+            let fast = ring_probe(n, &starts, &dirs, 1_000_000).unwrap();
+            let slow = naive_cycle(n, &starts, &dirs, 1_000_000).unwrap();
             assert_eq!(fast, slow, "n={n} starts={starts:?}");
         }
     }
@@ -445,8 +427,8 @@ mod tests {
         let n = 6;
         let g = builders::ring(n);
         let starts = [NodeId::new(0), NodeId::new(3)];
-        let fast = engine_cycle(&g, &starts, &PointerInit::Uniform(0), 1_000_000).unwrap();
-        let ring = ring_cycle(n, &[0, 3], &[CW; 6], 1_000_000).unwrap();
+        let fast = engine_probe(&g, &starts, &PointerInit::Uniform(0)).unwrap();
+        let ring = ring_probe(n, &[0, 3], &[CW; 6], 1_000_000).unwrap();
         assert_eq!(fast, ring);
     }
 
@@ -525,7 +507,8 @@ mod tests {
         assert_eq!(probe_cycle(|| r.clone(), budget), fresh);
     }
 
-    /// A ring router that counts its allocating snapshots.
+    /// A ring router that counts the snapshot fills that must allocate
+    /// (into an empty, `Default` snapshot).
     #[derive(Clone)]
     struct Counted<'c> {
         inner: RingRouter,
@@ -559,11 +542,10 @@ mod tests {
     impl ConfigSnapshot for Counted<'_> {
         type Config = RingState;
 
-        fn config(&self) -> RingState {
-            self.snapshots.set(self.snapshots.get() + 1);
-            self.inner.config()
-        }
         fn config_into(&self, out: &mut RingState) {
+            if out.dirs.capacity() == 0 {
+                self.snapshots.set(self.snapshots.get() + 1);
+            }
             self.inner.config_into(out);
         }
         fn config_eq(&self, c: &RingState) -> bool {
@@ -591,7 +573,7 @@ mod tests {
         let mut tail = TailProbe::new(period, make());
         assert!(make().run_probed(1_000_000, &mut tail));
         assert_eq!(snapshots.get(), 1, "the tail pass compares in place");
-        let expected = ring_cycle(n, &[0, 5, 5], &dirs, 1_000_000);
+        let expected = ring_probe(n, &[0, 5, 5], &dirs, 1_000_000);
         assert_eq!(
             Some(CycleInfo {
                 tail: tail.tail().unwrap(),
@@ -604,11 +586,10 @@ mod tests {
     #[test]
     fn cycle_probe_period_matches_ring_cycle_on_small_rings() {
         // The probe's phase-1 λ alone, driven through run_probed, equals
-        // the full ring_cycle answer on known small configurations.
-        use crate::CoverProcess;
+        // the full probe_cycle answer on known small configurations.
         for (n, starts) in [(4usize, vec![0u32]), (5, vec![0, 2]), (6, vec![1, 1, 4])] {
             let dirs = vec![CW; n];
-            let full = ring_cycle(n, &starts, &dirs, 1_000_000).unwrap();
+            let full = ring_probe(n, &starts, &dirs, 1_000_000).unwrap();
             let mut r = RingRouter::new(n, &starts, &dirs);
             let mut probe = CycleProbe::new();
             assert!(r.run_probed(1_000_000, &mut probe));
@@ -620,7 +601,6 @@ mod tests {
     fn probe_runs_past_cover_round() {
         // run_probed must not stop at cover: the n=8 single-agent ring
         // covers in Θ(n²) rounds but its limit cycle is only entered later.
-        use crate::CoverProcess;
         let n = 8usize;
         let mut r = RingRouter::new(n, &[0], &vec![CW; n]);
         let mut probe = CycleProbe::new();
@@ -645,7 +625,6 @@ mod tests {
             1_000_000,
         )
         .unwrap();
-        use crate::CoverProcess;
         let mut r = RingRouter::new(n, &starts, &dirs);
         let mut probe = TailProbe::new(expected.period, RingRouter::new(n, &starts, &dirs));
         assert!(r.run_probed(1_000_000, &mut probe));
@@ -663,8 +642,7 @@ mod tests {
             builders::lollipop(4, 3),
         ] {
             let two_e = 2 * g.edge_count() as u64;
-            let info =
-                engine_cycle(&g, &[NodeId::new(0)], &PointerInit::Uniform(0), 1_000_000).unwrap();
+            let info = engine_probe(&g, &[NodeId::new(0)], &PointerInit::Uniform(0)).unwrap();
             assert_eq!(info.period, two_e, "{g:?}");
             // lock-in happens within the 2·D·|E| bound
             let bound = 2 * u64::from(rotor_graph::algo::diameter(&g)) * g.edge_count() as u64;
@@ -696,7 +674,7 @@ mod tests {
         let n = 8usize;
         let starts = [0u32, 4];
         let dirs = vec![CW; n];
-        let info = ring_cycle(n, &starts, &dirs, 1_000_000).unwrap();
+        let info = ring_probe(n, &starts, &dirs, 1_000_000).unwrap();
         let mut r = RingRouter::new(n, &starts, &dirs);
         for _ in 0..info.tail {
             r.step();

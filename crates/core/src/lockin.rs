@@ -10,6 +10,7 @@
 
 use crate::engine::Engine;
 use crate::init::PointerInit;
+use crate::process::CoverProcess;
 use rotor_graph::{algo, euler, Arc, NodeId, PortGraph};
 
 /// Evidence that an execution has locked into an Eulerian circuit.

@@ -122,6 +122,14 @@ pub trait CoverProcess {
         crate::domains::scan_domain_stats(self)
     }
 
+    /// Runs exactly `rounds` more rounds, whether or not the process has
+    /// covered.
+    fn run(&mut self, rounds: u64) {
+        for _ in 0..rounds {
+            self.step();
+        }
+    }
+
     /// Runs until every node has been visited, or gives up after
     /// `max_rounds` total rounds. Returns the cover round, or `None` on
     /// timeout.
@@ -191,7 +199,7 @@ mod tests {
         let direct = r.clone().run_until_covered(u64::MAX).unwrap();
         let boxed: &mut dyn CoverProcess = &mut r;
         let (c, visited) = cover_generic(boxed, u64::MAX);
-        assert_eq!(c, Some(direct), "trait dispatch matches inherent method");
+        assert_eq!(c, Some(direct), "dynamic dispatch matches static dispatch");
         assert_eq!(visited, n);
         assert_eq!(boxed.node_count(), n);
     }
@@ -242,6 +250,51 @@ mod tests {
         let scanned = (0..n).filter(|&v| p.is_node_visited(v)).count();
         assert_eq!(scanned, p.visited_count());
         assert!(p.is_node_visited(0));
+    }
+
+    #[test]
+    fn rotor_engines_drive_and_disturb_only_through_the_traits() {
+        use crate::faults::Perturb;
+        use crate::limit::ConfigSnapshot;
+        use rotor_graph::NodeId;
+
+        /// Cover round, pointers flipped, agents removed and re-cover
+        /// round of one process, every step taken through the traits.
+        fn drive<P: Perturb + ConfigSnapshot + Clone>(fresh: &P) -> (u64, u32, u32, Option<u64>) {
+            let budget = 1 << 20;
+            let cover = fresh.clone().run_until_covered(budget).expect("covers");
+            let mut observed = fresh.clone();
+            let mut seen = 0;
+            let observed_cover = observed.run_observed(budget, &mut |_: &P| seen += 1);
+            assert_eq!(observed_cover, Some(cover), "run_observed agrees");
+            assert_eq!(seen, cover + 1, "round 0 plus one observation per round");
+            let mut p = fresh.clone();
+            p.run(cover);
+            assert!(p.same_config(&observed), "run(cover) stops where they do");
+            assert_eq!((p.round(), p.cover_round()), (cover, Some(cover)));
+            p.run(5);
+            assert_eq!(p.round(), cover + 5, "run goes on past cover");
+            assert_eq!(p.cover_round(), Some(cover), "the cover round stays");
+            let flipped = p.corrupt_pointers(0xFA17, 8);
+            let removed = p.remove_agents(0xC4A5, 5);
+            p.reset_cover_epoch();
+            assert_eq!(p.cover_round(), None, "one agent does not cover 24 nodes");
+            let recover = p.run_until_covered(p.round() + budget);
+            (cover, flipped, removed, recover)
+        }
+
+        let n = 24;
+        let starts = Placement::AllOnOne(0).positions(n, 3);
+        let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
+        let g = builders::ring(n);
+        let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
+        let ptrs = dirs.iter().map(|&d| u32::from(d)).collect();
+        let ring = drive(&RingRouter::new(n, &starts, &dirs));
+        let general = drive(&Engine::with_pointers(&g, &ids, ptrs));
+        assert_eq!(ring, general, "the same strikes and recovery on the ring");
+        assert!(ring.1 > 0 && ring.1 <= 8, "some draws flip a pointer");
+        assert_eq!(ring.2, 2, "the last agent survives");
+        assert!(ring.3.is_some(), "re-covers");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::init::CW;
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
 /// bits plus the sorted occupied-node list. Equal states have identical
 /// futures.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct RingState {
     /// Pointer direction per node (`0` = clockwise).
     pub dirs: Vec<u8>,
@@ -48,7 +48,7 @@ pub struct RingState {
 /// The multi-agent rotor-router on the `n`-node ring.
 ///
 /// ```
-/// use rotor_core::{init::PointerInit, placement::Placement, RingRouter};
+/// use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
 ///
 /// let n = 128;
 /// let starts = Placement::EquallySpaced { offset: 0 }.positions(n, 8);
@@ -204,11 +204,6 @@ impl RingRouter {
         self.k
     }
 
-    /// Completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Current pointer direction at `v` (`0` = clockwise).
     ///
     /// # Panics
@@ -304,12 +299,6 @@ impl RingRouter {
         }
     }
 
-    /// The round at which the last node was first visited, if any
-    /// (`Some(0)` if the initial placement covers).
-    pub fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
     /// Snapshot of the mutable configuration.
     pub fn state(&self) -> RingState {
         let mut state = RingState {
@@ -339,11 +328,6 @@ impl RingRouter {
         } else {
             v - 1
         }
-    }
-
-    /// Advances one synchronous round: every agent moves.
-    pub fn step(&mut self) {
-        self.step_delayed(|_, _| 0);
     }
 
     /// Advances one round of a *delayed deployment* (§2.1): `delay(v, c)`
@@ -432,85 +416,6 @@ impl RingRouter {
             }
         }
     }
-
-    /// Runs until every node has been visited, or gives up after
-    /// `max_rounds` total rounds.
-    pub fn run_until_covered(&mut self, max_rounds: u64) -> Option<u64> {
-        while self.cover_round.is_none() && self.round < max_rounds {
-            self.step();
-        }
-        self.cover_round
-    }
-
-    /// Runs `rounds` additional rounds (undelayed).
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Fault injection: scrambles `count` pointer directions, each draw
-    /// picking a node and a fresh direction bit from the chained `seed`
-    /// stream (deterministic in `(seed, count)`; draws may repeat a node).
-    /// Returns how many draws actually changed a direction.
-    pub fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut changed = 0;
-        for _ in 0..count {
-            s = crate::rng::splitmix64(s);
-            let v = (s % u64::from(self.n)) as usize;
-            let new_dir = ((s >> 32) & 1) as u8;
-            changed += u32::from(self.dirs[v] != new_dir);
-            self.dirs[v] = new_dir;
-        }
-        changed
-    }
-
-    /// Fault injection: crashes up to `count` agents, each draw removing
-    /// one agent from a seed-chosen occupied node. Always leaves at least
-    /// one agent in the system (a rotor-router with no agents never covers
-    /// anything again, which would make every recovery time infinite by
-    /// construction rather than by measurement). Returns how many agents
-    /// were actually removed.
-    pub fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.k <= 1 {
-                break;
-            }
-            s = crate::rng::splitmix64(s);
-            let i = (s % self.occ_nodes.len() as u64) as usize;
-            self.occ_counts[i] -= 1;
-            if self.occ_counts[i] == 0 {
-                self.occ_nodes.remove(i);
-                self.occ_counts.remove(i);
-            }
-            self.k -= 1;
-            removed += 1;
-        }
-        removed
-    }
-
-    /// Starts a fresh cover epoch from the current configuration: only the
-    /// currently occupied nodes count as visited,
-    /// [`cover_round`](Self::cover_round) is cleared (unless the
-    /// occupation alone already covers), and the §2.2 domain/border
-    /// counters are re-seeded from the new visited set. Pointers, agents
-    /// and the round counter are left as they are.
-    pub fn reset_cover_epoch(&mut self) {
-        let mut visited = VisitSet::new(self.n as usize);
-        for &v in &self.occ_nodes {
-            visited.insert(v as usize);
-        }
-        self.visited = visited;
-        self.unvisited = self.n - self.occ_nodes.len() as u32;
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
-        DomainStats {
-            domains: self.domains,
-            borders: self.borders,
-        } = self.visited.domain_stats();
-    }
 }
 
 /// Whether the SoA occupied halves `nodes`/`counts` spell out exactly the
@@ -527,10 +432,6 @@ fn occupied_eq(nodes: &[u32], counts: &[u32], pairs: &[(u32, u32)]) -> bool {
 /// before the `n`-byte direction vector is read.
 impl crate::limit::ConfigSnapshot for RingRouter {
     type Config = RingState;
-
-    fn config(&self) -> RingState {
-        self.state()
-    }
 
     fn config_into(&self, out: &mut RingState) {
         out.dirs.clone_from(&self.dirs);
@@ -564,15 +465,15 @@ impl crate::CoverProcess for RingRouter {
     }
 
     fn round(&self) -> u64 {
-        RingRouter::round(self)
+        self.round
     }
 
     fn step(&mut self) {
-        RingRouter::step(self);
+        self.step_delayed(|_, _| 0);
     }
 
     fn cover_round(&self) -> Option<u64> {
-        RingRouter::cover_round(self)
+        self.cover_round
     }
 
     fn visited_count(&self) -> usize {
@@ -594,6 +495,60 @@ impl crate::CoverProcess for RingRouter {
     }
 }
 
+impl crate::faults::Perturb for RingRouter {
+    /// Each draw picks a node and a fresh direction bit from the chained
+    /// `seed` stream; draws may repeat a node.
+    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
+        let mut s = seed;
+        let mut changed = 0;
+        for _ in 0..count {
+            s = crate::rng::splitmix64(s);
+            let v = (s % u64::from(self.n)) as usize;
+            let new_dir = ((s >> 32) & 1) as u8;
+            changed += u32::from(self.dirs[v] != new_dir);
+            self.dirs[v] = new_dir;
+        }
+        changed
+    }
+
+    /// Each draw removes one agent from a seed-chosen occupied node.
+    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
+        let mut s = seed;
+        let mut removed = 0;
+        for _ in 0..count {
+            if self.k <= 1 {
+                break;
+            }
+            s = crate::rng::splitmix64(s);
+            let i = (s % self.occ_nodes.len() as u64) as usize;
+            self.occ_counts[i] -= 1;
+            if self.occ_counts[i] == 0 {
+                self.occ_nodes.remove(i);
+                self.occ_counts.remove(i);
+            }
+            self.k -= 1;
+            removed += 1;
+        }
+        removed
+    }
+
+    /// Also re-seeds the §2.2 domain/border counters from the new visited
+    /// set.
+    fn reset_cover_epoch(&mut self) {
+        let mut visited = VisitSet::new(self.n as usize);
+        for &v in &self.occ_nodes {
+            visited.insert(v as usize);
+        }
+        self.visited = visited;
+        self.unvisited = self.n - self.occ_nodes.len() as u32;
+        self.cover_round = (self.unvisited == 0).then_some(self.round);
+        DomainStats {
+            domains: self.domains,
+            borders: self.borders,
+        } = self.visited.domain_stats();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,6 +556,7 @@ mod tests {
     use crate::init::{PointerInit, ACW};
     use crate::placement::Placement;
     use crate::process::Observer;
+    use crate::CoverProcess;
 
     /// Steps `r` once with `log` attached (the log must already have seen
     /// the pre-round configuration).

@@ -5,21 +5,29 @@
 //! ([`config_eq`](ConfigSnapshot::config_eq),
 //! [`same_config`](ConfigSnapshot::same_config)) and overwrite a stored
 //! snapshot ([`config_into`](ConfigSnapshot::config_into)) instead of
-//! allocating one per round. Each must return exactly what
-//! `config() == other` returns, for *any* pair: random pairs, near misses
-//! (same occupancy with one pointer changed, same pointers with one agent
-//! moved) and pairs with different `k`.
+//! allocating one per round. Each must return exactly what equality of
+//! snapshots filled from `Default` returns, for *any* pair: random pairs,
+//! near misses (same occupancy with one pointer changed, same pointers
+//! with one agent moved) and pairs with different `k`.
 
 #![forbid(unsafe_code)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+use rotor_core::faults::Perturb;
 use rotor_core::init::PointerInit;
 use rotor_core::limit::ConfigSnapshot;
 use rotor_core::placement::Placement;
-use rotor_core::{Engine, RingRouter};
+use rotor_core::{CoverProcess, Engine, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::fmt::Debug;
+
+/// A fresh snapshot of `p`: a `Default` one filled by `config_into`.
+fn snap<P: ConfigSnapshot>(p: &P) -> P::Config {
+    let mut c = P::Config::default();
+    p.config_into(&mut c);
+    c
+}
 
 /// Checks every in-place method against snapshot equality on `(a, b)`,
 /// both ways round, and returns whether the configurations are equal.
@@ -27,7 +35,7 @@ fn check_pair<P: ConfigSnapshot>(a: &P, b: &P, ctx: &str) -> bool
 where
     P::Config: Debug,
 {
-    let (ca, cb) = (a.config(), b.config());
+    let (ca, cb) = (snap(a), snap(b));
     let want = ca == cb;
     assert_eq!(a.config_eq(&cb), want, "config_eq a→b ({ctx})");
     assert_eq!(b.config_eq(&ca), want, "config_eq b→a ({ctx})");

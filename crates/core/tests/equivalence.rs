@@ -57,7 +57,7 @@ struct Arrival {
 struct PerAgentReference<'g> {
     g: &'g PortGraph,
     round: u64,
-    initial_pointers: Vec<u32>,
+    start_pointers: Vec<u32>,
     pointers: Vec<u32>,
     agents: Vec<u32>,
     visits: Vec<u64>,
@@ -88,7 +88,7 @@ impl<'g> PerAgentReference<'g> {
         PerAgentReference {
             g,
             round: 0,
-            initial_pointers: pointers.to_vec(),
+            start_pointers: pointers.to_vec(),
             pointers: pointers.to_vec(),
             visits: count.iter().map(|&c| u64::from(c)).collect(),
             agents: count,
@@ -161,7 +161,7 @@ impl<'g> PerAgentReference<'g> {
             let deg = self.g.degree(v) as u64;
             let ev = self.exits[i];
             (0..self.g.degree(v)).all(|p| {
-                let label = (p as u64 + deg - u64::from(self.initial_pointers[i])) % deg;
+                let label = (p as u64 + deg - u64::from(self.start_pointers[i])) % deg;
                 let expected = if ev > label {
                     (ev - label).div_ceil(deg)
                 } else {

@@ -12,7 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use rotor_core::delays::{step_ring, DelaySchedule};
+use rotor_core::delays::DelaySchedule;
 use rotor_core::rng::splitmix64;
 use rotor_core::{CoverProcess, RingRouter};
 
@@ -63,7 +63,7 @@ fn random_delay_schedules_never_speed_up_ring_exploration() {
         let mut delayed = RingRouter::new(inst.n, &inst.starts, &inst.dirs);
         for round in 1..=rounds {
             plain.step();
-            step_ring(&mut delayed, &inst.schedule);
+            delayed.step_delayed(inst.schedule.at(round));
             for v in 0..inst.n {
                 assert!(
                     !delayed.is_node_visited(v) || plain.is_node_visited(v),
@@ -100,7 +100,7 @@ fn empty_schedule_is_exactly_the_undelayed_process() {
         let mut delayed = RingRouter::new(inst.n, &inst.starts, &inst.dirs);
         for _ in 0..100 {
             plain.step();
-            step_ring(&mut delayed, &empty);
+            delayed.step_delayed(empty.at(delayed.round() + 1));
         }
         assert_eq!(plain.state(), delayed.state(), "trial {trial}");
         assert_eq!(plain.cover_round(), delayed.cover_round());

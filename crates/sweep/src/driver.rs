@@ -12,26 +12,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "ROTOR_SWEEP_THREADS";
-
-/// Number of worker threads to use: the `ROTOR_SWEEP_THREADS` environment
-/// variable if set to a positive integer, otherwise the machine's
-/// available parallelism (1 if that cannot be determined).
+/// The default worker-thread count: the machine's available parallelism
+/// (1 if that cannot be determined).
 pub fn thread_count() -> usize {
-    threads_from(std::env::var(THREADS_ENV).ok().as_deref())
-}
-
-/// Pure core of [`thread_count`] (separable for tests): parses an
-/// override value, falling back to available parallelism.
-pub fn threads_from(var: Option<&str>) -> usize {
-    if let Some(s) = var {
-        if let Ok(t) = s.trim().parse::<usize>() {
-            if t > 0 {
-                return t;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -197,15 +180,5 @@ mod tests {
             assert!(c != 3, "boom");
             c
         });
-    }
-
-    #[test]
-    fn threads_from_parsing() {
-        assert_eq!(threads_from(Some("3")), 3);
-        assert_eq!(threads_from(Some(" 12 ")), 12);
-        let fallback = threads_from(None);
-        assert!(fallback >= 1);
-        assert_eq!(threads_from(Some("0")), fallback, "zero falls back");
-        assert_eq!(threads_from(Some("lots")), fallback, "garbage falls back");
     }
 }

@@ -19,18 +19,18 @@
 //!   every experiment enumerates, with its [`PlacementSpec`] and
 //!   [`InitSpec`] axes.
 //! * [`driver`] — [`run_sharded`]: a work-stealing `std::thread::scope`
-//!   fan-out over any `Sync` cell type, deterministic output order, thread
-//!   count from the `ROTOR_SWEEP_THREADS` environment variable.
+//!   fan-out over any `Sync` cell type, deterministic output order; the
+//!   caller picks the thread count ([`thread_count`] is the machine's
+//!   available parallelism).
 //! * [`runners`] — per-scenario cover measurement for each
 //!   [`CoverProcess`](rotor_core::CoverProcess) backend, dispatching over
 //!   `(GraphFamily, ProcessKind)` with the
 //!   [`RingRouter`](rotor_core::RingRouter) fast path preserved on the
 //!   ring family.
-//! * [`recovery`] — fault-injection recovery measurement: a
-//!   [`RecoveryGrid`] crosses the scenario lattice with a disturbance axis
-//!   ([`FaultSpec`]), and [`run_scenario_recovery`] measures re-cover and
-//!   re-lock-in time after pointer corruption, agent crashes, stalls, or
-//!   edge churn.
+//! * [`recovery`] — fault-injection recovery measurement:
+//!   [`run_scenario_recovery`] strikes one [`FaultSpec`] on a covered
+//!   scenario and measures re-cover and re-lock-in time after pointer
+//!   corruption, agent crashes, stalls, or edge churn.
 //!
 //! ## Example: one grid, two families, two processes
 //!
@@ -68,10 +68,7 @@ pub mod runners;
 pub mod scenario;
 
 pub use driver::{run_sharded, run_sharded_checked, thread_count};
-pub use recovery::{
-    run_recovery_grid, run_scenario_recovery, FaultSpec, RecoveryGrid, RecoveryOptions,
-    RecoverySample,
-};
+pub use recovery::{run_scenario_recovery, FaultSpec, RecoveryOptions, RecoverySample};
 pub use runners::{
     run_scenario, run_scenario_cycle, run_scenario_observed, CoverSample, ProcessKind,
 };

@@ -4,29 +4,27 @@
 //! One recovery cell is `(Scenario, FaultSpec)`: run the scenario's rotor
 //! process to cover, keep it running `after_cover` rounds into its settled
 //! regime, strike one deterministic disturbance from the scenario seed's
-//! [`FaultPlan`] (pointer corruption, agent crash, stall via the §2.1
-//! [`DelaySchedule`], or edge churn with an engine rebuild), restart the
-//! cover predicate ([`Perturb::reset_cover_epoch`]), and count the rounds
-//! until the process covers again. Optionally the disturbed configuration
-//! is handed to the §4 Brent probes ([`rotor_core::limit::probe_cycle`])
-//! for the
-//! re-lock-in tail `μ` and period `λ`.
+//! [`FaultPlan`] (pointer corruption, agent crash, a stall that holds
+//! every agent as a §2.1 delayed deployment, or edge churn with an engine
+//! rebuild), restart the cover predicate ([`Perturb::reset_cover_epoch`]),
+//! and count the rounds until the process covers again. Optionally the
+//! disturbed configuration is handed to the §4 Brent probes
+//! ([`rotor_core::limit::probe_cycle`]) for the re-lock-in tail `μ` and
+//! period `λ`.
 //!
 //! Like [`run_scenario_cycle`](crate::runners::run_scenario_cycle) this is
 //! a *rotor* instrument: the ring family runs the
-//! [`RingRouter`] fast path, every other family (and every churn cell,
-//! whose rewired graph is no longer the ring the fast path assumes) runs
-//! the general [`Engine`]. Everything is derived from the scenario seed,
-//! so recovery samples are bit-identical across thread counts and resume
-//! patterns — the determinism-drift CI gate covers this runner.
+//! [`RingRouter`](rotor_core::RingRouter) fast path, every other family
+//! (and every churn cell, whose rewired graph is no longer the ring the
+//! fast path assumes) runs the general [`Engine`]. Everything is derived
+//! from the scenario seed, so recovery samples are bit-identical across
+//! thread counts and resume patterns — the determinism-drift CI gate
+//! covers this runner.
 
-use crate::driver::run_sharded;
-use crate::runners::initial_pointers;
-use crate::scenario::{Scenario, ScenarioGrid};
-use rotor_core::delays::{self, DelaySchedule};
+use crate::scenario::Scenario;
 use rotor_core::faults::{agent_multiset, churn_graph, FaultKind, FaultPlan, Perturb};
 use rotor_core::limit::{probe_cycle, ConfigSnapshot, CycleInfo};
-use rotor_core::{CoverProcess, Engine, RingRouter};
+use rotor_core::{CoverProcess, Engine};
 use rotor_graph::NodeId;
 use std::time::Instant;
 
@@ -43,58 +41,6 @@ pub struct FaultSpec {
     /// the disturbance hits the settled regime rather than the covering
     /// transient.
     pub after_cover: u64,
-}
-
-/// A recovery grid: the cartesian product of a [`ScenarioGrid`] with a
-/// fault axis (fault-major enumeration), the `rotor_sweep` surface for
-/// fault-injection sweeps.
-#[derive(Clone, Debug)]
-pub struct RecoveryGrid {
-    /// The healthy scenario lattice.
-    pub grid: ScenarioGrid,
-    /// Faults to apply (outermost axis).
-    pub faults: Vec<FaultSpec>,
-}
-
-impl RecoveryGrid {
-    /// Enumerates `(fault, scenario)` cells, fault-major then the
-    /// [`ScenarioGrid::scenarios`] order. Scenario seeds are untouched by
-    /// the fault axis: the same scenario disturbed two ways shares its
-    /// healthy phase bit-for-bit.
-    pub fn cells(&self) -> Vec<(FaultSpec, Scenario)> {
-        let scenarios = self.grid.scenarios();
-        let mut out = Vec::with_capacity(self.faults.len() * scenarios.len());
-        for &fault in &self.faults {
-            for &sc in &scenarios {
-                out.push((fault, sc));
-            }
-        }
-        out
-    }
-
-    /// The index range of one `(fault, family, n, k)` point in
-    /// [`cells`](Self::cells) — one entry per seed index, mirroring
-    /// [`ScenarioGrid::point_range`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range for the grid's axes.
-    pub fn point_range(
-        &self,
-        fault_index: usize,
-        family_index: usize,
-        n_index: usize,
-        k_index: usize,
-    ) -> std::ops::Range<usize> {
-        assert!(fault_index < self.faults.len(), "fault index in range");
-        let per_fault = self.grid.families.len()
-            * self.grid.ns.len()
-            * self.grid.ks.len()
-            * self.grid.seed_count;
-        let inner = self.grid.point_range(family_index, n_index, k_index);
-        let base = fault_index * per_fault;
-        base + inner.start..base + inner.end
-    }
 }
 
 /// Budgets for one recovery measurement.
@@ -147,28 +93,59 @@ pub struct RecoverySample {
     pub nanos: u64,
 }
 
-/// The disturbance → epoch-reset → re-cover core, shared by the ring and
-/// general-engine paths. `occupied` and `step_sched` feed the stall kind:
-/// the current `(node, count)` occupation becomes a [`DelaySchedule`]
-/// holding everything in place, driven through the §2.1 delayed-step hook.
-///
-/// Returns `(disturb_round, touched, recover, cycle)`.
-fn disturb_and_recover<P, S>(
+/// What one recovery cell measured, before [`RecoverySample`] adds the
+/// cell coordinates and the timing.
+#[derive(Default)]
+struct Outcome {
+    cover: Option<u64>,
+    disturb_round: Option<u64>,
+    touched: u32,
+    recover: Option<u64>,
+    cycle: Option<CycleInfo>,
+    backend: &'static str,
+}
+
+/// The healthy phase every recovery cell shares: run `p` to cover, keep
+/// it running `after_cover` rounds, and schedule the fault at the round
+/// it has reached. Returns the cover round and the plan, or `None` if
+/// `cover_budget` elapsed first.
+fn run_healthy<P: CoverProcess>(
     p: &mut P,
+    sc: &Scenario,
     fault: &FaultSpec,
-    plan: &FaultPlan,
     opts: &RecoveryOptions,
-    occupied: impl Fn(&P) -> Vec<(u32, u32)>,
-    step_sched: S,
-) -> (u64, u32, Option<u64>, Option<CycleInfo>)
+) -> Option<(u64, FaultPlan)> {
+    let cover = p.run_until_covered(opts.cover_budget)?;
+    p.run(fault.after_cover);
+    let mut plan = FaultPlan::new(sc.seed);
+    plan.push(p.round(), fault.kind, fault.severity);
+    Some((cover, plan))
+}
+
+/// The healthy run → disturbance → epoch reset → re-cover sequence of
+/// every state fault, on any rotor backend. `hold_all` advances `p` one
+/// round with every agent held (the §2.1 delayed-step hook), which is
+/// what a stall does.
+fn disturb_and_recover<P>(
+    mut p: P,
+    sc: &Scenario,
+    fault: &FaultSpec,
+    opts: &RecoveryOptions,
+    hold_all: impl Fn(&mut P),
+) -> Outcome
 where
     P: Perturb + ConfigSnapshot + Clone,
-    S: Fn(&mut P, &DelaySchedule),
 {
+    let Some((cover, plan)) = run_healthy(&mut p, sc, fault, opts) else {
+        return Outcome {
+            backend: p.kind_name(),
+            ..Outcome::default()
+        };
+    };
     let disturb_round = p.round();
     let touched = match fault.kind {
         FaultKind::CorruptPointers | FaultKind::CrashAgents => {
-            let t = plan.apply_state_fault(0, p);
+            let t = plan.apply_state_fault(0, &mut p);
             p.reset_cover_epoch();
             t
         }
@@ -176,14 +153,9 @@ where
             // An adversarial §2.1 delayed deployment: hold every agent at
             // its node for `severity` rounds. The stalled rounds count
             // toward recovery — that is the point of the fault.
-            let mut sched = DelaySchedule::new();
-            let start = disturb_round + 1;
-            for (v, c) in occupied(p) {
-                sched.hold_during(v, start..start + u64::from(fault.severity), c);
-            }
             p.reset_cover_epoch();
             for _ in 0..fault.severity {
-                step_sched(p, &sched);
+                hold_all(&mut p);
             }
             fault.severity
         }
@@ -199,7 +171,54 @@ where
     let cycle = opts
         .relock_budget
         .and_then(|b| probe_cycle(|| disturbed.clone(), b));
-    (disturb_round, touched, recover, cycle)
+    Outcome {
+        cover: Some(cover),
+        disturb_round: Some(disturb_round),
+        touched,
+        recover,
+        cycle,
+        backend: p.kind_name(),
+    }
+}
+
+/// The edge-churn cell: the rewired topology needs a rebuilt engine, and a
+/// fresh engine's starts-visited initialisation *is* the epoch reset. The
+/// ring family also takes this path: a churned ring is not the ring the
+/// fast path assumes.
+fn churn_and_recover(sc: &Scenario, fault: &FaultSpec, opts: &RecoveryOptions) -> Outcome {
+    let g = sc.graph();
+    let mut e = sc.engine(&g);
+    let Some((cover, plan)) = run_healthy(&mut e, sc, fault, opts) else {
+        return Outcome {
+            backend: e.kind_name(),
+            ..Outcome::default()
+        };
+    };
+    let disturb_round = e.round();
+    let state = e.state();
+    let (churned, applied) = churn_graph(&g, plan.event_seed(0), fault.severity);
+    let survivors = agent_multiset(&state.agents);
+    // Double-edge swaps preserve degrees, so the carried-over pointers
+    // stay in range; the modulo is a guard, not a remapping.
+    let pointers: Vec<u32> = state
+        .pointers
+        .iter()
+        .enumerate()
+        .map(|(v, &p)| p % churned.degree(NodeId::new(v as u32)) as u32)
+        .collect();
+    let rebuilt = || Engine::with_pointers(&churned, &survivors, pointers.clone());
+    let mut e2 = rebuilt();
+    // Fresh engine: rounds count from the disturbance by construction.
+    let recover = e2.run_until_covered(opts.recover_budget);
+    let cycle = opts.relock_budget.and_then(|b| probe_cycle(rebuilt, b));
+    Outcome {
+        cover: Some(cover),
+        disturb_round: Some(disturb_round),
+        touched: applied,
+        recover,
+        cycle,
+        backend: e2.kind_name(),
+    }
 }
 
 /// Measures one recovery cell: runs `sc`'s rotor process to cover, strikes
@@ -207,12 +226,13 @@ where
 /// [`FaultPlan`]), and measures re-cover (and optionally re-lock-in) time.
 ///
 /// Dispatch mirrors [`run_scenario_cycle`](crate::runners::run_scenario_cycle):
-/// the ring family runs the [`RingRouter`] fast path, every other family —
-/// and every [`ChurnEdges`](FaultKind::ChurnEdges) cell, whose rewired
-/// graph is no longer a ring — runs the general [`Engine`]. If the healthy
-/// phase fails to cover within `opts.cover_budget`, no disturbance is
-/// applied and the sample records the timeout honestly (`cover: None`,
-/// everything downstream `None`).
+/// the ring family runs the [`RingRouter`](rotor_core::RingRouter) fast
+/// path, every other family — and every
+/// [`ChurnEdges`](FaultKind::ChurnEdges) cell, whose rewired graph is no
+/// longer a ring — runs the general [`Engine`]. If the healthy phase fails
+/// to cover within `opts.cover_budget`, no disturbance is applied and the
+/// sample records the timeout honestly (`cover: None`, everything
+/// downstream `None`).
 pub fn run_scenario_recovery(
     sc: &Scenario,
     fault: &FaultSpec,
@@ -220,144 +240,39 @@ pub fn run_scenario_recovery(
 ) -> RecoverySample {
     // lint: allow(wall-clock) -- feeds RecoverySample::nanos, a declared nondeterministic timing field
     let start = Instant::now();
-    let positions = sc.positions();
-    let mut plan = FaultPlan::new(sc.seed);
-    let sample =
-        |cover, disturb, touched, recover, cycle: Option<CycleInfo>, backend| RecoverySample {
-            n: sc.n,
-            k: sc.k,
-            seed_index: sc.seed_index,
-            seed: sc.seed,
-            cover,
-            disturb_round: disturb,
-            touched,
-            recover,
-            relock: cycle.map(|c| c.tail),
-            period: cycle.map(|c| c.period),
-            backend,
-            nanos: start.elapsed().as_nanos() as u64,
-        };
-    if fault.kind == FaultKind::ChurnEdges {
-        // Edge churn rebuilds the topology, so the engine is rebuilt too —
-        // a fresh engine's starts-visited initialisation *is* the epoch
-        // reset. The ring family also takes this path: a churned ring is
-        // not the ring the fast path assumes.
-        let g = sc.graph();
-        let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
-        let ptrs = initial_pointers(sc, &g, &positions, &ids);
-        let mut e = Engine::with_pointers(&g, &ids, ptrs);
-        let Some(cover) = e.run_until_covered(opts.cover_budget) else {
-            return sample(None, None, 0, None, None, e.kind_name());
-        };
-        e.run(fault.after_cover);
-        let disturb_round = e.round();
-        plan.push(disturb_round, fault.kind, fault.severity);
-        let state = e.state();
-        drop(e);
-        let (churned, applied) = churn_graph(&g, plan.event_seed(0), fault.severity);
-        let survivors = agent_multiset(&state.agents);
-        // Double-edge swaps preserve degrees, so the carried-over pointers
-        // stay in range; the modulo is a guard, not a remapping.
-        let ptrs2: Vec<u32> = state
-            .pointers
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| p % churned.degree(NodeId::new(v as u32)) as u32)
-            .collect();
-        let mut e2 = Engine::with_pointers(&churned, &survivors, ptrs2.clone());
-        // Fresh engine: rounds count from the disturbance by construction.
-        let recover = e2.run_until_covered(opts.recover_budget);
-        let cycle = opts.relock_budget.and_then(|b| {
-            probe_cycle(
-                || Engine::with_pointers(&churned, &survivors, ptrs2.clone()),
-                b,
-            )
-        });
-        return sample(
-            Some(cover),
-            Some(disturb_round),
-            applied,
-            recover,
-            cycle,
-            e2.kind_name(),
-        );
-    }
-    if sc.family.is_ring() {
-        let dirs = sc.ring_directions(&positions);
-        let mut p = RingRouter::new(sc.n, &positions, &dirs);
-        let Some(cover) = p.run_until_covered(opts.cover_budget) else {
-            return sample(None, None, 0, None, None, p.kind_name());
-        };
-        p.run(fault.after_cover);
-        plan.push(RingRouter::round(&p), fault.kind, fault.severity);
-        let (disturb, touched, recover, cycle) = disturb_and_recover(
-            &mut p,
-            fault,
-            &plan,
-            opts,
-            RingRouter::occupied,
-            delays::step_ring,
-        );
-        sample(
-            Some(cover),
-            Some(disturb),
-            touched,
-            recover,
-            cycle,
-            p.kind_name(),
-        )
+    let o = if fault.kind == FaultKind::ChurnEdges {
+        churn_and_recover(sc, fault, opts)
+    } else if sc.family.is_ring() {
+        disturb_and_recover(sc.ring_router(), sc, fault, opts, |r| {
+            r.step_delayed(|_, c| c);
+        })
     } else {
         let g = sc.graph();
-        let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
-        let ptrs = initial_pointers(sc, &g, &positions, &ids);
-        let mut p = Engine::with_pointers(&g, &ids, ptrs);
-        let Some(cover) = p.run_until_covered(opts.cover_budget) else {
-            return sample(None, None, 0, None, None, p.kind_name());
-        };
-        p.run(fault.after_cover);
-        plan.push(Engine::round(&p), fault.kind, fault.severity);
-        let (disturb, touched, recover, cycle) = disturb_and_recover(
-            &mut p,
-            fault,
-            &plan,
-            opts,
-            |e: &Engine<'_>| {
-                e.occupied()
-                    .iter()
-                    .map(|&v| (v, e.agents_at(NodeId::new(v))))
-                    .collect()
-            },
-            delays::step_engine,
-        );
-        sample(
-            Some(cover),
-            Some(disturb),
-            touched,
-            recover,
-            cycle,
-            p.kind_name(),
-        )
+        disturb_and_recover(sc.engine(&g), sc, fault, opts, |e| {
+            e.step_delayed(|_, c| c);
+        })
+    };
+    RecoverySample {
+        n: sc.n,
+        k: sc.k,
+        seed_index: sc.seed_index,
+        seed: sc.seed,
+        cover: o.cover,
+        disturb_round: o.disturb_round,
+        touched: o.touched,
+        recover: o.recover,
+        relock: o.cycle.map(|c| c.tail),
+        period: o.cycle.map(|c| c.period),
+        backend: o.backend,
+        nanos: start.elapsed().as_nanos() as u64,
     }
-}
-
-/// Runs every cell of a [`RecoveryGrid`] through the sharded driver and
-/// returns the samples in cell order — the sweep entry point the recovery
-/// bench and campaign build on.
-pub fn run_recovery_grid(
-    grid: &RecoveryGrid,
-    threads: usize,
-    opts: &RecoveryOptions,
-) -> Vec<RecoverySample> {
-    let cells = grid.cells();
-    run_sharded(&cells, threads, |_, (fault, sc)| {
-        run_scenario_recovery(sc, fault, opts)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{GraphFamily, InitSpec, PlacementSpec};
+    use crate::driver::run_sharded;
+    use crate::scenario::{GraphFamily, InitSpec, PlacementSpec, ScenarioGrid};
 
     fn ring_grid(n: usize, ks: Vec<usize>) -> ScenarioGrid {
         ScenarioGrid {
@@ -433,12 +348,16 @@ mod tests {
 
     #[test]
     fn samples_are_thread_count_invariant() {
-        let grid = RecoveryGrid {
-            grid: ring_grid(24, vec![1, 3]),
-            faults: vec![
-                fault(FaultKind::CorruptPointers),
-                fault(FaultKind::CrashAgents),
-            ],
+        let scenarios = ring_grid(24, vec![1, 3]).scenarios();
+        let cells: Vec<(FaultSpec, Scenario)> =
+            [FaultKind::CorruptPointers, FaultKind::CrashAgents]
+                .into_iter()
+                .flat_map(|kind| scenarios.iter().map(move |&sc| (fault(kind), sc)))
+                .collect();
+        let run = |threads| {
+            run_sharded(&cells, threads, |_, (f, sc)| {
+                run_scenario_recovery(sc, f, &opts())
+            })
         };
         let key = |s: &RecoverySample| {
             (
@@ -454,14 +373,8 @@ mod tests {
                 s.backend,
             )
         };
-        let one: Vec<_> = run_recovery_grid(&grid, 1, &opts())
-            .iter()
-            .map(key)
-            .collect();
-        let two: Vec<_> = run_recovery_grid(&grid, 2, &opts())
-            .iter()
-            .map(key)
-            .collect();
+        let one: Vec<_> = run(1).iter().map(key).collect();
+        let two: Vec<_> = run(2).iter().map(key).collect();
         assert_eq!(one, two, "fault schedules are scheduling-independent");
     }
 
@@ -524,28 +437,5 @@ mod tests {
         assert_eq!(s.disturb_round, None);
         assert_eq!(s.recover, None);
         assert_eq!(s.touched, 0);
-    }
-
-    #[test]
-    fn grid_point_range_matches_cell_order() {
-        let grid = RecoveryGrid {
-            grid: ring_grid(24, vec![1, 3]),
-            faults: vec![
-                fault(FaultKind::CorruptPointers),
-                fault(FaultKind::ChurnEdges),
-            ],
-        };
-        let cells = grid.cells();
-        assert_eq!(cells.len(), 2 * 2 * 2);
-        for (fi, f) in grid.faults.iter().enumerate() {
-            for (ki, &k) in grid.grid.ks.iter().enumerate() {
-                for (offset, i) in grid.point_range(fi, 0, 0, ki).enumerate() {
-                    let (cf, sc) = &cells[i];
-                    assert_eq!(cf.kind, f.kind);
-                    assert_eq!(sc.k, k);
-                    assert_eq!(sc.seed_index, offset);
-                }
-            }
-        }
     }
 }

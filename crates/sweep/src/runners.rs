@@ -12,7 +12,7 @@ use crate::scenario::Scenario;
 use rotor_core::limit::{self, CycleInfo};
 use rotor_core::rng::{stream, STREAM_WALK};
 use rotor_core::{CoverProcess, Engine, Observer, RingRouter};
-use rotor_graph::{NodeId, PortGraph};
+use rotor_graph::NodeId;
 use rotor_walks::ParallelWalk;
 use std::time::Instant;
 
@@ -82,10 +82,10 @@ impl CoverSample {
 ///
 /// Dispatch keeps the ring fast path: `Rotor` on the ring family runs the
 /// `O(k)`-per-round [`RingRouter`]; everything else builds the scenario's
-/// [`PortGraph`] and runs the general [`Engine`] or [`ParallelWalk`]. On
-/// the ring, pointer initialisation goes through the direction-bit form
-/// for *all* kinds, so general-engine cross-checks see exactly the
-/// specialised engine's initial configuration.
+/// graph and runs the general [`Engine`] or [`ParallelWalk`]. On the ring,
+/// pointer initialisation goes through the direction-bit form for *all*
+/// kinds ([`Scenario::engine`]), so general-engine cross-checks see
+/// exactly the specialised engine's initial configuration.
 pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverSample {
     // The unobserved run is the observed one with a no-op instrument —
     // one dispatch to keep in sync, and the "observation must not perturb
@@ -116,24 +116,17 @@ pub fn run_scenario_observed<O>(
 where
     O: Observer<RingRouter> + for<'g> Observer<Engine<'g>> + for<'g> Observer<ParallelWalk<'g>>,
 {
-    let positions = sc.positions();
-    let on_ring = sc.family.is_ring();
     match kind {
-        ProcessKind::Rotor if on_ring => {
-            let dirs = sc.ring_directions(&positions);
-            let mut p = RingRouter::new(sc.n, &positions, &dirs);
-            finish_observed(sc, &mut p, max_rounds, observer)
+        ProcessKind::Rotor if sc.family.is_ring() => {
+            finish_observed(sc, &mut sc.ring_router(), max_rounds, observer)
         }
         ProcessKind::Rotor | ProcessKind::RotorGeneral => {
             let g = sc.graph();
-            let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
-            let ptrs = initial_pointers(sc, &g, &positions, &ids);
-            let mut p = Engine::with_pointers(&g, &ids, ptrs);
-            finish_observed(sc, &mut p, max_rounds, observer)
+            finish_observed(sc, &mut sc.engine(&g), max_rounds, observer)
         }
         ProcessKind::RandomWalk => {
             let g = sc.graph();
-            let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
+            let ids: Vec<NodeId> = sc.positions().into_iter().map(NodeId::new).collect();
             let mut p = ParallelWalk::new(&g, &ids, stream(sc.seed, STREAM_WALK));
             finish_observed(sc, &mut p, max_rounds, observer)
         }
@@ -153,34 +146,13 @@ where
 ///
 /// Returns `None` when no cycle is certified within `max_steps` rounds.
 pub fn run_scenario_cycle(sc: &Scenario, max_steps: u64) -> Option<CycleInfo> {
-    let positions = sc.positions();
     if sc.family.is_ring() {
-        let dirs = sc.ring_directions(&positions);
-        limit::probe_cycle(|| RingRouter::new(sc.n, &positions, &dirs), max_steps)
+        let start = sc.ring_router();
+        limit::probe_cycle(|| start.clone(), max_steps)
     } else {
         let g = sc.graph();
-        let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
-        let ptrs = initial_pointers(sc, &g, &positions, &ids);
-        limit::probe_cycle(|| Engine::with_pointers(&g, &ids, ptrs.clone()), max_steps)
-    }
-}
-
-/// Initial port pointers for the general engine: the ring family goes
-/// through the direction-bit derivation (bit-identical to the fast path);
-/// every other family uses the graph-level [`PointerInit`] resolution.
-pub(crate) fn initial_pointers(
-    sc: &Scenario,
-    g: &PortGraph,
-    positions: &[u32],
-    ids: &[NodeId],
-) -> Vec<u32> {
-    if sc.family.is_ring() {
-        sc.ring_directions(positions)
-            .iter()
-            .map(|&d| u32::from(d))
-            .collect()
-    } else {
-        sc.init.pointer_init(sc.seed).pointers(g, ids)
+        let start = sc.engine(&g);
+        limit::probe_cycle(|| start.clone(), max_steps)
     }
 }
 
@@ -415,7 +387,8 @@ mod tests {
         let via_scenario = run_scenario_cycle(&sc, 10_000_000).unwrap();
         let positions = sc.positions();
         let dirs = sc.ring_directions(&positions);
-        let direct = limit::ring_cycle(16, &positions, &dirs, 10_000_000).unwrap();
+        let direct =
+            limit::probe_cycle(|| RingRouter::new(16, &positions, &dirs), 10_000_000).unwrap();
         assert_eq!(via_scenario, direct);
     }
 

@@ -46,7 +46,8 @@ use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
 pub use rotor_core::rng::splitmix64;
 use rotor_core::rng::{stream, STREAM_GRAPH, STREAM_POINTER_INIT};
-use rotor_graph::{builders, PortGraph};
+use rotor_core::{Engine, RingRouter};
+use rotor_graph::{builders, NodeId, PortGraph};
 
 /// Agent placement strategy for a scenario (the seed-bearing variants draw
 /// from the scenario seed, unlike [`Placement`] which carries its own).
@@ -109,7 +110,7 @@ impl InitSpec {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GraphFamily {
     /// The cycle `C_n` — the paper's primary object (Theorems 1–4), with
-    /// the [`RingRouter`](rotor_core::RingRouter) fast path.
+    /// the [`RingRouter`] fast path.
     Ring,
     /// The path `P_n` (the reduction target of Theorem 1's proof).
     Path,
@@ -241,7 +242,7 @@ impl GraphFamily {
     }
 
     /// Whether this is the ring family (the
-    /// [`RingRouter`](rotor_core::RingRouter) fast path applies).
+    /// [`RingRouter`] fast path applies).
     pub fn is_ring(&self) -> bool {
         matches!(self, GraphFamily::Ring)
     }
@@ -295,6 +296,35 @@ impl Scenario {
     /// Builds this scenario's graph.
     pub fn graph(&self) -> PortGraph {
         self.family.build(self.n, self.seed)
+    }
+
+    /// This scenario's rotor-router on the [`RingRouter`] fast path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the family is not [`GraphFamily::Ring`].
+    pub fn ring_router(&self) -> RingRouter {
+        let positions = self.positions();
+        RingRouter::new(self.n, &positions, &self.ring_directions(&positions))
+    }
+
+    /// This scenario's rotor-router as the general [`Engine`] on `g`, the
+    /// graph [`graph`](Self::graph) builds. On the ring family the pointers
+    /// come from the direction bits, so the engine starts in exactly
+    /// [`ring_router`](Self::ring_router)'s configuration; every other
+    /// family resolves the [`PointerInit`] on the graph.
+    pub fn engine<'g>(&self, g: &'g PortGraph) -> Engine<'g> {
+        let positions = self.positions();
+        let ids: Vec<NodeId> = positions.iter().map(|&v| NodeId::new(v)).collect();
+        let pointers = if self.family.is_ring() {
+            self.ring_directions(&positions)
+                .iter()
+                .map(|&d| u32::from(d))
+                .collect()
+        } else {
+            self.init.pointer_init(self.seed).pointers(g, &ids)
+        };
+        Engine::with_pointers(g, &ids, pointers)
     }
 }
 

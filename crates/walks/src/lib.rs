@@ -39,12 +39,13 @@ use rotor_graph::{NodeId, PortGraph};
 /// engines ([`VisitSet`]).
 ///
 /// ```
+/// use rotor_core::CoverProcess;
 /// use rotor_graph::{builders, NodeId};
 /// use rotor_walks::ParallelWalk;
 ///
 /// let g = builders::ring(16);
 /// let mut w = ParallelWalk::new(&g, &[NodeId::new(0)], 3);
-/// assert!(w.cover_time(1_000_000).is_some());
+/// assert!(w.run_until_covered(1_000_000).is_some());
 /// ```
 #[derive(Clone, Debug)]
 pub struct ParallelWalk<'g> {
@@ -98,11 +99,6 @@ impl<'g> ParallelWalk<'g> {
         &self.positions
     }
 
-    /// Completed rounds.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Whether `v` has ever been visited (or initially held a walker).
     pub fn is_visited(&self, v: NodeId) -> bool {
         self.visited.contains(v.index())
@@ -111,72 +107,6 @@ impl<'g> ParallelWalk<'g> {
     /// Number of never-visited nodes.
     pub fn unvisited_count(&self) -> usize {
         self.unvisited
-    }
-
-    /// The round at which the last node was first visited, if any
-    /// (`Some(0)` if the starting positions already cover).
-    pub fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
-    /// Advances one synchronous round: every walker moves to a uniformly
-    /// random neighbour.
-    pub fn step(&mut self) {
-        self.round += 1;
-        for p in &mut self.positions {
-            let d = self.g.degree(*p);
-            *p = self.g.neighbor(*p, self.rng.gen_range(0..d));
-            if self.visited.insert(p.index()) {
-                self.unvisited -= 1;
-                if self.unvisited == 0 && self.cover_round.is_none() {
-                    self.cover_round = Some(self.round);
-                }
-            }
-        }
-    }
-
-    /// Rounds until every node has been visited, or `None` after
-    /// `max_rounds` total rounds.
-    pub fn cover_time(&mut self, max_rounds: u64) -> Option<u64> {
-        CoverProcess::run_until_covered(self, max_rounds)
-    }
-}
-
-impl rotor_core::faults::Perturb for ParallelWalk<'_> {
-    /// A random walk has no rotor state to corrupt — a documented no-op
-    /// (returns 0), kept so crash-fault recovery experiments can run the
-    /// walk as a comparison column through the same [`Perturb`] driver.
-    ///
-    /// [`Perturb`]: rotor_core::faults::Perturb
-    fn corrupt_pointers(&mut self, _seed: u64, _count: u32) -> u32 {
-        0
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.positions.len() <= 1 {
-                break;
-            }
-            s = rotor_core::rng::splitmix64(s);
-            let i = (s % self.positions.len() as u64) as usize;
-            self.positions.swap_remove(i);
-            removed += 1;
-        }
-        removed
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        let n = self.g.node_count();
-        let mut visited = VisitSet::new(n);
-        for p in &self.positions {
-            visited.insert(p.index());
-        }
-        let occupied = visited.count_ones();
-        self.visited = visited;
-        self.unvisited = n - occupied;
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
     }
 }
 
@@ -190,15 +120,26 @@ impl CoverProcess for ParallelWalk<'_> {
     }
 
     fn round(&self) -> u64 {
-        ParallelWalk::round(self)
+        self.round
     }
 
+    /// Every walker moves to a uniformly random neighbour.
     fn step(&mut self) {
-        ParallelWalk::step(self);
+        self.round += 1;
+        for p in &mut self.positions {
+            let d = self.g.degree(*p);
+            *p = self.g.neighbor(*p, self.rng.gen_range(0..d));
+            if self.visited.insert(p.index()) {
+                self.unvisited -= 1;
+                if self.unvisited == 0 && self.cover_round.is_none() {
+                    self.cover_round = Some(self.round);
+                }
+            }
+        }
     }
 
     fn cover_round(&self) -> Option<u64> {
-        ParallelWalk::cover_round(self)
+        self.cover_round
     }
 
     fn visited_count(&self) -> usize {
@@ -240,11 +181,23 @@ mod tests {
     #[test]
     fn covers_small_ring() {
         let g = builders::ring(16);
-        let mut w = ParallelWalk::new(&g, &[NodeId::new(0)], 3);
-        let c = w.cover_time(1_000_000).expect("random walk covers");
+        let fresh = ParallelWalk::new(&g, &[NodeId::new(0)], 3);
+        let mut w = fresh.clone();
+        let c = w.run_until_covered(1_000_000).expect("random walk covers");
         assert!(c >= 15, "cannot cover 16 nodes in fewer than 15 steps");
         assert_eq!(w.cover_round(), Some(c), "cover round is sticky");
         assert_eq!(w.unvisited_count(), 0);
+        // Every provided drive loop replays the same seeded trajectory.
+        let mut observed = fresh.clone();
+        let mut seen = 0;
+        let observed_cover = observed.run_observed(1_000_000, &mut |_: &ParallelWalk| seen += 1);
+        assert_eq!((observed_cover, seen), (Some(c), c + 1));
+        let mut stepped = fresh;
+        stepped.run(c + 5);
+        assert_eq!(stepped.round(), c + 5, "run goes on past cover");
+        assert_eq!(stepped.cover_round(), Some(c));
+        w.run(5);
+        assert_eq!(stepped.positions(), w.positions());
     }
 
     #[test]
@@ -252,17 +205,21 @@ mod tests {
         let g = builders::ring(3);
         let starts = vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)];
         let mut w = ParallelWalk::new(&g, &starts, 1);
-        assert_eq!(w.cover_time(10), Some(0));
+        assert_eq!(w.run_until_covered(10), Some(0));
     }
 
     #[test]
     fn cover_time_times_out_and_resumes() {
         let g = builders::ring(64);
         let mut w = ParallelWalk::new(&g, &[NodeId::new(0)], 11);
-        assert_eq!(w.cover_time(2), None, "2 rounds cannot cover 64 nodes");
+        assert_eq!(
+            w.run_until_covered(2),
+            None,
+            "2 rounds cannot cover 64 nodes"
+        );
         assert_eq!(w.round(), 2);
         // resuming with a larger budget continues the same trajectory
-        assert!(w.cover_time(10_000_000).is_some());
+        assert!(w.run_until_covered(10_000_000).is_some());
     }
 
     #[test]
@@ -283,21 +240,6 @@ mod tests {
             (0..16).filter(|&v| w.is_visited(NodeId::new(v))).count(),
             "counter agrees with per-node queries"
         );
-    }
-
-    #[test]
-    fn crash_and_epoch_reset_on_walkers() {
-        use rotor_core::faults::Perturb;
-        let g = builders::ring(24);
-        let starts = [NodeId::new(0), NodeId::new(8), NodeId::new(16)];
-        let mut w = ParallelWalk::new(&g, &starts, 5);
-        w.cover_time(1_000_000).expect("covers");
-        assert_eq!(w.corrupt_pointers(1, 10), 0, "no rotor state to corrupt");
-        assert_eq!(w.remove_agents(2, 10), 2, "last walker survives");
-        assert_eq!(w.positions().len(), 1);
-        w.reset_cover_epoch();
-        assert_eq!(w.cover_round(), None, "24 nodes, 1 occupied: not covered");
-        assert!(CoverProcess::run_until_covered(&mut w, 10_000_000).is_some());
     }
 
     #[test]
@@ -329,17 +271,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trait_and_inherent_agree() {
-        let g = builders::ring(24);
-        let starts = [NodeId::new(0), NodeId::new(12)];
-        let mut a = ParallelWalk::new(&g, &starts, 9);
-        let mut b = ParallelWalk::new(&g, &starts, 9);
-        let ca = a.cover_time(1_000_000);
-        let cb = CoverProcess::run_until_covered(&mut b, 1_000_000);
-        assert_eq!(ca, cb);
-        assert_eq!(CoverProcess::visited_count(&b), 24);
     }
 }

@@ -1,9 +1,6 @@
 //@ lint-path: crates/sweep/src/fixture.rs
-pub const THREADS_ENV: &str = "ROTOR_SWEEP_THREADS";
-
-pub fn threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+pub fn threads(arg: Option<&str>) -> usize {
+    // The worker count arrives as a command-line value, not from the
+    // environment.
+    arg.and_then(|v| v.parse().ok()).unwrap_or(1)
 }

@@ -1,16 +1,16 @@
 //@ lint-path: crates/sweep/src/fixture.rs
-pub const BATCH_ENV: &str = "ROTOR_BATCH";
+pub const SEGMENTS_ENV: &str = "ROTOR_SEGMENTS";
 
-pub fn threads() -> usize {
-    std::env::var("NUM_THREADS")
+// Retired overrides: every input to a result comes from the command line.
+pub fn segments() -> usize {
+    std::env::var(SEGMENTS_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
 }
 
-// A retired override: reading it again needs a reviewed allowlist entry.
 pub fn batch_width() -> usize {
-    std::env::var(BATCH_ENV)
+    std::env::var("ROTOR_BATCH")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)

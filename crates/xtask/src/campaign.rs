@@ -1896,6 +1896,9 @@ pub struct RunSummary {
     pub computed: usize,
     /// Units resumed from the state file.
     pub resumed: usize,
+    /// The worker-thread count the written report records (one for
+    /// `engine-throughput`, whose timed loops run on one thread).
+    pub threads: u64,
 }
 
 /// Runs a campaign end to end: load (or start) the state, compute the
@@ -1958,6 +1961,10 @@ pub fn run(
         out: out_path,
         computed: state.computed,
         resumed: state.resumed,
+        threads: report
+            .get("threads")
+            .and_then(Json::as_u64)
+            .expect("every report records its thread count"),
     })
 }
 
@@ -2259,6 +2266,29 @@ mod tests {
         assert!(other.unwrap_err().contains("scale"));
         // --fresh overrides the mismatch
         assert!(CampaignState::load(path.clone(), RING_LARGE_N, Scale::Test, true).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_reports_the_thread_count_the_report_records() {
+        let dir = std::env::temp_dir().join(format!("rotor-campaign-sum-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("return_time.json");
+        let summary = run(
+            RETURN_TIME,
+            Scale::Test,
+            2,
+            Some(out.clone()),
+            Some(dir.join("state.json")),
+            true,
+        )
+        .expect("test-scale campaign runs");
+        let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(
+            Some(summary.threads),
+            report.get("threads").and_then(Json::as_u64)
+        );
+        assert_eq!(summary.out, out);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -30,7 +30,6 @@
 //! assert_eq!(findings[0].rule, "no-hash-collections");
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -81,7 +80,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: R_ENV,
-        summary: "std::env::var only reads the documented ROTOR_* override (ROTOR_SWEEP_THREADS)",
+        summary: "no std::env::var reads: every input to a result comes from the command line",
     },
     Rule {
         id: R_TODO,
@@ -101,11 +100,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &["core", "graph", "sweep", "walks", "
 /// fields `xtask compare` treats as deterministic (rule
 /// `float-accumulation`).
 pub const REPORT_CRATES: &[&str] = &["analysis", "sweep", "xtask"];
-
-/// The documented runtime override set (rule `env-allowlist`); everything
-/// else read from the environment would be an undeclared input to a
-/// "pure" result.
-pub const ALLOWED_ENV: &[&str] = &["ROTOR_SWEEP_THREADS"];
 
 /// The `--list-rules` output: one `<id>  <summary>` line per rule, in
 /// contract order. Golden-tested, and a second test keeps the README
@@ -440,33 +434,9 @@ fn parse_waivers(lines: &[LexedLine]) -> (Vec<Waiver>, Vec<(usize, &'static str,
 // Rules
 // ---------------------------------------------------------------------------
 
-/// `const NAME: &str = "VALUE";` bindings in the file, used to resolve
-/// `std::env::var(CONST)` call sites statically.
-fn const_strings(lines: &[LexedLine]) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    for l in lines {
-        let code = &l.code;
-        let (Some(start), true) = (code.find("const "), code.contains(": &str")) else {
-            continue;
-        };
-        let Some(value) = l.strings.first() else {
-            continue;
-        };
-        let after = &code[start + "const ".len()..];
-        if let Some(colon) = after.find(':') {
-            let name = after[..colon].trim();
-            if !name.is_empty() && name.chars().all(is_ident) {
-                map.insert(name.to_string(), value.clone());
-            }
-        }
-    }
-    map
-}
-
 fn scan_rules(ctx: &FileCtx, lines: &[LexedLine]) -> Vec<(usize, &'static str, String)> {
     let deterministic = DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str());
     let report_crate = REPORT_CRATES.contains(&ctx.crate_name.as_str());
-    let consts = const_strings(lines);
     let mut out = Vec::new();
     let mut has_forbid = false;
     for (idx, l) in lines.iter().enumerate() {
@@ -543,39 +513,21 @@ fn scan_rules(ctx: &FileCtx, lines: &[LexedLine]) -> Vec<(usize, &'static str, S
             }
         }
         if let Some(pos) = code.find("env::var(") {
+            // Anything read from the environment would be an undeclared
+            // input to a "pure" result.
             let arg = code[pos + "env::var(".len()..].trim_start();
-            if arg.starts_with('"') {
-                if !l.strings.iter().any(|s| ALLOWED_ENV.contains(&s.as_str())) {
-                    out.push((
-                        line,
-                        R_ENV,
-                        format!(
-                            "env var {:?} is not in the documented override set {ALLOWED_ENV:?}",
-                            l.strings.first().map_or("", String::as_str)
-                        ),
-                    ));
-                }
+            let name = if arg.starts_with('"') {
+                format!("{:?}", l.strings.first().map_or("", String::as_str))
             } else {
-                let ident: String = arg.chars().take_while(|&c| is_ident(c)).collect();
-                match consts.get(&ident) {
-                    Some(v) if ALLOWED_ENV.contains(&v.as_str()) => {}
-                    Some(v) => out.push((
-                        line,
-                        R_ENV,
-                        format!(
-                            "env var {v:?} (via const {ident}) is not in the documented override set {ALLOWED_ENV:?}"
-                        ),
-                    )),
-                    None => out.push((
-                        line,
-                        R_ENV,
-                        format!(
-                            "cannot statically resolve env::var({ident}); read a same-file `const NAME: &str` \
-                             naming a documented ROTOR_* override"
-                        ),
-                    )),
-                }
-            }
+                arg.chars().take_while(|&c| is_ident(c)).collect()
+            };
+            out.push((
+                line,
+                R_ENV,
+                format!(
+                    "env::var({name}) reads an undeclared input; take it from the command line"
+                ),
+            ));
         }
         let comment = l.comment.as_str();
         if (comment.contains("TODO") || comment.contains("FIXME")) && !comment.contains("ROADMAP") {
@@ -905,25 +857,25 @@ let e = "thread_rng";
     }
 
     #[test]
-    fn env_rule_resolves_same_file_consts() {
-        let ok = "const THREADS_ENV: &str = \"ROTOR_SWEEP_THREADS\";\nlet v = std::env::var(THREADS_ENV);\n";
-        assert!(lint_source("f", &core_src(), ok).is_empty());
-        let bad = "const HOME_ENV: &str = \"HOME\";\nlet v = std::env::var(HOME_ENV);\n";
-        let f = lint_source("f", &core_src(), bad);
+    fn env_rule_flags_reads_through_consts() {
+        let via_const = "const SEGMENTS_ENV: &str = \"ROTOR_SEGMENTS\";\nlet v = std::env::var(SEGMENTS_ENV);\n";
+        let f = lint_source("f", &core_src(), via_const);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "env-allowlist");
+        assert!(f[0].message.contains("SEGMENTS_ENV"));
         let unresolved = "let v = std::env::var(mystery_name);\n";
         assert_eq!(lint_source("f", &core_src(), unresolved).len(), 1);
     }
 
     #[test]
     fn env_rule_checks_literals() {
-        let ok = "let v = std::env::var(\"ROTOR_SWEEP_THREADS\");\n";
-        assert!(lint_source("f", &core_src(), ok).is_empty());
-        let bad = "let v = std::env::var(\"PATH\");\n";
-        let f = lint_source("f", &core_src(), bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("PATH"));
+        for var in ["ROTOR_BATCH", "PATH"] {
+            let src = format!("let v = std::env::var(\"{var}\");\n");
+            let f = lint_source("f", &core_src(), &src);
+            assert_eq!(f.len(), 1, "{var}");
+            assert_eq!(f[0].rule, "env-allowlist");
+            assert!(f[0].message.contains(var));
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn run_campaign(args: Vec<&str>) -> ExitCode {
                 scale.tag(),
                 summary.computed,
                 summary.resumed,
-                threads
+                summary.threads
             );
             println!("wrote {} (validated)", summary.out.display());
             ExitCode::SUCCESS

@@ -24,7 +24,7 @@
 //!   `BENCH_*.json` is written in.
 //!
 //! ```
-//! use rotor::rotor_core::{init::PointerInit, placement::Placement, RingRouter};
+//! use rotor::rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
 //!
 //! let n = 64;
 //! let starts = Placement::AllOnOne(0).positions(n, 4);
