@@ -8,15 +8,17 @@
 //! [`campaign`], and the CI smoke grids run the same definitions at a
 //! smaller [`Scale`](campaign::Scale), so the two cannot drift apart.
 //!
-//! * [`validate`] — schema, curve/point invariants and per-bench rules
-//!   for every report (`xtask validate <files…>`);
+//! * [`validate`] — schema, curve/point invariants and the per-bench
+//!   rules each [`CAMPAIGNS`](campaign::CAMPAIGNS) row carries, for every
+//!   report (`xtask validate <files…>`);
 //! * [`compare`] — deterministic-field diff between two runs of the same
 //!   experiment (`xtask compare a.json b.json`, the CI 1-vs-2-thread
 //!   determinism gate);
 //! * [`campaign`] — named, resumable experiment campaigns
 //!   (`xtask campaign table1`, `return-time`, `walk-vs-rotor`,
 //!   `engine-throughput`, `family-speedup`, `ring-large-n`, `recovery`,
-//!   `torus-seg`), one per committed report;
+//!   `torus-seg`), one row of the [`CAMPAIGNS`](campaign::CAMPAIGNS)
+//!   table per committed report;
 //! * [`lint`] — the determinism-contract static analysis (`xtask lint`),
 //!   the static complement of the `compare`-based drift jobs: a
 //!   dependency-free source scanner enforcing the workspace's

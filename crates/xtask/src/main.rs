@@ -8,8 +8,8 @@
 //!
 //! * `validate [--expect-threads N] [--max-n N] <files...>` — parse each
 //!   report with [`Json::parse`], assert the schema tag, the generic
-//!   curve/point invariants and the per-bench rules (see
-//!   [`xtask::validate`]);
+//!   curve/point invariants and the per-bench rules of the report's
+//!   [`xtask::campaign::CAMPAIGNS`] row (see [`xtask::validate`]);
 //! * `compare <a.json> <b.json>` — assert two runs of the same experiment
 //!   agree on every deterministic field (timing-derived fields are
 //!   ignored), which is the CI determinism-drift gate between 1-thread and
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
                  xtask compare <a.json> <b.json>\n       \
                  xtask campaign <{}> [--smoke] [--threads N] [--out PATH] [--state PATH] [--fresh]\n       \
                  xtask lint [--list-rules] [paths...]",
-                campaign::NAMES.join("|")
+                campaign::names("|")
             );
             ExitCode::FAILURE
         }
@@ -160,7 +160,7 @@ fn run_campaign(args: Vec<&str>) -> ExitCode {
     let Some(name) = name else {
         return usage_error(&format!(
             "campaign needs a name ({})",
-            campaign::NAMES.join(", ")
+            campaign::names(", ")
         ));
     };
     let scale = if smoke {

@@ -1,8 +1,12 @@
 //! The `rotor-experiment/1` report validator: generic schema / curve /
-//! point invariants plus per-bench rules keyed on the report's `bench`
-//! field. Returns every violation found (not just the first), each
-//! prefixed with its curve/point context.
+//! point invariants, plus the [`Rules`] of the report's `bench`. Those
+//! rules are data: each bench's [`Rules`] sit in its row of
+//! [`CAMPAIGNS`], next to the campaign that writes the report. A bench
+//! with no row gets only the generic checks, so the validator does not
+//! reject future experiments out of hand. Returns every violation found
+//! (not just the first), each prefixed with its curve/point context.
 
+use crate::campaign::CAMPAIGNS;
 use rotor_analysis::report::{Json, SCHEMA};
 
 /// CI-context expectations applied on top of the intrinsic rules.
@@ -13,6 +17,254 @@ pub struct Options {
     /// Require every curve's `meta.n` to stay at or below this (the smoke
     /// grids are capped at n = 256).
     pub max_n: Option<u64>,
+}
+
+/// The rules one bench's reports satisfy beyond the generic checks.
+pub struct Rules {
+    /// Every curve's x strictly increases (every bench but
+    /// `engine_throughput`, whose x is a node count across mixed graphs).
+    pub x_increasing: bool,
+    /// Curve-meta keys every curve carries.
+    pub meta_keys: &'static [&'static str],
+    /// Curve-meta `(key, value)` pairs every curve carries.
+    pub meta_values: &'static [(&'static str, &'static str)],
+    /// Checks on every point.
+    pub points: &'static [Check],
+    /// Further point checks per `meta.process`, for benches that pair
+    /// rotor and walk columns; when non-empty, every curve's process must
+    /// be one of these.
+    pub per_process: &'static [(&'static str, &'static [Check])],
+    /// Report-level rules.
+    pub report: &'static [ReportRule],
+}
+
+impl Rules {
+    /// No rules beyond the generic checks; `..Rules::GENERIC` fills the
+    /// fields a bench leaves unused.
+    pub const GENERIC: Rules = Rules {
+        x_increasing: false,
+        meta_keys: &[],
+        meta_values: &[],
+        points: &[],
+        per_process: &[],
+        report: &[],
+    };
+}
+
+/// The JSON type a checked field holds.
+#[derive(Clone, Copy, Debug)]
+pub enum Ty {
+    /// An unsigned integer.
+    Int,
+    /// A number (integers included).
+    Num,
+    /// A boolean.
+    Bool,
+    /// A string.
+    Str,
+}
+
+/// Whether a checked field may be null or absent.
+#[derive(Clone, Copy, Debug)]
+pub enum Presence {
+    /// Present and of its type.
+    Required,
+    /// Present, and of its type or null.
+    Nullable,
+    /// Absent, or of its type.
+    Optional,
+}
+
+/// A bound on a checked field's value.
+#[derive(Clone, Copy, Debug)]
+pub enum Bound {
+    /// Any value.
+    Any,
+    /// At least the bound.
+    AtLeast(f64),
+    /// Strictly above the bound.
+    Above(f64),
+    /// At most the bound.
+    AtMost(f64),
+}
+
+/// One rule on a JSON object: a point, the report meta or a summary entry.
+#[derive(Clone, Copy, Debug)]
+pub enum Check {
+    /// Field `key` holds a `Ty`, present as `Presence` says, and its
+    /// numeric value satisfies `Bound`.
+    Field(&'static str, Ty, Presence, Bound),
+    /// The first field is at most the second whenever both are integers.
+    Ordered(&'static str, &'static str),
+    /// The first field lies in its bootstrap band `[second, third]`
+    /// whenever all three are integers and the band is ordered.
+    InBand(&'static str, &'static str, &'static str),
+    /// When the gate field is `false` or `0`, every listed field is null;
+    /// when it is `true` or positive, the checks hold.
+    Gate(&'static str, &'static [&'static str], &'static [Check]),
+    /// The checks of at least one alternative all hold.
+    AnyOf(&'static [&'static [Check]]),
+}
+
+/// A required unsigned-integer field.
+pub const fn int(key: &'static str) -> Check {
+    Check::Field(key, Ty::Int, Presence::Required, Bound::Any)
+}
+
+/// A required number.
+pub const fn num(key: &'static str) -> Check {
+    Check::Field(key, Ty::Num, Presence::Required, Bound::Any)
+}
+
+/// A required boolean.
+pub const fn flag(key: &'static str) -> Check {
+    Check::Field(key, Ty::Bool, Presence::Required, Bound::Any)
+}
+
+impl Check {
+    /// The same field, which may also be null.
+    pub const fn or_null(self) -> Check {
+        match self {
+            Check::Field(key, ty, _, bound) => Check::Field(key, ty, Presence::Nullable, bound),
+            other => other,
+        }
+    }
+
+    /// The same field, which may also be absent.
+    pub const fn if_present(self) -> Check {
+        match self {
+            Check::Field(key, ty, _, bound) => Check::Field(key, ty, Presence::Optional, bound),
+            other => other,
+        }
+    }
+
+    /// The same field under `bound`.
+    pub const fn bounded(self, bound: Bound) -> Check {
+        match self {
+            Check::Field(key, ty, presence, _) => Check::Field(key, ty, presence, bound),
+            other => other,
+        }
+    }
+
+    fn check(&self, obj: &Json, err: &mut dyn FnMut(String)) {
+        let uint = |key: &str| obj.get(key).and_then(Json::as_u64);
+        match *self {
+            Check::Field(key, ty, presence, bound) => {
+                let v = obj.get(key);
+                let (is, name, short) = match ty {
+                    Ty::Int => (
+                        v.and_then(Json::as_u64).is_some(),
+                        "an unsigned integer",
+                        "int",
+                    ),
+                    Ty::Num => (v.and_then(Json::as_f64).is_some(), "a number", "number"),
+                    Ty::Bool => (v.and_then(Json::as_bool).is_some(), "a boolean", "bool"),
+                    Ty::Str => (v.and_then(Json::as_str).is_some(), "a string", "string"),
+                };
+                match (v, presence) {
+                    _ if is => {}
+                    (None, Presence::Optional) => {}
+                    (Some(v), Presence::Nullable) if v.is_null() => {}
+                    (other, Presence::Nullable) => {
+                        err(format!("{key} = {other:?}, expected {short} or null"));
+                    }
+                    _ => err(format!("{key} missing or not {name}")),
+                }
+                let Some(x) = v.and_then(Json::as_f64) else {
+                    return;
+                };
+                let (ok, op, b) = match bound {
+                    Bound::Any => (true, "", 0.0),
+                    Bound::AtLeast(b) => (x >= b, ">=", b),
+                    Bound::Above(b) => (x > b, ">", b),
+                    Bound::AtMost(b) => (x <= b, "<=", b),
+                };
+                if !ok {
+                    err(format!("{key} = {x} must be {op} {b}"));
+                }
+            }
+            Check::Ordered(a, b) => {
+                if let (Some(x), Some(y)) = (uint(a), uint(b)) {
+                    if x > y {
+                        err(format!("{a} = {x} > {b} = {y}"));
+                    }
+                }
+            }
+            Check::InBand(key, lo, hi) => {
+                if let (Some(m), Some(l), Some(h)) = (uint(key), uint(lo), uint(hi)) {
+                    if l <= h && !(l..=h).contains(&m) {
+                        err(format!("{key} = {m} outside its bootstrap band [{l}, {h}]"));
+                    }
+                }
+            }
+            Check::Gate(gate, nulls, then) => match obj.get(gate) {
+                Some(v) if v.as_bool() == Some(false) || v.as_u64() == Some(0) => {
+                    for key in nulls {
+                        if !obj.get(key).is_some_and(Json::is_null) {
+                            err(format!("{key} must be null when {gate} is {}", v.render()));
+                        }
+                    }
+                }
+                Some(v) if v.as_bool() == Some(true) || v.as_u64().is_some() => {
+                    for c in then {
+                        c.check(obj, err);
+                    }
+                }
+                _ => {}
+            },
+            Check::AnyOf(alternatives) => {
+                let holds = |alt: &[Check]| {
+                    let mut failed = false;
+                    for c in alt {
+                        c.check(obj, &mut |_| failed = true);
+                    }
+                    !failed
+                };
+                if !alternatives.iter().any(|alt| holds(alt)) {
+                    let names: Vec<String> = alternatives
+                        .iter()
+                        .map(|alt| {
+                            let keys: Vec<&str> = alt.iter().filter_map(Check::key).collect();
+                            keys.join(" with ")
+                        })
+                        .collect();
+                    err(format!("needs {}", names.join(" or ")));
+                }
+            }
+        }
+    }
+
+    fn key(&self) -> Option<&'static str> {
+        match *self {
+            Check::Field(key, ..) => Some(key),
+            _ => None,
+        }
+    }
+}
+
+/// A test on the distinct values of one curve-meta key.
+#[derive(Clone, Copy, Debug)]
+pub enum SetTest {
+    /// The values are exactly these (sorted).
+    Exactly(&'static [&'static str]),
+    /// The values include each of these.
+    Includes(&'static [&'static str]),
+    /// At least two values.
+    Several,
+    /// Some value other than this one.
+    NotOnly(&'static str),
+}
+
+/// A rule on a whole report (a cross-curve invariant).
+#[derive(Clone, Copy)]
+pub enum ReportRule {
+    /// The distinct values of every curve's `meta.<key>` (the first
+    /// field), called by the second field in messages, pass the test.
+    Distinct(&'static str, &'static str, SetTest),
+    /// Checks on the report's own `meta` object.
+    Meta(&'static [Check]),
+    /// A rule with no common shape.
+    Custom(fn(&Json, &[Json], &mut Vec<String>)),
 }
 
 /// Validates one parsed report; an empty vector means it conforms.
@@ -52,6 +304,10 @@ pub fn validate(report: &Json, opts: &Options) -> Vec<String> {
     if curves.is_empty() {
         errors.push("curves must be non-empty".into());
     }
+    let rules = CAMPAIGNS
+        .iter()
+        .find(|c| c.bench == bench)
+        .map_or(&Rules::GENERIC, |c| &c.rules);
 
     let mut labels: Vec<&str> = Vec::new();
     for (ci, curve) in curves.iter().enumerate() {
@@ -109,9 +365,9 @@ pub fn validate(report: &Json, opts: &Options) -> Vec<String> {
                 ));
             }
         }
-        check_bench_rules(bench, &ctx, curve, points, &mut errors);
+        rules.check_curve(&ctx, curve, points, &mut errors);
     }
-    check_report_rules(bench, report, curves, &mut errors);
+    rules.check_report(report, curves, &mut errors);
     errors
 }
 
@@ -139,573 +395,194 @@ fn check_fit(fit: &Json, err: &mut impl FnMut(String)) {
     }
 }
 
-/// Whether the x coordinates are strictly increasing (every bench except
-/// `engine_throughput`, whose x is a node count across mixed graphs).
-fn check_x_increasing(ctx: &str, points: &[Json], errors: &mut Vec<String>) {
+/// `curve.meta.<key>` as a string.
+fn meta_str<'a>(curve: &'a Json, key: &str) -> Option<&'a str> {
+    curve.get("meta")?.get(key)?.as_str()
+}
+
+/// The sorted distinct values.
+fn distinct<'a>(values: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut values: Vec<&str> = values.collect();
+    values.sort_unstable();
+    values.dedup();
+    values
+}
+
+impl Rules {
+    fn check_curve(&self, ctx: &str, curve: &Json, points: &[Json], errors: &mut Vec<String>) {
+        if self.x_increasing {
+            let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
+            if !xs.windows(2).all(|w| w[0] < w[1]) {
+                errors.push(format!("{ctx}: x must be strictly increasing, got {xs:?}"));
+            }
+        }
+        for key in self.meta_keys {
+            if curve.get("meta").and_then(|m| m.get(key)).is_none() {
+                errors.push(format!("{ctx}: meta.{key} missing"));
+            }
+        }
+        for &(key, want) in self.meta_values {
+            match meta_str(curve, key) {
+                Some(v) if v == want => {}
+                other => errors.push(format!("{ctx}: meta.{key} = {other:?}, expected {want:?}")),
+            }
+        }
+        let mut checks: Vec<&Check> = self.points.iter().collect();
+        if !self.per_process.is_empty() {
+            let process = meta_str(curve, "process").unwrap_or("");
+            match self.per_process.iter().find(|(p, _)| *p == process) {
+                Some((_, process_checks)) => checks.extend(process_checks.iter()),
+                None => {
+                    let known: Vec<String> = self
+                        .per_process
+                        .iter()
+                        .map(|(p, _)| format!("{p:?}"))
+                        .collect();
+                    errors.push(format!(
+                        "{ctx}: meta.process {process:?} must be {}",
+                        known.join(" or ")
+                    ));
+                }
+            }
+        }
+        for (pi, p) in points.iter().enumerate() {
+            for c in &checks {
+                c.check(p, &mut |msg| {
+                    errors.push(format!("{ctx}: point #{pi}: {msg}"));
+                });
+            }
+        }
+    }
+
+    fn check_report(&self, report: &Json, curves: &[Json], errors: &mut Vec<String>) {
+        for rule in self.report {
+            match *rule {
+                ReportRule::Distinct(key, noun, test) => {
+                    let found = distinct(curves.iter().filter_map(|c| meta_str(c, key)));
+                    match test {
+                        SetTest::Exactly(want) if found != want => {
+                            errors.push(format!("{noun} {found:?}, expected {want:?}"));
+                        }
+                        SetTest::Includes(want) => {
+                            for v in want.iter().filter(|v| !found.contains(v)) {
+                                errors.push(format!("{noun} {found:?} must include {v:?}"));
+                            }
+                        }
+                        SetTest::Several if found.len() < 2 => {
+                            errors.push(format!("{noun} {found:?} must span at least two {noun}"));
+                        }
+                        SetTest::NotOnly(v) if found.iter().all(|f| *f == v) => errors.push(
+                            format!("{noun} {found:?} must include at least one non-{v} {key}"),
+                        ),
+                        _ => {}
+                    }
+                }
+                ReportRule::Meta(checks) => {
+                    let meta = report.get("meta").unwrap_or(&Json::Null);
+                    for c in checks {
+                        c.check(meta, &mut |msg| errors.push(format!("meta: {msg}")));
+                    }
+                }
+                ReportRule::Custom(rule) => rule(report, curves, errors),
+            }
+        }
+    }
+}
+
+/// Label of `engine_throughput`'s ring-vs-general curve.
+pub const RING_VS_GENERAL: &str = "ring_vs_general_rounds_per_sec";
+
+/// `engine_throughput`'s ring fast-path contract: the report carries the
+/// ring cells' rounds/sec against the general engine over the full `k`
+/// ladder, and `RingRouter` is at least as fast as `Engine` on the same
+/// ring at every point.
+pub fn ring_vs_general(_: &Json, curves: &[Json], errors: &mut Vec<String>) {
+    let Some(curve) = curves
+        .iter()
+        .find(|c| c.get("label").and_then(Json::as_str) == Some(RING_VS_GENERAL))
+    else {
+        errors.push(format!(
+            "missing the ring-vs-general rounds/sec curve (label \"{RING_VS_GENERAL}\")"
+        ));
+        return;
+    };
+    let points = curve
+        .get("points")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
     let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-    if !xs.windows(2).all(|w| w[0] < w[1]) {
-        errors.push(format!("{ctx}: x must be strictly increasing, got {xs:?}"));
+    if xs != [1, 16, 8192] {
+        errors.push(format!(
+            "ring-vs-general curve x = {xs:?}, expected agent counts [1, 16, 8192]"
+        ));
     }
-}
-
-fn int_field(p: &Json, key: &str) -> Result<u64, String> {
-    p.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key} missing or not an unsigned integer"))
-}
-
-fn num_field(p: &Json, key: &str) -> Result<f64, String> {
-    p.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{key} missing or not a number"))
-}
-
-/// Per-bench point rules. Unknown bench names only get the generic checks,
-/// so the validator does not reject future experiments out of hand.
-fn check_bench_rules(
-    bench: &str,
-    ctx: &str,
-    curve: &Json,
-    points: &[Json],
-    errors: &mut Vec<String>,
-) {
-    let meta_has = |key: &str| curve.get("meta").is_some_and(|m| m.get(key).is_some());
-    match bench {
-        "torus_seg" => {
-            check_x_increasing(ctx, points, errors);
-            // The campaign canaries the general engine on the torus; a
-            // report claiming another engine ran is a wiring regression.
-            match curve
-                .get("meta")
-                .and_then(|m| m.get("backend"))
-                .and_then(Json::as_str)
-            {
-                Some("rotor_general") => {}
-                other => errors.push(format!(
-                    "{ctx}: meta.backend = {other:?}, expected \"rotor_general\""
-                )),
-            }
-        }
-        "table1" => {
-            check_x_increasing(ctx, points, errors);
-            for (pi, p) in points.iter().enumerate() {
-                let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                // per-column shapes: `cover` for the deterministic worst/
-                // best placements, `median_cover` over seeds for random
-                if int_field(p, "cover").is_err() && int_field(p, "median_cover").is_err() {
-                    err("needs an integer cover or median_cover".into());
-                }
-                if p.get("rounds_per_sec").is_some() {
-                    match num_field(p, "rounds_per_sec") {
-                        Ok(r) if r > 0.0 => {}
-                        Ok(r) => err(format!("rounds_per_sec = {r} must be > 0")),
-                        Err(e) => err(e),
-                    }
-                }
-            }
-        }
-        "walk_vs_rotor" => {
-            check_x_increasing(ctx, points, errors);
-            for key in ["process", "placement", "n"] {
-                if !meta_has(key) {
-                    errors.push(format!("{ctx}: meta.{key} missing"));
-                }
-            }
-            for (pi, p) in points.iter().enumerate() {
-                let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                for key in ["median_cover", "covered"] {
-                    if let Err(e) = int_field(p, key) {
-                        err(e);
-                    }
-                }
-                match (int_field(p, "band_lo"), int_field(p, "band_hi")) {
-                    (Ok(lo), Ok(hi)) if lo <= hi => {}
-                    (Ok(lo), Ok(hi)) => err(format!("band_lo {lo} > band_hi {hi}")),
-                    (lo, hi) => {
-                        for r in [lo, hi] {
-                            if let Err(e) = r {
-                                err(e);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        "general_graphs" => {
-            check_x_increasing(ctx, points, errors);
-            for key in ["family", "n", "process"] {
-                if !meta_has(key) {
-                    errors.push(format!("{ctx}: meta.{key} missing"));
-                }
-            }
-            let process = curve
-                .get("meta")
-                .and_then(|m| m.get("process"))
-                .and_then(Json::as_str)
-                .unwrap_or("");
-            match process {
-                // The paired rotor column: covers against the 2·D·|E|
-                // bound plus the §2.2 domain dynamics.
-                "rotor" => {
-                    for (pi, p) in points.iter().enumerate() {
-                        let mut err =
-                            |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                        for key in ["median_cover", "single_domain_round"] {
-                            if let Err(e) = int_field(p, key) {
-                                err(e);
-                            }
-                        }
-                        // Bootstrap band around the cover median: the
-                        // rotor column always has samples, so both edges
-                        // are required integers bracketing the median.
-                        match (int_field(p, "band_lo"), int_field(p, "band_hi")) {
-                            (Ok(lo), Ok(hi)) if lo > hi => {
-                                err(format!("band_lo = {lo} > band_hi = {hi}"));
-                            }
-                            (Ok(lo), Ok(hi)) => {
-                                if let Ok(m) = int_field(p, "median_cover") {
-                                    if m < lo || m > hi {
-                                        err(format!(
-                                            "median_cover = {m} outside its bootstrap \
-                                             band [{lo}, {hi}]"
-                                        ));
-                                    }
-                                }
-                            }
-                            (lo, hi) => {
-                                for e in [lo.err(), hi.err()].into_iter().flatten() {
-                                    err(e);
-                                }
-                            }
-                        }
-                        if let Err(e) = num_field(p, "median_ratio") {
-                            err(e);
-                        }
-                        match int_field(p, "max_domains") {
-                            Ok(d) if d >= 1 => {}
-                            Ok(d) => err(format!("max_domains = {d} must be >= 1")),
-                            Err(e) => err(e),
-                        }
-                        match num_field(p, "worst_ratio") {
-                            Ok(r) if r <= 4.0 => {}
-                            Ok(r) => err(format!("worst_ratio = {r} exceeds the 4.0 budget")),
-                            Err(e) => err(e),
-                        }
-                        match p.get("bound_2_d_e") {
-                            Some(v) if v.is_null() || v.as_u64().is_some() => {}
-                            other => err(format!("bound_2_d_e = {other:?}, expected int or null")),
-                        }
-                    }
-                }
-                // The paired random-walk column: the budget does not
-                // apply (walks legitimately exceed 2·D·|E|), a cell may
-                // time out, so cover fields are nullable with an
-                // explicit covered count.
-                "walk" => {
-                    for (pi, p) in points.iter().enumerate() {
-                        let mut err =
-                            |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                        if let Err(e) = int_field(p, "covered") {
-                            err(e);
-                        }
-                        for key in ["median_cover", "median_ratio", "walk_over_rotor"] {
-                            match p.get(key) {
-                                Some(v) if v.is_null() || v.as_f64().is_some() => {}
-                                other => err(format!("{key} = {other:?}, expected number or null")),
-                            }
-                        }
-                        // Walk bands are nullable (a fully timed-out point
-                        // has no covers to bootstrap) but must be ordered
-                        // when present.
-                        for key in ["band_lo", "band_hi"] {
-                            match p.get(key) {
-                                Some(v) if v.is_null() || v.as_u64().is_some() => {}
-                                other => err(format!("{key} = {other:?}, expected int or null")),
-                            }
-                        }
-                        if let (Some(lo), Some(hi)) = (
-                            p.get("band_lo").and_then(Json::as_u64),
-                            p.get("band_hi").and_then(Json::as_u64),
-                        ) {
-                            if lo > hi {
-                                err(format!("band_lo = {lo} > band_hi = {hi}"));
-                            }
-                        }
-                    }
-                }
-                other => errors.push(format!(
-                    "{ctx}: meta.process {other:?} must be \"rotor\" or \"walk\""
-                )),
-            }
-        }
-        "ring_large_n" => {
-            check_x_increasing(ctx, points, errors);
-            for key in ["placement", "n", "process"] {
-                if !meta_has(key) {
-                    errors.push(format!("{ctx}: meta.{key} missing"));
-                }
-            }
-            for (pi, p) in points.iter().enumerate() {
-                let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                let has_cover = int_field(p, "cover").is_ok();
-                let has_median = p
-                    .get("median_cover")
-                    .is_some_and(|v| v.is_null() || v.as_u64().is_some());
-                if has_median && int_field(p, "covered").is_err() {
-                    err("median_cover column needs an integer covered count".into());
-                }
-                if !has_cover && !has_median {
-                    err("needs cover, or median_cover (int or null) with covered".into());
-                }
-            }
-        }
-        "return_time" => {
-            check_x_increasing(ctx, points, errors);
-            for key in ["family", "n"] {
-                if !meta_has(key) {
-                    errors.push(format!("{ctx}: meta.{key} missing"));
-                }
-            }
-            for (pi, p) in points.iter().enumerate() {
-                let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                match p.get("found").and_then(Json::as_bool) {
-                    None => err("found missing or not a boolean".into()),
-                    Some(true) => {
-                        if let Err(e) = int_field(p, "tail") {
-                            err(e);
-                        }
-                        match int_field(p, "period") {
-                            Ok(period) if period >= 1 => {}
-                            Ok(period) => err(format!("period = {period} must be >= 1")),
-                            Err(e) => err(e),
-                        }
-                    }
-                    Some(false) => {
-                        for key in ["tail", "period"] {
-                            if !p.get(key).is_some_and(Json::is_null) {
-                                err(format!("{key} must be null when found is false"));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        "recovery" => {
-            check_x_increasing(ctx, points, errors);
-            for key in ["kind", "family", "n", "process"] {
-                if !meta_has(key) {
-                    errors.push(format!("{ctx}: meta.{key} missing"));
-                }
-            }
-            for (pi, p) in points.iter().enumerate() {
-                let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
-                let attempts = match int_field(p, "attempts") {
-                    Ok(a) if a >= 1 => Some(a),
-                    Ok(a) => {
-                        err(format!("attempts = {a} must be >= 1"));
-                        None
-                    }
-                    Err(e) => {
-                        err(e);
-                        None
-                    }
-                };
-                let recovered = match int_field(p, "recovered") {
-                    Ok(r) => Some(r),
-                    Err(e) => {
-                        err(e);
-                        None
-                    }
-                };
-                if let (Some(a), Some(r)) = (attempts, recovered) {
-                    if r > a {
-                        err(format!("recovered = {r} exceeds attempts = {a}"));
-                    }
-                }
-                // Timeout honesty: the re-cover order statistics exist
-                // exactly when something recovered, and are null (never
-                // omitted) otherwise.
-                match recovered {
-                    Some(0) => {
-                        for key in ["median_recover", "worst_recover"] {
-                            if !p.get(key).is_some_and(Json::is_null) {
-                                err(format!("{key} must be null when recovered is 0"));
-                            }
-                        }
-                    }
-                    Some(_) => match (
-                        int_field(p, "median_recover"),
-                        int_field(p, "worst_recover"),
-                    ) {
-                        (Ok(m), Ok(w)) if m <= w => {}
-                        (Ok(m), Ok(w)) => err(format!("median_recover {m} > worst_recover {w}")),
-                        (m, w) => {
-                            for r in [m, w] {
-                                if let Err(e) = r {
-                                    err(e);
-                                }
-                            }
-                        }
-                    },
-                    None => {}
-                }
-                // Same shape for the optional re-lock-in probe columns.
-                let relocked = match int_field(p, "relocked") {
-                    Ok(r) => Some(r),
-                    Err(e) => {
-                        err(e);
-                        None
-                    }
-                };
-                if let (Some(a), Some(r)) = (attempts, relocked) {
-                    if r > a {
-                        err(format!("relocked = {r} exceeds attempts = {a}"));
-                    }
-                }
-                match relocked {
-                    Some(0) => {
-                        for key in ["median_relock", "median_period"] {
-                            if !p.get(key).is_some_and(Json::is_null) {
-                                err(format!("{key} must be null when relocked is 0"));
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        if let Err(e) = int_field(p, "median_relock") {
-                            err(e);
-                        }
-                        match int_field(p, "median_period") {
-                            Ok(period) if period >= 1 => {}
-                            Ok(period) => err(format!("median_period = {period} must be >= 1")),
-                            Err(e) => err(e),
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
-        "engine_throughput" => {
-            for (pi, p) in points.iter().enumerate() {
-                match num_field(p, "rounds_per_sec") {
-                    Ok(r) if r > 0.0 => {}
-                    Ok(r) => {
-                        errors.push(format!("{ctx}: point #{pi}: rounds_per_sec = {r} not > 0"));
-                    }
-                    Err(e) => errors.push(format!("{ctx}: point #{pi}: {e}")),
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Per-bench report-level rules (cross-curve invariants).
-fn check_report_rules(bench: &str, report: &Json, curves: &[Json], errors: &mut Vec<String>) {
-    if bench == "walk_vs_rotor" {
-        let mut placements: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("placement")?.as_str())
-            .collect();
-        placements.sort_unstable();
-        placements.dedup();
-        if placements != ["all_on_one", "random"] {
-            errors.push(format!(
-                "placement columns {placements:?}, expected [\"all_on_one\", \"random\"]"
-            ));
-        }
-    }
-    if bench == "general_graphs" {
-        // The heredoc this validator replaced asserted the smoke sweep
-        // kept its non-ring grid; generalised: at least one curve must be
-        // a non-ring family.
-        let families: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("family")?.as_str())
-            .collect();
-        if !families.iter().any(|f| *f != "ring") {
-            errors.push(format!(
-                "families {families:?} must include at least one non-ring family"
-            ));
-        }
-        // The incremental §2.2 counters must beat the O(n) reference scan
-        // by a wide margin (about 30× at n = 4096), not merely at all.
-        match report
-            .get("meta")
-            .and_then(|m| m.get("domain_sampler_speedup_n4096"))
-            .and_then(Json::as_f64)
-        {
-            Some(s) if s >= 5.0 => {}
-            Some(s) => errors.push(format!(
-                "meta.domain_sampler_speedup_n4096 = {s} must be >= 5 (incremental §2.2 sampling barely beats the scan)"
+    for p in points {
+        let x = p.get("x").and_then(Json::as_u64).unwrap_or_default();
+        let ring = p.get("rounds_per_sec").and_then(Json::as_f64);
+        match (ring, p.get("general_rounds_per_sec").and_then(Json::as_f64)) {
+            (Some(r), Some(g)) if r >= g => {}
+            (Some(r), Some(g)) => errors.push(format!(
+                "ring fast path at k = {x} ({r:.0} rounds/sec) is slower than \
+                 the general engine ({g:.0} rounds/sec)"
             )),
-            None => errors.push("meta.domain_sampler_speedup_n4096 missing".into()),
+            (_, None) => errors.push(format!(
+                "ring-vs-general k = {x}: general_rounds_per_sec missing or not a number"
+            )),
+            (None, _) => {}
         }
-        // Paired columns: every family measured with the rotor-router
-        // must also carry its random-walk baseline, and vice versa.
-        let families_of = |process: &str| -> Vec<&str> {
-            let mut fams: Vec<&str> = curves
+    }
+}
+
+/// The checks on each `general_graphs` `meta.speedups` entry.
+const SPEEDUP_ENTRY: &[Check] = &[
+    Check::Field("family", Ty::Str, Presence::Required, Bound::Any),
+    num("rotor_exponent").or_null(),
+    num("walk_exponent").or_null(),
+    num("speedup_exponent").or_null(),
+];
+
+/// `general_graphs`' paired columns: every family measured with the
+/// rotor-router also carries its random-walk baseline, and vice versa,
+/// and `meta.speedups` holds one `2·D·|E|`-scaled exponent entry per
+/// measured family, exponents numeric or null (a degenerate fit).
+pub fn paired_speedups(report: &Json, curves: &[Json], errors: &mut Vec<String>) {
+    let families_of = |process: &str| {
+        distinct(
+            curves
                 .iter()
-                .filter(|c| {
-                    c.get("meta")
-                        .and_then(|m| m.get("process"))
-                        .and_then(Json::as_str)
-                        == Some(process)
-                })
-                .filter_map(|c| c.get("meta")?.get("family")?.as_str())
-                .collect();
-            fams.sort_unstable();
-            fams.dedup();
-            fams
-        };
-        let rotor_families = families_of("rotor");
-        let walk_families = families_of("walk");
-        if rotor_families != walk_families {
-            errors.push(format!(
-                "rotor families {rotor_families:?} and walk families {walk_families:?} \
-                 must pair up"
-            ));
-        }
-        // The per-family 2·D·|E|-scaled exponent summary: one entry per
-        // measured family, exponents numeric or null (a degenerate fit).
-        match report
-            .get("meta")
-            .and_then(|m| m.get("speedups"))
-            .and_then(Json::as_arr)
-        {
-            None => errors.push("meta.speedups missing or not an array".into()),
-            Some(entries) => {
-                let mut summarised: Vec<&str> = Vec::new();
-                for (ei, entry) in entries.iter().enumerate() {
-                    let mut err = |msg: String| errors.push(format!("meta.speedups[{ei}]: {msg}"));
-                    match entry.get("family").and_then(Json::as_str) {
-                        Some(f) => summarised.push(f),
-                        None => err("family missing or not a string".into()),
-                    }
-                    for key in ["rotor_exponent", "walk_exponent", "speedup_exponent"] {
-                        match entry.get(key) {
-                            Some(v) if v.is_null() || v.as_f64().is_some() => {}
-                            other => err(format!("{key} = {other:?}, expected number or null")),
-                        }
-                    }
-                }
-                summarised.sort_unstable();
-                summarised.dedup();
-                if !rotor_families.is_empty() && summarised != rotor_families {
-                    errors.push(format!(
-                        "meta.speedups families {summarised:?} must cover the measured \
-                         families {rotor_families:?}"
-                    ));
-                }
-            }
+                .filter(|c| meta_str(c, "process") == Some(process))
+                .filter_map(|c| meta_str(c, "family")),
+        )
+    };
+    let rotor_families = families_of("rotor");
+    let walk_families = families_of("walk");
+    if rotor_families != walk_families {
+        errors.push(format!(
+            "rotor families {rotor_families:?} and walk families {walk_families:?} \
+             must pair up"
+        ));
+    }
+    let Some(entries) = report
+        .get("meta")
+        .and_then(|m| m.get("speedups"))
+        .and_then(Json::as_arr)
+    else {
+        errors.push("meta.speedups missing or not an array".into());
+        return;
+    };
+    for (ei, entry) in entries.iter().enumerate() {
+        for c in SPEEDUP_ENTRY {
+            c.check(entry, &mut |msg| {
+                errors.push(format!("meta.speedups[{ei}]: {msg}"));
+            });
         }
     }
-    if bench == "ring_large_n" {
-        // The campaign must keep all three table1 columns next to the
-        // paired random column.
-        let mut placements: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("placement")?.as_str())
-            .collect();
-        placements.sort_unstable();
-        placements.dedup();
-        if placements != ["all_on_one", "equally_spaced", "random"] {
-            errors.push(format!(
-                "placement columns {placements:?}, expected \
-                 [\"all_on_one\", \"equally_spaced\", \"random\"]"
-            ));
-        }
-    }
-    if bench == "recovery" {
-        // The robustness claim needs all three state-disturbance kinds on
-        // more than one topology.
-        let mut kinds: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("kind")?.as_str())
-            .collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        for required in ["churn", "corrupt", "crash"] {
-            if !kinds.contains(&required) {
-                errors.push(format!(
-                    "disturbance kinds {kinds:?} must include {required:?}"
-                ));
-            }
-        }
-        let mut families: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("family")?.as_str())
-            .collect();
-        families.sort_unstable();
-        families.dedup();
-        if families.len() < 2 {
-            errors.push(format!(
-                "families {families:?} must span at least two graph families"
-            ));
-        }
-        // The panic-contained driver's ledger must be present even (and
-        // especially) when it is zero — its absence means failed cells
-        // could vanish silently.
-        if report
-            .get("meta")
-            .and_then(|m| m.get("failed_cells"))
-            .and_then(Json::as_u64)
-            .is_none()
-        {
-            errors.push("meta.failed_cells missing or not an unsigned integer".into());
-        }
-    }
-    if bench == "engine_throughput" {
-        // The ring fast-path contract: the report must carry the ring
-        // cells' rounds/sec against the general engine over the full k
-        // ladder, and `RingRouter` must be at least as fast as `Engine`
-        // on the same ring at every point.
-        const LABEL: &str = "ring_vs_general_rounds_per_sec";
-        let ring = curves
-            .iter()
-            .find(|c| c.get("label").and_then(Json::as_str) == Some(LABEL));
-        match ring {
-            None => errors.push(format!(
-                "missing the ring-vs-general rounds/sec curve (label \"{LABEL}\")"
-            )),
-            Some(curve) => {
-                let points = curve
-                    .get("points")
-                    .and_then(Json::as_arr)
-                    .map(<[Json]>::to_vec)
-                    .unwrap_or_default();
-                let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-                if xs != [1, 16, 8192] {
-                    errors.push(format!(
-                        "ring-vs-general curve x = {xs:?}, expected agent counts [1, 16, 8192]"
-                    ));
-                }
-                for p in &points {
-                    let x = p.get("x").and_then(Json::as_u64).unwrap_or_default();
-                    let ring = p.get("rounds_per_sec").and_then(Json::as_f64);
-                    match (ring, num_field(p, "general_rounds_per_sec")) {
-                        (Some(r), Ok(g)) if r >= g => {}
-                        (Some(r), Ok(g)) => errors.push(format!(
-                            "ring fast path at k = {x} ({r:.0} rounds/sec) is slower than \
-                             the general engine ({g:.0} rounds/sec)"
-                        )),
-                        (_, Err(e)) => errors.push(format!("ring-vs-general k = {x}: {e}")),
-                        (None, _) => {}
-                    }
-                }
-            }
-        }
-    }
-    if bench == "return_time" {
-        let families: Vec<&str> = curves
-            .iter()
-            .filter_map(|c| c.get("meta")?.get("family")?.as_str())
-            .collect();
-        if !families.iter().any(|f| *f != "ring") {
-            errors.push(format!(
-                "families {families:?} must include at least one non-ring family \
-                 (the observer probes run on any scenario)"
-            ));
-        }
+    let summarised = distinct(entries.iter().filter_map(|e| e.get("family")?.as_str()));
+    if !rotor_families.is_empty() && summarised != rotor_families {
+        errors.push(format!(
+            "meta.speedups families {summarised:?} must cover the measured \
+             families {rotor_families:?}"
+        ));
     }
 }
 
@@ -1013,10 +890,12 @@ mod tests {
             r#"{"failed_cells":0}"#,
         );
         let errors = validate(&bad, &Options::default());
-        assert!(errors.iter().any(|e| e.contains("exceeds attempts")));
         assert!(errors
             .iter()
-            .any(|e| e.contains("median_recover 400 > worst_recover 300")));
+            .any(|e| e.contains("recovered = 3 > attempts = 2")));
+        assert!(errors
+            .iter()
+            .any(|e| e.contains("median_recover = 400 > worst_recover = 300")));
         assert!(errors.iter().any(|e| e.contains("median_period = 0")));
         assert!(errors
             .iter()
@@ -1133,7 +1012,7 @@ mod tests {
         );
         assert!(validate(&zero, &Options::default())
             .iter()
-            .any(|e| e.contains("rounds_per_sec = 0 not > 0")));
+            .any(|e| e.contains("rounds_per_sec = 0 must be > 0")));
     }
 
     #[test]
