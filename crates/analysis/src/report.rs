@@ -40,7 +40,8 @@
 //!   worst repetition) and `single_domain_round` (first round from which
 //!   the domain count stays at 1, latest repetition), plus the report-meta
 //!   scalar `domain_sampler_speedup_n4096` (measured wall-clock ratio of
-//!   scan-based vs incremental every-round domain sampling).
+//!   every-round domain sampling through the bit-by-bit reference scan vs
+//!   the word-wise pass over the visit record).
 //!
 //! Reports are parsed back (for the `xtask` validator and the
 //! determinism-drift comparison in CI) with [`Json::parse`], the exact

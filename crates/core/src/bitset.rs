@@ -1,34 +1,90 @@
-//! A fixed-capacity `u64`-word bitset for visited-node tracking.
+//! The visit record every exploration process keeps: which nodes have
+//! been visited, how many are left, and the round the last one fell.
 //!
-//! Both engines track "has node `v` ever been visited" for every node. A
-//! `Vec<bool>` spends a byte per node and a cache line per 64 nodes; the
-//! bitset packs 64 nodes per word, so the covered/uncovered state of even a
-//! million-node ring stays in L2 during the hot loop. The engines maintain
-//! their unvisited counters incrementally on [`VisitSet::insert`] and can
-//! re-derive them from [`VisitSet::count_ones`] (a word-wise popcount),
-//! which the debug build asserts after every round. The §2.2
-//! domain/border counts come from one word-wise pass as well
-//! ([`VisitSet::domain_stats`]).
+//! [`VisitSet`] is the one place in the workspace that does first-visit
+//! bookkeeping. The [`RingRouter`](crate::RingRouter), the
+//! [`Engine`](crate::Engine) and the random walks each own one, call
+//! [`arrive`](VisitSet::arrive) for every arrival of a round and
+//! [`reset`](VisitSet::reset) when a fault opens a new cover epoch, and
+//! hand it out through [`CoverProcess::visits`](crate::CoverProcess::visits).
+//!
+//! The bits are packed 64 nodes per `u64` word: a `Vec<bool>` spends a
+//! byte per node and a cache line per 64 nodes, while the packed set keeps
+//! even a million-node ring in L2 during the hot loop. The §2.2
+//! domain/border counts come from one word-wise pass over the same words
+//! ([`VisitSet::domain_stats`]), so nothing in a round's kernel maintains
+//! them.
 
 use crate::domains::DomainStats;
 
-/// A set of node indices `0..len`, packed 64 per `u64` word.
+/// The visited nodes `0..len` of a process, with its unvisited count and
+/// cover round.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct VisitSet {
     words: Vec<u64>,
     len: usize,
+    unvisited: usize,
+    cover_round: Option<u64>,
 }
 
 impl VisitSet {
-    /// The empty set over the universe `0..len`.
+    /// The record over `0..len` with nothing visited yet (covered at round
+    /// 0 only if `len == 0`).
     pub fn new(len: usize) -> Self {
         VisitSet {
             words: vec![0; len.div_ceil(64)],
             len,
+            unvisited: len,
+            cover_round: (len == 0).then_some(0),
         }
     }
 
-    /// Size of the universe (number of tracked indices, not of set bits).
+    /// Forgets every visit and starts a new cover epoch at `round` with
+    /// the nodes in `occupied` visited (repeats allowed). The record is
+    /// covered at `round` iff they are all of `0..len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is out of range.
+    pub fn reset(&mut self, occupied: impl IntoIterator<Item = usize>, round: u64) {
+        self.words.fill(0);
+        self.unvisited = self.len;
+        self.cover_round = (self.len == 0).then_some(round);
+        for v in occupied {
+            self.arrive(v, round);
+        }
+    }
+
+    /// Records an arrival at `v` in `round`: a first visit marks `v`, and
+    /// the last one sets the cover round. A no-op once covered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= len` while the record is not covered.
+    #[inline]
+    pub fn arrive(&mut self, v: usize, round: u64) {
+        if self.unvisited > 0 {
+            assert!(v < self.len, "index {v} out of range");
+            let mask = 1u64 << (v % 64);
+            if self.words[v / 64] & mask == 0 {
+                self.first_visit(v / 64, mask, round);
+            }
+        }
+    }
+
+    /// The first-visit branch of [`arrive`](Self::arrive), kept out of
+    /// line: inlined into the engines' round kernels it measurably slows
+    /// the ring kernel.
+    #[inline(never)]
+    fn first_visit(&mut self, word: usize, mask: u64, round: u64) {
+        self.words[word] |= mask;
+        self.unvisited -= 1;
+        if self.unvisited == 0 {
+            self.cover_round = Some(round);
+        }
+    }
+
+    /// Size of the universe (number of tracked nodes, not of visited ones).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -38,35 +94,27 @@ impl VisitSet {
         self.len == 0
     }
 
-    /// Whether `i` is in the set.
+    /// Number of visited nodes.
+    pub fn count(&self) -> usize {
+        self.len - self.unvisited
+    }
+
+    /// Whether `v` has been visited in this cover epoch.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len`.
+    /// Panics if `v >= len`.
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        assert!(i < self.len, "index {i} out of range");
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    pub fn contains(&self, v: usize) -> bool {
+        assert!(v < self.len, "index {v} out of range");
+        self.words[v / 64] & (1u64 << (v % 64)) != 0
     }
 
-    /// Inserts `i`; returns `true` iff it was newly inserted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "index {i} out of range");
-        let word = &mut self.words[i / 64];
-        let mask = 1u64 << (i % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        fresh
-    }
-
-    /// Number of set bits (word-wise popcount).
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    /// The round at which the last node was first visited, if every node
+    /// has been (`Some(r)` right after a [`reset`](Self::reset) at `r` that
+    /// occupies every node).
+    pub fn cover_round(&self) -> Option<u64> {
+        self.cover_round
     }
 
     /// The §2.2 domain/border structure of the set in the cyclic index
@@ -80,7 +128,8 @@ impl VisitSet {
     /// `prev` starts a domain; one missing either neighbour is a border.
     /// A full set is one cyclic domain, as in
     /// [`scan_domain_stats`](crate::domains::scan_domain_stats), which
-    /// this equals on every set.
+    /// this equals on every set. Debug builds also check the visited count
+    /// against the popcount.
     pub fn domain_stats(&self) -> DomainStats {
         let w = &self.words;
         let Some(&last) = w.last() else {
@@ -93,7 +142,7 @@ impl VisitSet {
         let top = (self.len - 1) % 64;
         let node0 = w[0] & 1;
         let mut carry = (last >> top) & 1;
-        let (mut domains, mut borders, mut any) = (0u32, 0u32, 0u64);
+        let (mut domains, mut borders, mut visited) = (0u32, 0u32, 0usize);
         for (j, &x) in w.iter().enumerate() {
             let prev = (x << 1) | carry;
             let next = match w.get(j + 1) {
@@ -102,10 +151,11 @@ impl VisitSet {
             };
             domains += (x & !prev).count_ones();
             borders += (x & !(prev & next)).count_ones();
-            any |= x;
+            visited += x.count_ones() as usize;
             carry = x >> 63;
         }
-        if domains == 0 && any != 0 {
+        debug_assert_eq!(visited, self.count(), "visited count agrees with popcount");
+        if domains == 0 && visited != 0 {
             domains = 1;
         }
         DomainStats { domains, borders }
@@ -115,42 +165,98 @@ impl VisitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domains::scan_domain_stats;
+    use crate::rng::splitmix64;
+
+    /// The visited count recomputed bit by bit.
+    fn popcount(s: &VisitSet) -> usize {
+        (0..s.len()).filter(|&v| s.contains(v)).count()
+    }
 
     #[test]
-    fn insert_contains_count() {
+    fn arrive_contains_count() {
         let mut s = VisitSet::new(130);
         assert_eq!(s.len(), 130);
         assert!(!s.is_empty());
         assert!(!s.contains(0));
-        assert!(s.insert(0));
-        assert!(!s.insert(0), "second insert is not fresh");
-        assert!(s.insert(63));
-        assert!(s.insert(64));
-        assert!(s.insert(129));
+        for v in [0, 0, 63, 64, 129] {
+            s.arrive(v, 1);
+        }
         assert!(s.contains(129));
         assert!(!s.contains(128));
-        assert_eq!(s.count_ones(), 4);
+        assert_eq!(s.count(), 4, "a repeat arrival is not a first visit");
+        assert_eq!(popcount(&s), 4);
+        assert_eq!(s.cover_round(), None);
     }
 
+    /// Filling the universe sets the cover round exactly once.
     #[test]
     fn full_universe() {
         let mut s = VisitSet::new(64);
-        for i in 0..64 {
-            assert!(s.insert(i));
+        for v in 0..63 {
+            s.arrive(v, v as u64);
         }
-        assert_eq!(s.count_ones(), 64);
+        assert_eq!((s.count(), s.cover_round()), (63, None));
+        s.arrive(63, 70);
+        assert_eq!((s.count(), s.cover_round()), (64, Some(70)));
+        let covered = s.clone();
+        for (v, round) in [(0, 71), (63, 72), (17, 1000)] {
+            s.arrive(v, round);
+            assert_eq!(s, covered, "an arrival after cover changes nothing");
+        }
+    }
+
+    #[test]
+    fn reset_starts_a_new_epoch() {
+        let mut s = VisitSet::new(65);
+        s.reset(0..65, 9);
+        assert_eq!(s.cover_round(), Some(9), "fully occupied: covered at once");
+        s.reset([3, 3, 64], 12);
+        assert_eq!((s.count(), s.cover_round()), (2, None));
+        assert!(s.contains(3) && s.contains(64) && !s.contains(0));
+        s.reset((0..65).rev().chain([0]), 40);
+        assert_eq!((s.count(), s.cover_round()), (65, Some(40)));
     }
 
     #[test]
     fn empty_universe() {
-        let s = VisitSet::new(0);
+        let mut s = VisitSet::new(0);
         assert!(s.is_empty());
-        assert_eq!(s.count_ones(), 0);
+        assert_eq!((s.count(), s.cover_round()), (0, Some(0)));
+        s.reset([], 5);
+        assert_eq!(s.cover_round(), Some(5));
+        s.arrive(0, 6);
+        assert_eq!(s.cover_round(), Some(5), "no-op once covered");
+    }
+
+    #[test]
+    fn records_agree_with_the_scan_at_word_edges() {
+        for len in [1usize, 63, 64, 65, 128] {
+            let mut s = VisitSet::new(len);
+            let mut h = splitmix64(len as u64);
+            for round in 1.. {
+                let (count, stats) = (s.count(), s.domain_stats());
+                assert_eq!(count, popcount(&s), "len={len} round={round}");
+                assert_eq!(stats, scan_domain_stats(&s), "len={len} round={round}");
+                if s.cover_round().is_some() {
+                    assert_eq!((stats.domains, stats.borders), (1, 0));
+                    break;
+                }
+                h = splitmix64(h);
+                s.arrive((h % len as u64) as usize, round);
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         VisitSet::new(10).contains(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_arrival_panics() {
+        VisitSet::new(10).arrive(12, 1);
     }
 }

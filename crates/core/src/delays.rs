@@ -142,10 +142,10 @@ mod tests {
         for _ in 0..200 {
             plain.step();
             slow.step_delayed(d.at(slow.round() + 1));
-            for v in 0..n as u32 {
+            for v in 0..n {
                 // anything the delayed run has visited, the plain run has too
-                if slow.is_visited(v) {
-                    assert!(plain.is_visited(v), "delay visited {v} first");
+                if slow.visits().contains(v) {
+                    assert!(plain.visits().contains(v), "delay visited {v} first");
                 }
             }
         }

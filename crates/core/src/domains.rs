@@ -8,13 +8,13 @@
 //! proofs are the maximal contiguous visited segments of the ring in which
 //! an agent zig-zags between its two borders.
 //!
-//! The [`RingRouter`] keeps only the visited set and the domain/border
-//! counters. The per-visit metadata the classification needs comes from
-//! [`VisitLog`], an opt-in observer that replays each round from the
-//! previous configuration. This module exposes that classification plus
-//! the current domain (visited-segment) structure used by the §2.2
-//! arguments.
+//! The [`RingRouter`] keeps only its visit record ([`VisitSet`]). The
+//! per-visit metadata the classification needs comes from [`VisitLog`], an
+//! opt-in observer that replays each round from the previous
+//! configuration. This module exposes that classification plus the
+//! current domain (visited-segment) structure used by the §2.2 arguments.
 
+use crate::bitset::VisitSet;
 use crate::init::{ACW, CW};
 use crate::process::{CoverProcess, Observer};
 use crate::ring::RingRouter;
@@ -27,15 +27,11 @@ use crate::ring::RingRouter;
 /// `borders` is the number of visited nodes cyclically adjacent to an
 /// unvisited node (0 once everything is visited).
 ///
-/// Obtained from any backend through
-/// [`CoverProcess::domain_stats`]: the [`RingRouter`] maintains these
-/// counters *incrementally* (`O(agents moved)` per round, `O(1)` per
-/// query); the general [`Engine`](crate::Engine) and the random walks
-/// answer with one word-wise pass over their visited set,
-/// [`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats)
-/// (`O(n / 64)`); a backend without a packed visited set falls back to
-/// the `O(n)` [`scan_domain_stats`] over [`CoverProcess::is_node_visited`].
-/// Property tests pin every path bit-identical to the scan.
+/// Every backend answers with one word-wise pass over its visit record,
+/// [`VisitSet::domain_stats`] (`O(n / 64)`, read through
+/// [`CoverProcess::visits`]); nothing in a round's kernel maintains these
+/// counts. Property tests pin that pass bit-identical to the `O(n)`
+/// reference [`scan_domain_stats`] on every engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DomainStats {
     /// Maximal contiguous visited segments (cyclically; 1 at full cover).
@@ -44,29 +40,26 @@ pub struct DomainStats {
     pub borders: u32,
 }
 
-/// Reference `O(n)` computation of [`DomainStats`] for any
-/// [`CoverProcess`]: one scan over
-/// [`is_node_visited`](CoverProcess::is_node_visited) in the cyclic index
-/// space — the default body of [`CoverProcess::domain_stats`] and the
-/// ground truth the [`RingRouter`]'s incremental counters and the
-/// word-wise [`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats)
-/// are property-tested against.
-pub fn scan_domain_stats<P: CoverProcess + ?Sized>(p: &P) -> DomainStats {
-    let n = p.node_count();
+/// Reference `O(n)` computation of [`DomainStats`]: one bit-by-bit scan
+/// over [`VisitSet::contains`] in the cyclic index space `0..len` — the
+/// ground truth the word-wise [`VisitSet::domain_stats`] is
+/// property-tested against.
+pub fn scan_domain_stats(visits: &VisitSet) -> DomainStats {
+    let n = visits.len();
     let mut domains = 0u32;
     let mut borders = 0u32;
     for v in 0..n {
-        if !p.is_node_visited(v) {
+        if !visits.contains(v) {
             continue;
         }
-        let prev = p.is_node_visited(if v == 0 { n - 1 } else { v - 1 });
-        let next = p.is_node_visited(if v + 1 == n { 0 } else { v + 1 });
+        let prev = visits.contains(if v == 0 { n - 1 } else { v - 1 });
+        let next = visits.contains(if v + 1 == n { 0 } else { v + 1 });
         domains += u32::from(!prev);
         borders += u32::from(!prev || !next);
     }
     // A fully covered ring is a single cyclic domain with no
     // visited/unvisited transition for the scan to count.
-    if p.visited_count() == n {
+    if visits.count() == n {
         domains = 1;
     }
     DomainStats { domains, borders }
@@ -303,10 +296,11 @@ impl Domain {
 /// cover time is reached there is a single domain of length `n`.
 pub fn visited_domains(router: &RingRouter) -> Vec<Domain> {
     let n = router.n();
+    let visits = router.visits();
     let mut runs: Vec<Domain> = Vec::new();
     let mut current: Option<(u32, u32)> = None; // (start, len)
     for v in 0..n {
-        if router.is_visited(v) {
+        if visits.contains(v as usize) {
             match current.as_mut() {
                 Some((_, len)) => *len += 1,
                 None => current = Some((v, 1)),
@@ -335,18 +329,6 @@ pub fn visited_domains(router: &RingRouter) -> Vec<Domain> {
     runs
 }
 
-/// Number of *border* nodes: visited nodes adjacent to an unvisited node
-/// (both ends of every unfinished domain; 0 once the ring is covered).
-pub fn border_count(router: &RingRouter) -> u32 {
-    let n = router.n();
-    (0..n)
-        .filter(|&v| {
-            router.is_visited(v)
-                && (!router.is_visited((v + 1) % n) || !router.is_visited((v + n - 1) % n))
-        })
-        .count() as u32
-}
-
 /// One sampled observation of the domain structure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DomainSample {
@@ -364,16 +346,13 @@ pub struct DomainSample {
 /// `stride` rounds (plus the initial configuration and the covering
 /// round), on *any* [`CoverProcess`] backend.
 ///
-/// Domains are counted in the cyclic index space `0..node_count()` — the
-/// ring topology of the paper's analysis — using only the
-/// [`CoverProcess::is_node_visited`] surface, so the sampler attaches
-/// equally to the ring engine, the general engine and the random-walk
-/// baseline without forking any drive loop. Each sample reads
-/// [`CoverProcess::domain_stats`]: `O(1)` on the [`RingRouter`] (which
-/// maintains the counters incrementally), one `O(n / 64)` word-wise pass
-/// on the general engine and the walks, and the `O(n)` scan only on a
-/// backend without a packed visited set — so the stride bounds the
-/// sample buffer more than the sampling cost.
+/// Domains are counted in the cyclic index space `0..visits().len()` —
+/// the ring topology of the paper's analysis — using only the
+/// [`CoverProcess::visits`] record, so the sampler attaches equally to the
+/// ring engine, the general engine and the random-walk baseline without
+/// forking any drive loop. Each sample is one `O(n / 64)` word-wise pass,
+/// [`VisitSet::domain_stats`], and the rounds between samples cost
+/// nothing.
 ///
 /// ```
 /// use rotor_core::domains::DomainSampler;
@@ -417,10 +396,11 @@ impl<P: CoverProcess + ?Sized> Observer<P> for DomainSampler {
         if !round.is_multiple_of(self.stride) && !at_cover {
             return;
         }
-        let DomainStats { domains, borders } = p.domain_stats();
+        let visits = p.visits();
+        let DomainStats { domains, borders } = visits.domain_stats();
         self.samples.push(DomainSample {
             round,
-            visited: p.visited_count(),
+            visited: visits.count(),
             domains,
             borders,
         });
@@ -515,7 +495,7 @@ mod tests {
         assert_eq!(d0.len(), 4, "one domain per isolated start");
         assert!(d0.iter().all(|d| d.len == 1));
         assert_eq!(
-            border_count(&r),
+            scan_domain_stats(r.visits()).borders,
             4,
             "singleton domains have one border node"
         );
@@ -530,7 +510,7 @@ mod tests {
                 len: n as u32
             }]
         );
-        assert_eq!(border_count(&r), 0);
+        assert_eq!(scan_domain_stats(r.visits()).borders, 0);
     }
 
     #[test]
@@ -545,7 +525,7 @@ mod tests {
         assert!(d[0].contains(10, 0));
         assert!(d[0].contains(10, 1));
         assert!(!d[0].contains(10, 2));
-        assert_eq!(border_count(&r), 2);
+        assert_eq!(scan_domain_stats(r.visits()).borders, 2);
     }
 
     #[test]
@@ -568,7 +548,7 @@ mod tests {
         // last sample plus monotone visited counts along the way).
         let last = *sampler.samples.last().unwrap();
         assert_eq!(last.domains as usize, visited_domains(&r).len());
-        assert_eq!(last.borders, border_count(&r));
+        assert_eq!(last.borders, scan_domain_stats(r.visits()).borders);
         assert!(sampler
             .samples
             .windows(2)

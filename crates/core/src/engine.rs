@@ -10,7 +10,7 @@
 //! within the same round is irrelevant").
 //!
 //! Per round the engine writes only the pointers, the agent counts, the
-//! occupied list and the visited set with its cover round. The quantities
+//! occupied list and the visit record ([`VisitSet`]). The quantities
 //! the paper's lemmas are stated in — visits `n_v(t)`, exits `e_v(t)` and
 //! the per-arc round-robin identity
 //! `traversals(v →_p u) = ⌈(e_v − label_v(p)) / deg(v)⌉` of §1.3 — are
@@ -54,9 +54,7 @@ pub struct Engine<'g> {
     occupied: Vec<u32>,
     round: u64,
     k: u32,
-    visited: VisitSet,
-    unvisited: usize,
-    cover_round: Option<u64>,
+    visits: VisitSet,
     /// Scratch buffer of `(dest, count)` arrivals, kept between rounds to
     /// avoid reallocation.
     arrivals: Vec<(u32, u32)>,
@@ -94,14 +92,11 @@ impl<'g> Engine<'g> {
         }
         let n = g.node_count();
         let mut count = vec![0u32; n];
-        let mut visited = VisitSet::new(n);
-        let mut unvisited = n;
+        let mut visits = VisitSet::new(n);
         for &a in agents {
             assert!(a.index() < n, "agent position out of range");
             count[a.index()] += 1;
-            if visited.insert(a.index()) {
-                unvisited -= 1;
-            }
+            visits.arrive(a.index(), 0);
         }
         let occupied: Vec<u32> = {
             let mut occ: Vec<u32> = agents.iter().map(|a| a.value()).collect();
@@ -109,7 +104,6 @@ impl<'g> Engine<'g> {
             occ.dedup();
             occ
         };
-        let cover_round = (unvisited == 0).then_some(0);
         Engine {
             g,
             pointers,
@@ -117,9 +111,7 @@ impl<'g> Engine<'g> {
             occupied,
             round: 0,
             k: agents.len() as u32,
-            visited,
-            unvisited,
-            cover_round,
+            visits,
             arrivals: Vec::new(),
             next_occupied: Vec::new(),
         }
@@ -148,16 +140,6 @@ impl<'g> Engine<'g> {
     /// Sorted list of nodes currently holding at least one agent.
     pub fn occupied(&self) -> &[u32] {
         &self.occupied
-    }
-
-    /// Whether `v` has ever been visited (or initially held an agent).
-    pub fn is_visited(&self, v: NodeId) -> bool {
-        self.visited.contains(v.index())
-    }
-
-    /// Number of never-visited nodes.
-    pub fn unvisited_count(&self) -> usize {
-        self.unvisited
     }
 
     /// Snapshot of pointers and agent counts.
@@ -228,22 +210,12 @@ impl<'g> Engine<'g> {
                 next_occ.push(dest);
             }
             self.agents[d] += cnt;
-            if self.visited.insert(d) {
-                self.unvisited -= 1;
-                if self.unvisited == 0 && self.cover_round.is_none() {
-                    self.cover_round = Some(self.round);
-                }
-            }
+            self.visits.arrive(d, self.round);
         }
         next_occ.sort_unstable();
         std::mem::swap(&mut self.occupied, &mut next_occ);
         self.arrivals = arrivals;
         self.next_occupied = next_occ;
-        debug_assert_eq!(
-            self.unvisited,
-            self.g.node_count() - self.visited.count_ones(),
-            "unvisited counter agrees with popcount"
-        );
         debug_assert_eq!(
             self.occupied
                 .iter()
@@ -279,10 +251,6 @@ impl crate::CoverProcess for Engine<'_> {
         "rotor_general"
     }
 
-    fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
     fn round(&self) -> u64 {
         self.round
     }
@@ -291,22 +259,8 @@ impl crate::CoverProcess for Engine<'_> {
         self.step_delayed(|_, _| 0);
     }
 
-    fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
-    fn visited_count(&self) -> usize {
-        self.g.node_count() - self.unvisited
-    }
-
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.visited.contains(node)
-    }
-
-    /// The word-wise pass over the visited set,
-    /// [`VisitSet::domain_stats`].
-    fn domain_stats(&self) -> crate::domains::DomainStats {
-        self.visited.domain_stats()
+    fn visits(&self) -> &VisitSet {
+        &self.visits
     }
 }
 
@@ -350,14 +304,8 @@ impl crate::faults::Perturb for Engine<'_> {
     }
 
     fn reset_cover_epoch(&mut self) {
-        let n = self.g.node_count();
-        let mut visited = VisitSet::new(n);
-        for &v in &self.occupied {
-            visited.insert(v as usize);
-        }
-        self.visited = visited;
-        self.unvisited = n - self.occupied.len();
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
+        let occupied = self.occupied.iter().map(|&v| v as usize);
+        self.visits.reset(occupied, self.round);
     }
 }
 
@@ -435,8 +383,8 @@ mod tests {
         assert_eq!(e.agents_at(NodeId::new(3)), 1);
         assert_eq!(e.agents_at(NodeId::new(0)), 0);
         assert_eq!(e.occupied(), &[2, 3]);
-        assert!(e.is_visited(NodeId::new(2)) && !e.is_visited(NodeId::new(0)));
-        assert_eq!(e.unvisited_count(), 2);
+        assert!(e.visits().contains(2) && !e.visits().contains(0));
+        assert_eq!(e.visits().count(), 2);
     }
 
     #[test]

@@ -182,7 +182,8 @@ pub trait Perturb: CoverProcess {
     /// construction rather than by measurement.
     fn remove_agents(&mut self, seed: u64, count: u32) -> u32;
 
-    /// Restarts the cover predicate from the current configuration: only
+    /// Restarts the cover predicate from the current configuration
+    /// ([`VisitSet::reset`](crate::bitset::VisitSet::reset)): only
     /// currently occupied nodes count as visited and
     /// [`cover_round`](CoverProcess::cover_round) is cleared (unless the
     /// occupation alone covers). Pointers, agents and the round counter
@@ -381,7 +382,7 @@ mod tests {
         let round_at_reset = RingRouter::round(&r);
         r.reset_cover_epoch();
         assert_eq!(r.cover_round(), None, "32 nodes, 2 occupied: not covered");
-        assert_eq!(r.unvisited_count(), 32 - r.occupied_nodes().len() as u32);
+        assert_eq!(r.visits().count(), r.occupied_nodes().len());
         let recover = r.run_until_covered(1 << 20).expect("re-covers");
         assert!(recover > round_at_reset);
     }
@@ -391,17 +392,17 @@ mod tests {
         let mut r = covered_ring(48, 3);
         r.run(17); // drift the occupation off the cover configuration
         r.reset_cover_epoch();
-        let scan = crate::domains::scan_domain_stats(&r);
-        assert_eq!(r.domain_count(), scan.domains);
-        assert_eq!(r.border_count(), scan.borders);
-        // keep the incremental counters honest through the re-cover epoch
+        let scan = crate::domains::scan_domain_stats(r.visits());
+        assert_eq!(r.visits().domain_stats().domains, scan.domains);
+        assert_eq!(r.visits().domain_stats().borders, scan.borders);
+        // keep the word-wise stats honest through the re-cover epoch
         while r.cover_round().is_none() {
             r.step();
-            let scan = crate::domains::scan_domain_stats(&r);
-            assert_eq!(r.domain_count(), scan.domains);
-            assert_eq!(r.border_count(), scan.borders);
+            let scan = crate::domains::scan_domain_stats(r.visits());
+            assert_eq!(r.visits().domain_stats().domains, scan.domains);
+            assert_eq!(r.visits().domain_stats().borders, scan.borders);
         }
-        assert_eq!(r.domain_count(), 1, "covered: one domain");
+        assert_eq!(r.visits().domain_stats().domains, 1, "covered: one domain");
     }
 
     #[test]

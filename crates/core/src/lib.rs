@@ -18,15 +18,17 @@
 //!
 //! * [`Engine`] — a reference implementation on arbitrary
 //!   [`PortGraph`]s that stores only pointers, agent counts and the
-//!   visited set. The §1.3 counters `n_v(t)`, `e_v(t)` and the per-arc
+//!   visit record. The §1.3 counters `n_v(t)`, `e_v(t)` and the per-arc
 //!   traversal identity `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉`
 //!   are tested on a per-agent reference that the engine matches round by
 //!   round.
 //! * [`RingRouter`] — the ring-specialised engine (pointer = direction
 //!   bit, one `O(k)` pass per round, delayed or not) used by the large
-//!   parameter sweeps, with incremental §2.2 domain/border counters; the
-//!   per-visit metadata of the domain analysis comes from the opt-in
-//!   [`domains::VisitLog`].
+//!   parameter sweeps; the per-visit metadata of the domain analysis
+//!   comes from the opt-in [`domains::VisitLog`].
+//! * [`bitset::VisitSet`] — the visit record every process owns: visited
+//!   bits, cover round and the word-wise §2.2 domain/border counts, the
+//!   one place that does first-visit bookkeeping.
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -46,8 +48,9 @@
 //!   Yanovski et al. baseline behaviour).
 //! * [`CoverProcess`] — the common trait over synchronous exploration
 //!   processes (both engines here plus the random-walk baseline of
-//!   `rotor-walks`) that the `rotor-sweep` sharded driver is generic over,
-//!   with a per-round [`Observer`] hook
+//!   `rotor-walks`) that the `rotor-sweep` sharded driver is generic over:
+//!   a round ([`step`](CoverProcess::step)) and a visit record
+//!   ([`visits`](CoverProcess::visits)), with a per-round [`Observer`] hook
 //!   ([`run_observed`](CoverProcess::run_observed)) for attaching samplers
 //!   to any backend's drive loop.
 //! * [`rng`] — splitmix64 seed derivation and the named random-stream

@@ -350,6 +350,7 @@ pub fn probe_cycle<P: ConfigSnapshot>(make: impl Fn() -> P, max_steps: u64) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::VisitSet;
     use crate::init::{PointerInit, CW};
     use crate::placement::Placement;
     use crate::rng::splitmix64;
@@ -519,23 +520,14 @@ mod tests {
         fn kind_name(&self) -> &'static str {
             "counted"
         }
-        fn node_count(&self) -> usize {
-            self.inner.n() as usize
-        }
         fn round(&self) -> u64 {
             self.inner.round()
         }
         fn step(&mut self) {
             self.inner.step();
         }
-        fn cover_round(&self) -> Option<u64> {
-            self.inner.cover_round()
-        }
-        fn visited_count(&self) -> usize {
-            CoverProcess::visited_count(&self.inner)
-        }
-        fn is_node_visited(&self, node: usize) -> bool {
-            self.inner.is_visited(node as u32)
+        fn visits(&self) -> &VisitSet {
+            self.inner.visits()
         }
     }
 

@@ -3,15 +3,17 @@
 //! The paper's headline comparison — the multi-agent rotor-router as "a
 //! deterministic alternative to parallel random walks" — only becomes
 //! measurable when both processes run through the *same* sweep machinery.
-//! Everything a cover-time sweep needs from a process is the same four
-//! questions: advance one synchronous round, how many rounds have elapsed,
-//! has every node been visited (and when did that first happen), and how
-//! many nodes have been visited so far. `CoverProcess` captures exactly
-//! that surface, so the sharded sweep driver in `rotor-sweep` can fan
-//! (n, k, seed) cells across threads without caring whether a cell is
+//! Everything a cover-time sweep needs from a process is two things:
+//! advance one synchronous round, and its visit record
+//! ([`VisitSet`]: which nodes have been visited, how many, the round the
+//! last one fell and the §2.2 domain structure). `CoverProcess` captures
+//! exactly that surface, so the sharded sweep driver in `rotor-sweep` can
+//! fan (n, k, seed) cells across threads without caring whether a cell is
 //! backed by the general-graph [`Engine`](crate::Engine), the
 //! ring-specialised [`RingRouter`](crate::RingRouter), or the `k`
 //! independent random walkers of `rotor-walks`.
+
+use crate::bitset::VisitSet;
 
 /// A per-round probe attached to a [`CoverProcess`] drive loop.
 ///
@@ -32,7 +34,7 @@
 /// let mut r = RingRouter::new(32, &starts, &dirs);
 /// let mut trace = Vec::new();
 /// r.run_observed(1_000_000, &mut |p: &RingRouter| {
-///     trace.push(CoverProcess::visited_count(p))
+///     trace.push(p.visits().count())
 /// });
 /// assert_eq!(*trace.last().unwrap(), 32, "last sample sees full cover");
 /// assert!(trace.windows(2).all(|w| w[0] <= w[1]), "cover only grows");
@@ -86,40 +88,22 @@ pub trait CoverProcess {
     /// (the `Rotor` auto kind resolves differently per family).
     fn kind_name(&self) -> &'static str;
 
-    /// Number of nodes in the underlying graph.
-    fn node_count(&self) -> usize;
-
     /// Completed synchronous rounds.
     fn round(&self) -> u64;
 
     /// Advances one synchronous round: every agent/walker moves.
     fn step(&mut self);
 
+    /// The visit record of the current cover epoch: the nodes of the
+    /// underlying graph (indices `0..visits().len()`) visited so far,
+    /// initial placements included, with the cover round and the §2.2
+    /// [`domain_stats`](VisitSet::domain_stats).
+    fn visits(&self) -> &VisitSet;
+
     /// The round at which the last node was first visited, if covering has
     /// happened (`Some(0)` if the initial placement already covers).
-    fn cover_round(&self) -> Option<u64>;
-
-    /// Number of nodes visited at least once (initial placements count).
-    fn visited_count(&self) -> usize;
-
-    /// Whether node `node` (an index in `0..node_count()`) has ever been
-    /// visited, initial placements included.
-    fn is_node_visited(&self, node: usize) -> bool;
-
-    /// The §2.2 domain/border structure of the current configuration, in
-    /// the cyclic index space `0..node_count()`.
-    ///
-    /// The default implementation is one `O(n)` scan
-    /// ([`scan_domain_stats`](crate::domains::scan_domain_stats)). The
-    /// [`RingRouter`](crate::RingRouter) overrides it with incrementally
-    /// maintained counters (`O(1)` per call); the
-    /// [`Engine`](crate::Engine) and the random walks with one word-wise
-    /// pass over their visited set
-    /// ([`VisitSet::domain_stats`](crate::bitset::VisitSet::domain_stats),
-    /// 64 nodes per step). An override must equal the scan on every
-    /// configuration.
-    fn domain_stats(&self) -> crate::domains::DomainStats {
-        crate::domains::scan_domain_stats(self)
+    fn cover_round(&self) -> Option<u64> {
+        self.visits().cover_round()
     }
 
     /// Runs exactly `rounds` more rounds, whether or not the process has
@@ -187,7 +171,7 @@ mod tests {
     /// Generic sweep body: the exact shape the sweep driver uses.
     fn cover_generic<P: CoverProcess + ?Sized>(p: &mut P, max: u64) -> (Option<u64>, usize) {
         let c = p.run_until_covered(max);
-        (c, p.visited_count())
+        (c, p.visits().count())
     }
 
     #[test]
@@ -201,7 +185,7 @@ mod tests {
         let (c, visited) = cover_generic(boxed, u64::MAX);
         assert_eq!(c, Some(direct), "dynamic dispatch matches static dispatch");
         assert_eq!(visited, n);
-        assert_eq!(boxed.node_count(), n);
+        assert_eq!(boxed.visits().len(), n);
     }
 
     #[test]
@@ -240,16 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn is_node_visited_matches_visited_count() {
+    fn visits_contains_matches_count() {
         let n = 32;
         let g = builders::ring(n);
         use rotor_graph::NodeId;
         let mut e = Engine::new(&g, &[NodeId::new(0)], &crate::init::PointerInit::Uniform(0));
         let _ = e.run_until_covered(50);
         let p: &dyn CoverProcess = &e;
-        let scanned = (0..n).filter(|&v| p.is_node_visited(v)).count();
-        assert_eq!(scanned, p.visited_count());
-        assert!(p.is_node_visited(0));
+        let scanned = (0..n).filter(|&v| p.visits().contains(v)).count();
+        assert_eq!(scanned, p.visits().count());
+        assert!(p.visits().contains(0));
     }
 
     #[test]
@@ -306,6 +290,6 @@ mod tests {
         let p: &mut dyn CoverProcess = &mut r;
         assert_eq!(p.run_until_covered(5), None);
         assert_eq!(p.round(), 5, "stops exactly at the budget");
-        assert!(p.visited_count() < n);
+        assert!(p.visits().count() < n);
     }
 }

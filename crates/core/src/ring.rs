@@ -25,13 +25,13 @@
 //! of a round only touch the node half.
 //!
 //! Per round the engine writes only what cover sweeps read: the pointer
-//! bits, the occupied list, the visited set with its cover round, and the
-//! incremental §2.2 domain/border counters. The §2.2 visit *types*
-//! (propagation or reflection of each visit) are not tracked here; attach a
-//! [`VisitLog`](crate::domains::VisitLog) observer to replay them.
+//! bits, the occupied list and the visit record ([`VisitSet`]), whose
+//! §2.2 domain/border counts are computed when a sampler asks. The §2.2
+//! visit *types* (propagation or reflection of each visit) are not tracked
+//! here; attach a [`VisitLog`](crate::domains::VisitLog) observer to
+//! replay them.
 
 use crate::bitset::VisitSet;
-use crate::domains::DomainStats;
 use crate::init::CW;
 
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
@@ -67,17 +67,7 @@ pub struct RingRouter {
     /// Agent count per occupied node, `> 0`, parallel to `occ_nodes`.
     occ_counts: Vec<u32>,
     round: u64,
-    visited: VisitSet,
-    unvisited: u32,
-    cover_round: Option<u64>,
-    /// §2.2 domain count (maximal contiguous visited segments), maintained
-    /// incrementally on every first visit — `O(1)` to read, vs the
-    /// `O(n / 64)` word-wise pass ([`VisitSet::domain_stats`]) the general
-    /// engine and the walks run per sample.
-    domains: u32,
-    /// §2.2 border count (visited nodes adjacent to an unvisited node),
-    /// maintained incrementally alongside `domains`.
-    borders: u32,
+    visits: VisitSet,
     /// Scratch buffer for the next occupied list, reused between rounds.
     next_occ: SoaList,
 }
@@ -169,15 +159,8 @@ impl RingRouter {
                 occ_counts.push(c);
             }
         }
-        let mut visited = VisitSet::new(n);
-        for &v in &occ_nodes {
-            visited.insert(v as usize);
-        }
-        let unvisited = n32 - occ_nodes.len() as u32;
-        let cover_round = (unvisited == 0).then_some(0);
-        // One word-wise pass seeds the incremental §2.2 counters from the
-        // initial placement; every later update is O(1) per first visit.
-        let DomainStats { domains, borders } = visited.domain_stats();
+        let mut visits = VisitSet::new(n);
+        visits.reset(occ_nodes.iter().map(|&v| v as usize), 0);
         RingRouter {
             n: n32,
             k: starts.len() as u32,
@@ -185,11 +168,7 @@ impl RingRouter {
             occ_nodes,
             occ_counts,
             round: 0,
-            visited,
-            unvisited,
-            cover_round,
-            domains,
-            borders,
+            visits,
             next_occ: SoaList::default(),
         }
     }
@@ -244,61 +223,6 @@ impl RingRouter {
         &self.occ_counts
     }
 
-    /// Whether `v` has ever been visited (or initially held an agent).
-    pub fn is_visited(&self, v: u32) -> bool {
-        self.visited.contains(v as usize)
-    }
-
-    /// Number of never-visited nodes.
-    pub fn unvisited_count(&self) -> u32 {
-        self.unvisited
-    }
-
-    /// §2.2 domain count (maximal contiguous visited segments; 1 once the
-    /// ring is covered), incrementally maintained — `O(1)`.
-    pub fn domain_count(&self) -> u32 {
-        self.domains
-    }
-
-    /// §2.2 border count (visited nodes adjacent to an unvisited node; 0
-    /// once the ring is covered), incrementally maintained — `O(1)`.
-    pub fn border_count(&self) -> u32 {
-        self.borders
-    }
-
-    /// Incremental update of the §2.2 counters for the first visit to `v`,
-    /// called with `v` already inserted into the visited set (and
-    /// `unvisited` already decremented). `O(1)`: only `v` and its two
-    /// cyclic neighbours can change domain/border status.
-    fn note_first_visit(&mut self, v: u32) {
-        let p = self.acw(v);
-        let nx = self.cw(v);
-        let pv = self.visited.contains(p as usize);
-        let nv = self.visited.contains(nx as usize);
-        match (pv, nv) {
-            // An isolated first visit opens a new domain.
-            (false, false) => self.domains += 1,
-            // Filling a gap merges two domains — unless the two visited
-            // neighbours already belong to the *same* (wrapping) domain,
-            // which only happens when `v` was the last unvisited node and
-            // the full ring remains a single cyclic domain.
-            (true, true) if self.unvisited > 0 => self.domains -= 1,
-            // Extending a domain at one end changes no domain count.
-            _ => {}
-        }
-        // `v` itself is a border iff it still touches an unvisited node.
-        self.borders += u32::from(!pv || !nv);
-        // A visited neighbour was necessarily a border before (it touched
-        // the then-unvisited `v`); it stays one only if its *other*
-        // neighbour is still unvisited.
-        if pv && self.visited.contains(self.acw(p) as usize) {
-            self.borders -= 1;
-        }
-        if nv && self.visited.contains(self.cw(nx) as usize) {
-            self.borders -= 1;
-        }
-    }
-
     /// Snapshot of the mutable configuration.
     pub fn state(&self) -> RingState {
         let mut state = RingState {
@@ -338,6 +262,7 @@ impl RingRouter {
     /// pre-round count, so stateful schedules see a fixed call sequence.
     pub fn step_delayed(&mut self, mut delay: impl FnMut(u32, u32) -> u32) {
         self.round += 1;
+        let round = self.round;
         let mut next = std::mem::take(&mut self.next_occ);
         next.clear();
         let last = self.n - 1;
@@ -364,7 +289,7 @@ impl RingRouter {
                     to_last = acw_cnt;
                 } else {
                     next.add_behind(v - 1, acw_cnt);
-                    self.arrive(v - 1);
+                    self.visits.arrive(v as usize - 1, round);
                 }
             }
             // Held agents do not revisit; only arrivals can be first visits.
@@ -376,45 +301,27 @@ impl RingRouter {
                     to_first = cw_cnt;
                 } else {
                     next.push(v + 1, cw_cnt);
-                    self.arrive(v + 1);
+                    self.visits.arrive(v as usize + 1, round);
                 }
             }
         }
         if to_last > 0 {
             next.add_last(last, to_last);
-            self.arrive(last);
+            self.visits.arrive(last as usize, round);
         }
         if to_first > 0 {
             next.add_first(0, to_first);
-            self.arrive(0);
+            self.visits.arrive(0, round);
         }
         std::mem::swap(&mut self.occ_nodes, &mut next.nodes);
         std::mem::swap(&mut self.occ_counts, &mut next.counts);
         self.next_occ = next;
         debug_assert!(self.occ_nodes.windows(2).all(|w| w[0] < w[1]), "occ sorted");
         debug_assert_eq!(
-            u64::from(self.unvisited),
-            self.n as u64 - self.visited.count_ones() as u64,
-            "unvisited counter agrees with popcount"
-        );
-        debug_assert_eq!(
             self.occ_counts.iter().sum::<u32>(),
             self.k,
             "agents conserved"
         );
-    }
-
-    /// First-visit bookkeeping for an arrival at `v` in the current round;
-    /// skipped once the ring is covered.
-    #[inline]
-    fn arrive(&mut self, v: u32) {
-        if self.unvisited > 0 && self.visited.insert(v as usize) {
-            self.unvisited -= 1;
-            self.note_first_visit(v);
-            if self.unvisited == 0 {
-                self.cover_round = Some(self.round);
-            }
-        }
     }
 }
 
@@ -460,10 +367,6 @@ impl crate::CoverProcess for RingRouter {
         "rotor_ring"
     }
 
-    fn node_count(&self) -> usize {
-        self.n as usize
-    }
-
     fn round(&self) -> u64 {
         self.round
     }
@@ -472,26 +375,8 @@ impl crate::CoverProcess for RingRouter {
         self.step_delayed(|_, _| 0);
     }
 
-    fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
-    fn visited_count(&self) -> usize {
-        (self.n - self.unvisited) as usize
-    }
-
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.visited.contains(node)
-    }
-
-    /// The incremental counters — `O(1)`, vs the `O(n / 64)` word-wise
-    /// pass of the other backends. Property-tested bit-identical to
-    /// [`scan_domain_stats`](crate::domains::scan_domain_stats).
-    fn domain_stats(&self) -> DomainStats {
-        DomainStats {
-            domains: self.domains,
-            borders: self.borders,
-        }
+    fn visits(&self) -> &VisitSet {
+        &self.visits
     }
 }
 
@@ -532,20 +417,9 @@ impl crate::faults::Perturb for RingRouter {
         removed
     }
 
-    /// Also re-seeds the §2.2 domain/border counters from the new visited
-    /// set.
     fn reset_cover_epoch(&mut self) {
-        let mut visited = VisitSet::new(self.n as usize);
-        for &v in &self.occ_nodes {
-            visited.insert(v as usize);
-        }
-        self.visited = visited;
-        self.unvisited = self.n - self.occ_nodes.len() as u32;
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
-        DomainStats {
-            domains: self.domains,
-            borders: self.borders,
-        } = self.visited.domain_stats();
+        let occupied = self.occ_nodes.iter().map(|&v| v as usize);
+        self.visits.reset(occupied, self.round);
     }
 }
 
@@ -702,8 +576,8 @@ mod tests {
                         "pointer mismatch at node {v}, round {t}, seed {seed}"
                     );
                     assert_eq!(
-                        fast.is_visited(v),
-                        reference.is_visited(NodeId::new(v)),
+                        fast.visits().contains(v as usize),
+                        reference.visits().contains(v as usize),
                         "visited-set mismatch at node {v}, round {t}, seed {seed}"
                     );
                 }
@@ -787,7 +661,8 @@ mod tests {
         );
         assert_eq!(log.last_visit(4).unwrap().multiplicity, 1);
         assert!(log.last_visit(0).is_none());
-        assert!(r.is_visited(1) && r.is_visited(4) && !r.is_visited(0));
+        let visits = r.visits();
+        assert!(visits.contains(1) && visits.contains(4) && !visits.contains(0));
     }
 
     #[test]

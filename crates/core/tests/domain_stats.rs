@@ -1,37 +1,52 @@
-//! Property tests pinning the [`RingRouter`]'s incremental §2.2 domain /
-//! border counters and the word-wise [`VisitSet::domain_stats`] pass of the
-//! other backends bit-identical to the `O(n)` reference scan
-//! ([`rotor_core::domains::scan_domain_stats`]).
+//! Property tests pinning the word-wise §2.2 domain/border pass
+//! [`VisitSet::domain_stats`] bit-identical to the `O(n)` reference scan
+//! ([`rotor_core::domains::scan_domain_stats`]) on bare sets and on the
+//! visit records of the [`RingRouter`] and the general engine.
 
 #![forbid(unsafe_code)]
 
 use rotor_core::bitset::VisitSet;
-use rotor_core::domains::{border_count, scan_domain_stats, visited_domains, DomainStats};
+use rotor_core::domains::{scan_domain_stats, visited_domains, DomainStats};
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
 use rotor_core::rng::splitmix64;
 use rotor_core::{CoverProcess, RingRouter};
 
-/// Drives one random (n, k, seed) configuration and checks the incremental
-/// counters against the scan after every round until cover (or a cap).
+/// Drives one random (n, k, seed) configuration and checks the ring's
+/// word-wise stats against the scan after every round until cover (or a
+/// cap).
 fn check_triple(n: usize, k: usize, seed: u64, max_rounds: u64) {
     let starts = Placement::Random(seed).positions(n, k);
     let dirs = PointerInit::Random(splitmix64(seed ^ 0xD0)).ring_directions(n, &starts);
     let mut r = RingRouter::new(n, &starts, &dirs);
     let ctx = |round: u64| format!("n={n} k={k} seed={seed} round={round}");
-    assert_eq!(r.domain_stats(), scan_domain_stats(&r), "{}", ctx(0));
+    let stats = |r: &RingRouter| r.visits().domain_stats();
+    assert_eq!(stats(&r), scan_domain_stats(r.visits()), "{}", ctx(0));
     for _ in 0..max_rounds {
         r.step();
-        let incremental = r.domain_stats();
-        assert_eq!(incremental, scan_domain_stats(&r), "{}", ctx(r.round()));
-        // Cross-check against the segment-level reference machinery too.
+        let word_wise = stats(&r);
         assert_eq!(
-            incremental.domains as usize,
-            visited_domains(&r).len(),
+            word_wise,
+            scan_domain_stats(r.visits()),
             "{}",
             ctx(r.round())
         );
-        assert_eq!(incremental.borders, border_count(&r), "{}", ctx(r.round()));
+        // Cross-check against the segment-level reference machinery too:
+        // an unfinished domain has a border at each end, or one if it is a
+        // single node.
+        let segments = visited_domains(&r);
+        assert_eq!(
+            word_wise.domains as usize,
+            segments.len(),
+            "{}",
+            ctx(r.round())
+        );
+        let segment_borders: u32 = segments
+            .iter()
+            .filter(|d| d.len < n as u32)
+            .map(|d| d.len.min(2))
+            .sum();
+        assert_eq!(word_wise.borders, segment_borders, "{}", ctx(r.round()));
         if r.cover_round().is_some() {
             break;
         }
@@ -62,7 +77,7 @@ fn incremental_counters_cover_full_ring() {
         let mut r = RingRouter::new(n, &starts, &dirs);
         r.run_until_covered(10_000_000).expect("covers");
         assert_eq!(
-            r.domain_stats(),
+            r.visits().domain_stats(),
             DomainStats {
                 domains: 1,
                 borders: 0
@@ -73,7 +88,7 @@ fn incremental_counters_cover_full_ring() {
 
 #[test]
 fn delayed_rounds_keep_counters_in_sync() {
-    // Held agents produce no visits; the counters must survive delayed
+    // Held agents produce no visits; the record must survive delayed
     // deployments (§2.1) exactly like plain rounds.
     let n = 48;
     let starts = Placement::EquallySpaced { offset: 0 }.positions(n, 4);
@@ -81,12 +96,18 @@ fn delayed_rounds_keep_counters_in_sync() {
     let mut r = RingRouter::new(n, &starts, &dirs);
     for t in 0..500u32 {
         r.step_delayed(|v, c| u32::from((v + t) % 3 == 0).min(c));
-        assert_eq!(r.domain_stats(), scan_domain_stats(&r), "round {}", t + 1);
+        let visits = r.visits();
+        assert_eq!(
+            visits.domain_stats(),
+            scan_domain_stats(visits),
+            "round {}",
+            t + 1
+        );
     }
 }
 
 #[test]
-fn trait_default_and_override_agree_across_backends() {
+fn ring_and_engine_stats_agree() {
     use rotor_graph::{builders, NodeId};
     let n = 40;
     let starts = Placement::AllOnOne(0).positions(n, 3);
@@ -98,38 +119,12 @@ fn trait_default_and_override_agree_across_backends() {
     let ptrs: Vec<u32> = dirs.iter().map(|&d| u32::from(d)).collect();
     let mut eng = rotor_core::Engine::with_pointers(&g, &ids, ptrs);
 
-    // Identical processes: the ring's incremental override must agree with
-    // the general engine's scan default at every round.
+    // Identical processes: identical records and §2.2 stats every round.
     for _ in 0..300 {
-        assert_eq!(ring.domain_stats(), eng.domain_stats());
+        assert_eq!(ring.visits(), eng.visits());
+        assert_eq!(ring.visits().domain_stats(), eng.visits().domain_stats());
         CoverProcess::step(&mut ring);
         CoverProcess::step(&mut eng);
-    }
-}
-
-/// A bare visited set seen through [`CoverProcess`], so the reference
-/// [`scan_domain_stats`] can read it bit by bit.
-struct SetView<'a>(&'a VisitSet);
-
-impl CoverProcess for SetView<'_> {
-    fn kind_name(&self) -> &'static str {
-        "set"
-    }
-    fn node_count(&self) -> usize {
-        self.0.len()
-    }
-    fn round(&self) -> u64 {
-        0
-    }
-    fn step(&mut self) {}
-    fn cover_round(&self) -> Option<u64> {
-        None
-    }
-    fn visited_count(&self) -> usize {
-        self.0.count_ones()
-    }
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.0.contains(node)
     }
 }
 
@@ -145,12 +140,12 @@ fn word_wise_stats_match_bit_scan_on_random_sets() {
             for v in 0..len {
                 s = splitmix64(s);
                 if s % 1000 < permille {
-                    set.insert(v);
+                    set.arrive(v, 0);
                 }
             }
             assert_eq!(
                 set.domain_stats(),
-                scan_domain_stats(&SetView(&set)),
+                scan_domain_stats(&set),
                 "len={len} density={permille}/1000"
             );
         }
@@ -165,11 +160,11 @@ fn word_wise_stats_match_bit_scan_at_word_edges() {
         for &a in picks.iter().filter(|&&a| a < len) {
             for &b in picks.iter().filter(|&&b| b < len) {
                 let mut set = VisitSet::new(len);
-                set.insert(a);
-                set.insert(b);
+                set.arrive(a, 0);
+                set.arrive(b, 0);
                 assert_eq!(
                     set.domain_stats(),
-                    scan_domain_stats(&SetView(&set)),
+                    scan_domain_stats(&set),
                     "len={len} nodes={a},{b}"
                 );
             }
@@ -195,8 +190,8 @@ fn engine_stats_match_scan_every_round_off_the_ring() {
             let mut e = rotor_core::Engine::new(g, &ids, &PointerInit::Random(seed ^ 0x5EED));
             loop {
                 assert_eq!(
-                    e.domain_stats(),
-                    scan_domain_stats(&e),
+                    e.visits().domain_stats(),
+                    scan_domain_stats(e.visits()),
                     "graph {gi} k={k} round {}",
                     e.round()
                 );

@@ -66,7 +66,7 @@ fn random_delay_schedules_never_speed_up_ring_exploration() {
             delayed.step_delayed(inst.schedule.at(round));
             for v in 0..inst.n {
                 assert!(
-                    !delayed.is_node_visited(v) || plain.is_node_visited(v),
+                    !delayed.visits().contains(v) || plain.visits().contains(v),
                     "trial {trial} (n = {}, k = {}): node {v} visited by the \
                      delayed run but not the plain run at round {round}",
                     inst.n,

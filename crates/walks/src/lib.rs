@@ -22,7 +22,7 @@
 //! let starts = [NodeId::new(0), NodeId::new(16)];
 //! let mut w = ParallelWalk::new(&g, &starts, 7);
 //! let cover = w.run_until_covered(1_000_000).expect("walkers cover the ring");
-//! assert!(cover > 0 && w.visited_count() == 32);
+//! assert!(cover > 0 && w.visits().count() == 32);
 //! assert_eq!(w.kind_name(), "walk");
 //! ```
 
@@ -35,8 +35,8 @@ use rotor_core::CoverProcess;
 use rotor_graph::{NodeId, PortGraph};
 
 /// `k` independent simple random walkers advancing synchronously on a
-/// borrowed graph, with visited-node tracking shared with the rotor
-/// engines ([`VisitSet`]).
+/// borrowed graph, with the visit record of the rotor engines
+/// ([`VisitSet`]).
 ///
 /// ```
 /// use rotor_core::CoverProcess;
@@ -53,9 +53,7 @@ pub struct ParallelWalk<'g> {
     positions: Vec<NodeId>,
     rng: SmallRng,
     round: u64,
-    visited: VisitSet,
-    unvisited: usize,
-    cover_round: Option<u64>,
+    visits: VisitSet,
 }
 
 impl<'g> ParallelWalk<'g> {
@@ -69,13 +67,10 @@ impl<'g> ParallelWalk<'g> {
     pub fn new(g: &'g PortGraph, starts: &[NodeId], seed: u64) -> Self {
         assert!(!starts.is_empty(), "need at least one walker");
         let n = g.node_count();
-        let mut visited = VisitSet::new(n);
-        let mut unvisited = n;
+        let mut visits = VisitSet::new(n);
         for &p in starts {
             assert!(p.index() < n, "walker position out of range");
-            if visited.insert(p.index()) {
-                unvisited -= 1;
-            }
+            visits.arrive(p.index(), 0);
         }
         ParallelWalk {
             g,
@@ -83,9 +78,7 @@ impl<'g> ParallelWalk<'g> {
             // lint: allow(named-rng-streams) -- callers hand in a seed derived via STREAM_WALK (rotor-sweep runners)
             rng: SmallRng::seed_from_u64(seed),
             round: 0,
-            visited,
-            unvisited,
-            cover_round: (unvisited == 0).then_some(0),
+            visits,
         }
     }
 
@@ -98,25 +91,11 @@ impl<'g> ParallelWalk<'g> {
     pub fn positions(&self) -> &[NodeId] {
         &self.positions
     }
-
-    /// Whether `v` has ever been visited (or initially held a walker).
-    pub fn is_visited(&self, v: NodeId) -> bool {
-        self.visited.contains(v.index())
-    }
-
-    /// Number of never-visited nodes.
-    pub fn unvisited_count(&self) -> usize {
-        self.unvisited
-    }
 }
 
 impl CoverProcess for ParallelWalk<'_> {
     fn kind_name(&self) -> &'static str {
         "walk"
-    }
-
-    fn node_count(&self) -> usize {
-        self.g.node_count()
     }
 
     fn round(&self) -> u64 {
@@ -129,31 +108,12 @@ impl CoverProcess for ParallelWalk<'_> {
         for p in &mut self.positions {
             let d = self.g.degree(*p);
             *p = self.g.neighbor(*p, self.rng.gen_range(0..d));
-            if self.visited.insert(p.index()) {
-                self.unvisited -= 1;
-                if self.unvisited == 0 && self.cover_round.is_none() {
-                    self.cover_round = Some(self.round);
-                }
-            }
+            self.visits.arrive(p.index(), self.round);
         }
     }
 
-    fn cover_round(&self) -> Option<u64> {
-        self.cover_round
-    }
-
-    fn visited_count(&self) -> usize {
-        self.g.node_count() - self.unvisited
-    }
-
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.visited.contains(node)
-    }
-
-    /// The word-wise pass over the visited set,
-    /// [`VisitSet::domain_stats`].
-    fn domain_stats(&self) -> rotor_core::domains::DomainStats {
-        self.visited.domain_stats()
+    fn visits(&self) -> &VisitSet {
+        &self.visits
     }
 }
 
@@ -186,7 +146,7 @@ mod tests {
         let c = w.run_until_covered(1_000_000).expect("random walk covers");
         assert!(c >= 15, "cannot cover 16 nodes in fewer than 15 steps");
         assert_eq!(w.cover_round(), Some(c), "cover round is sticky");
-        assert_eq!(w.unvisited_count(), 0);
+        assert_eq!(w.visits().count(), 16);
         // Every provided drive loop replays the same seeded trajectory.
         let mut observed = fresh.clone();
         let mut seen = 0;
@@ -226,18 +186,18 @@ mod tests {
     fn visited_tracking_is_incremental() {
         let g = builders::grid(4, 4);
         let mut w = ParallelWalk::new(&g, &[NodeId::new(5)], 2);
-        assert!(w.is_visited(NodeId::new(5)));
-        assert_eq!(w.unvisited_count(), 15);
+        assert!(w.visits().contains(5));
+        assert_eq!(w.visits().count(), 1);
         let mut seen = 1;
         for _ in 0..500 {
             w.step();
-            let now = 16 - w.unvisited_count();
+            let now = w.visits().count();
             assert!(now >= seen, "visited count never decreases");
             seen = now;
         }
         assert_eq!(
             seen,
-            (0..16).filter(|&v| w.is_visited(NodeId::new(v))).count(),
+            (0..16).filter(|&v| w.visits().contains(v)).count(),
             "counter agrees with per-node queries"
         );
     }
@@ -259,8 +219,8 @@ mod tests {
                 let mut w = ParallelWalk::new(g, &starts, u64::from(k) + gi as u64);
                 loop {
                     assert_eq!(
-                        w.domain_stats(),
-                        scan_domain_stats(&w),
+                        w.visits().domain_stats(),
+                        scan_domain_stats(w.visits()),
                         "graph {gi} k={k} round {}",
                         w.round()
                     );
