@@ -37,8 +37,6 @@
 //! assert_eq!(fit_regime(&curve).unwrap().regime, Regime::QuadraticSpeedup);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod recovery;
 pub mod report;
 
@@ -133,6 +131,7 @@ pub fn bootstrap_median_band(
     if samples.is_empty() || resamples == 0 || !(confidence > 0.0 && confidence < 1.0) {
         return None;
     }
+    #[expect(clippy::disallowed_methods, reason = "seeded via STREAM_BOOTSTRAP")]
     let mut rng = SmallRng::seed_from_u64(rotor_core::rng::stream(
         seed,
         rotor_core::rng::STREAM_BOOTSTRAP,

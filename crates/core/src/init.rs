@@ -115,7 +115,7 @@ impl PointerInit {
                     .collect()
             }
             PointerInit::Random(seed) => {
-                // lint: allow(named-rng-streams) -- the variant's seed is pre-derived via STREAM_POINTER_INIT by rotor-sweep
+                #[expect(clippy::disallowed_methods, reason = "a STREAM_POINTER_INIT seed")]
                 let mut rng = SmallRng::seed_from_u64(*seed);
                 g.nodes()
                     .map(|v| rng.gen_range(0..g.degree(v)) as u32)
@@ -162,7 +162,7 @@ impl PointerInit {
                 ring_nearest_agent_dirs(n, &[*target], false)
             }
             PointerInit::Random(seed) => {
-                // lint: allow(named-rng-streams) -- the variant's seed is pre-derived via STREAM_POINTER_INIT by rotor-sweep
+                #[expect(clippy::disallowed_methods, reason = "a STREAM_POINTER_INIT seed")]
                 let mut rng = SmallRng::seed_from_u64(*seed);
                 (0..n).map(|_| rng.gen_range(0..2u8)).collect()
             }

@@ -72,8 +72,6 @@
 //! assert!(cover > 0 && cover < 64 * 64);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod bitset;
 pub mod delays;
 pub mod domains;

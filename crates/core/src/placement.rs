@@ -49,7 +49,7 @@ impl Placement {
                 .map(|i| (((i * n / k) as u32) + offset) % n32)
                 .collect(),
             Placement::Random(seed) => {
-                // lint: allow(named-rng-streams) -- the variant's seed is pre-derived from the cell seed by rotor-sweep
+                #[expect(clippy::disallowed_methods, reason = "seed derived by rotor-sweep")]
                 let mut rng = SmallRng::seed_from_u64(*seed);
                 (0..k).map(|_| rng.gen_range(0..n32)).collect()
             }

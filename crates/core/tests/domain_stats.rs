@@ -3,8 +3,6 @@
 //! ([`rotor_core::domains::scan_domain_stats`]) on bare sets and on the
 //! visit records of the [`RingRouter`] and the general engine.
 
-#![forbid(unsafe_code)]
-
 use rotor_core::bitset::VisitSet;
 use rotor_core::domains::{scan_domain_stats, visited_domains, DomainStats};
 use rotor_core::init::PointerInit;

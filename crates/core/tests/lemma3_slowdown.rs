@@ -10,8 +10,6 @@
 //! drawn from chained `splitmix64` streams), which is where a subtle
 //! break in the coupling argument would actually show up.
 
-#![forbid(unsafe_code)]
-
 use rotor_core::delays::DelaySchedule;
 use rotor_core::rng::splitmix64;
 use rotor_core::{CoverProcess, RingRouter};

@@ -222,7 +222,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> PortGraph {
     assert!(d >= 2, "random regular graph needs degree >= 2");
     assert!(d < n, "degree must be < n");
     assert!((n * d).is_multiple_of(2), "n*d must be even");
-    // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
+    #[expect(clippy::disallowed_methods, reason = "seed derived via STREAM_GRAPH")]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
     // The pairing's neighbours of `v` so far: `nbrs[v·d .. v·d + filled[v]]`.
@@ -266,7 +266,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> PortGraph {
 pub fn random_connected(n: usize, p: f64, seed: u64) -> PortGraph {
     assert!(n >= 2, "random graph needs at least 2 nodes");
     assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
-    // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
+    #[expect(clippy::disallowed_methods, reason = "seed derived via STREAM_GRAPH")]
     let mut rng = SmallRng::seed_from_u64(seed);
     // Random spanning tree: random permutation, attach each node to a random
     // earlier node (a random recursive tree on a random labelling).
@@ -296,7 +296,7 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> PortGraph {
 /// experiments quantify that dependence ("the initialization of ports …
 /// is performed by an adversary", §1.3).
 pub fn shuffle_ports(g: &PortGraph, seed: u64) -> PortGraph {
-    // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
+    #[expect(clippy::disallowed_methods, reason = "seed derived via STREAM_GRAPH")]
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = g.node_count();
     let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n);

@@ -351,9 +351,8 @@ impl fmt::Debug for PortGraph {
 #[derive(Clone, Debug)]
 pub struct PortGraphBuilder {
     n: u32,
-    adj: Vec<Vec<u32>>,
-    back: Vec<Vec<u32>>,
-    edge_count: usize,
+    /// The valid edges added so far, as passed and in insertion order.
+    edges: Vec<(u32, u32)>,
     error: Option<GraphError>,
 }
 
@@ -362,9 +361,7 @@ impl PortGraphBuilder {
     pub fn new(n: usize) -> Self {
         PortGraphBuilder {
             n: n as u32,
-            adj: vec![Vec::new(); n],
-            back: vec![Vec::new(); n],
-            edge_count: 0,
+            edges: Vec::new(),
             error: None,
         }
     }
@@ -373,7 +370,8 @@ impl PortGraphBuilder {
     ///
     /// The new edge receives the next free port at `u` and at `v`.
     /// Errors (out-of-range endpoints, self-loops, duplicates) are latched
-    /// and reported by [`build`](Self::build).
+    /// and reported by [`build`](Self::build); duplicates are found there,
+    /// in one pass over all edges, and the first invalid call still wins.
     pub fn add_edge(&mut self, u: u32, v: u32) -> &mut Self {
         if self.error.is_some() {
             return self;
@@ -383,30 +381,11 @@ impl PortGraphBuilder {
                 node: u.max(v),
                 node_count: self.n,
             });
-            return self;
-        }
-        if u == v {
+        } else if u == v {
             self.error = Some(GraphError::SelfLoop(NodeId(u)));
-            return self;
-        }
-        // The lists are symmetric, so the shorter one decides: a star's
-        // hub is never scanned.
-        let (a, b) = if self.adj[u as usize].len() <= self.adj[v as usize].len() {
-            (u, v)
         } else {
-            (v, u)
-        };
-        if self.adj[a as usize].contains(&b) {
-            self.error = Some(GraphError::DuplicateEdge(NodeId(u), NodeId(v)));
-            return self;
+            self.edges.push((u, v));
         }
-        let pu = self.adj[u as usize].len() as u32;
-        let pv = self.adj[v as usize].len() as u32;
-        self.adj[u as usize].push(v);
-        self.back[u as usize].push(pv);
-        self.adj[v as usize].push(u);
-        self.back[v as usize].push(pu);
-        self.edge_count += 1;
         self
     }
 
@@ -417,13 +396,7 @@ impl PortGraphBuilder {
     /// Returns an error if any `add_edge` call was invalid, if the graph is
     /// empty, or if it is not connected (single-node graphs are accepted).
     pub fn build(self) -> Result<PortGraph, GraphError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if self.n == 0 {
-            return Err(GraphError::Empty);
-        }
-        let g = PortGraph::from_parts(self.adj, self.back, self.edge_count);
+        let g = self.build_unchecked_connectivity()?;
         if !crate::algo::is_connected(&g) {
             return Err(GraphError::Disconnected);
         }
@@ -439,14 +412,67 @@ impl PortGraphBuilder {
     /// Returns an error if any `add_edge` call was invalid or the graph is
     /// empty.
     pub fn build_unchecked_connectivity(self) -> Result<PortGraph, GraphError> {
+        let n = self.n as usize;
+        // CSR in insertion order: count degrees, then hand out ports.
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut adj = vec![0u32; 2 * self.edges.len()];
+        let mut back = vec![0u32; 2 * self.edges.len()];
+        for &(u, v) in &self.edges {
+            let (iu, iv) = (fill[u as usize] as usize, fill[v as usize] as usize);
+            adj[iu] = v;
+            back[iu] = iv as u32 - offsets[v as usize];
+            adj[iv] = u;
+            back[iv] = iu as u32 - offsets[u as usize];
+            fill[u as usize] += 1;
+            fill[v as usize] += 1;
+        }
+        // Every edge added before a latched error precedes it, so a
+        // duplicate among them is the first invalid call.
+        if let Some(e) = first_duplicate(&self.edges, &offsets, &adj) {
+            return Err(e);
+        }
         if let Some(e) = self.error {
             return Err(e);
         }
-        if self.n == 0 {
+        if n == 0 {
             return Err(GraphError::Empty);
         }
-        Ok(PortGraph::from_parts(self.adj, self.back, self.edge_count))
+        Ok(PortGraph {
+            offsets,
+            adj,
+            back,
+            edge_count: self.edges.len(),
+        })
     }
+}
+
+/// The duplicate error of the earliest edge that repeats an earlier one,
+/// named as it was passed. A per-node stamp scan of the CSR arrays finds
+/// whether any duplicate exists in `O(|E|)`; only then does an ordered scan
+/// of `edges` pick the first.
+fn first_duplicate(edges: &[(u32, u32)], offsets: &[u32], adj: &[u32]) -> Option<GraphError> {
+    let mut stamp = vec![u32::MAX; offsets.len() - 1];
+    let any = offsets.windows(2).enumerate().any(|(v, w)| {
+        adj[w[0] as usize..w[1] as usize]
+            .iter()
+            .any(|&u| std::mem::replace(&mut stamp[u as usize], v as u32) == v as u32)
+    });
+    if !any {
+        return None;
+    }
+    let mut seen = std::collections::BTreeSet::new();
+    edges
+        .iter()
+        .find(|&&(u, v)| !seen.insert((u.min(v), u.max(v))))
+        .map(|&(u, v)| GraphError::DuplicateEdge(NodeId(u), NodeId(v)))
 }
 
 #[cfg(test)]
@@ -574,6 +600,24 @@ mod tests {
         assert_eq!(
             b.build().unwrap_err(),
             GraphError::DuplicateEdge(NodeId::new(1), NodeId::new(0))
+        );
+    }
+
+    #[test]
+    fn duplicate_before_out_of_range_is_reported() {
+        let mut b = PortGraphBuilder::new(3);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        b.add_edge(2, 1); // first invalid call
+        b.add_edge(1, 0);
+        b.add_edge(0, 9);
+        assert_eq!(
+            b.clone().build().unwrap_err(),
+            GraphError::DuplicateEdge(NodeId::new(2), NodeId::new(1))
+        );
+        assert_eq!(
+            b.build_unchecked_connectivity().unwrap_err(),
+            GraphError::DuplicateEdge(NodeId::new(2), NodeId::new(1))
         );
     }
 

@@ -38,8 +38,6 @@
 //! assert_eq!(g.neighbor(v, 1), NodeId::new(2));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod algo;
 pub mod builders;
 pub mod euler;

@@ -7,8 +7,6 @@
 //! graph, including ten `random_regular` seeds whose acceptance depends on
 //! how the builder consumes its RNG stream.
 
-#![forbid(unsafe_code)]
-
 use rotor_graph::{builders, NodeId, PortGraph};
 
 /// FNV-1a over the little-endian bytes of `offsets`, then `adj`, then

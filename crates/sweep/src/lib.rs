@@ -60,8 +60,6 @@
 //! assert!(rotor.iter().zip(&walks).all(|(r, w)| (r.n, r.k, r.seed) == (w.n, w.k, w.seed)));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod driver;
 pub mod recovery;
 pub mod runners;

@@ -238,7 +238,7 @@ pub fn run_scenario_recovery(
     fault: &FaultSpec,
     opts: &RecoveryOptions,
 ) -> RecoverySample {
-    // lint: allow(wall-clock) -- feeds RecoverySample::nanos, a declared nondeterministic timing field
+    #[expect(clippy::disallowed_methods, reason = "feeds RecoverySample::nanos")]
     let start = Instant::now();
     let o = if fault.kind == FaultKind::ChurnEdges {
         churn_and_recover(sc, fault, opts)

@@ -164,7 +164,7 @@ fn finish_observed<P: CoverProcess>(
     max_rounds: u64,
     observer: &mut impl Observer<P>,
 ) -> CoverSample {
-    // lint: allow(wall-clock) -- feeds CoverSample::nanos, a declared nondeterministic timing field
+    #[expect(clippy::disallowed_methods, reason = "feeds CoverSample::nanos")]
     let start = Instant::now();
     let cover = p.run_observed(max_rounds, observer);
     let nanos = start.elapsed().as_nanos() as u64;

@@ -2,8 +2,6 @@
 //! must yield a well-formed port graph, and scenario enumeration must be
 //! deterministic and collision-free across a mixed-family lattice.
 
-#![forbid(unsafe_code)]
-
 use rotor_graph::{algo, NodeId, PortGraph};
 use rotor_sweep::{GraphFamily, InitSpec, PlacementSpec, ScenarioGrid};
 

@@ -26,8 +26,6 @@
 //! assert_eq!(w.kind_name(), "walk");
 //! ```
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rotor_core::bitset::VisitSet;
@@ -75,7 +73,7 @@ impl<'g> ParallelWalk<'g> {
         ParallelWalk {
             g,
             positions: starts.to_vec(),
-            // lint: allow(named-rng-streams) -- callers hand in a seed derived via STREAM_WALK (rotor-sweep runners)
+            #[expect(clippy::disallowed_methods, reason = "callers pass a STREAM_WALK seed")]
             rng: SmallRng::seed_from_u64(seed),
             round: 0,
             visits,

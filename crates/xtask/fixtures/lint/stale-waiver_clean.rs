@@ -1,7 +1,5 @@
-//@ lint-path: crates/core/src/fixture.rs
-use std::time::Instant;
-
-pub fn stamp() -> u64 {
-    // lint: allow(wall-clock) -- demonstration of a used waiver: timing meta only
-    Instant::now().elapsed().as_nanos() as u64
+//@ lint-path: crates/analysis/src/fixture.rs
+pub fn mean(xs: &[f64]) -> f64 {
+    // lint: allow(float-accumulation) -- demonstration of a used waiver: serial fold in index order
+    xs.iter().sum::<f64>() / xs.len() as f64
 }

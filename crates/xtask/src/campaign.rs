@@ -80,7 +80,7 @@ use rotor_sweep::{
     run_sharded_checked, CoverSample, FaultSpec, GraphFamily, InitSpec, PlacementSpec, ProcessKind,
     RecoveryOptions, RecoverySample, Scenario, ScenarioGrid,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The torus of the `return-time` sweeps.
@@ -708,14 +708,14 @@ pub fn domain_sampler_speedup() -> f64 {
 
     let mut word_wise = RingRouter::new(n, &starts, &dirs);
     let mut sampler = DomainSampler::every(1);
-    // lint: allow(wall-clock) -- measures the sampler speed-up ratio, a declared nondeterministic meta field
+    #[expect(clippy::disallowed_methods, reason = "times a nondeterministic ratio")]
     let t0 = Instant::now();
     word_wise.run_observed(rounds, &mut sampler);
     let word_wise_time = t0.elapsed();
 
     let mut scanned = RingRouter::new(n, &starts, &dirs);
     let mut scans = Vec::new();
-    // lint: allow(wall-clock) -- measures the reference-scan leg of the same nondeterministic ratio
+    #[expect(clippy::disallowed_methods, reason = "times that ratio's scan leg")]
     let t0 = Instant::now();
     scanned.run_observed(rounds, &mut |p: &RingRouter| {
         scans.push(scan_domain_stats(p.visits()));
@@ -1293,8 +1293,8 @@ struct RotorRun {
 /// Runs one rotor cell to cover with §2.2 domain sampling. The budget is
 /// `4·2·D·|E|` of the cell's own graph; the sampling stride scales to the
 /// expected run length: every round on short runs, ~4096 samples on long
-/// ones, which keeps the sample buffer small; each sample is an `O(1)`
-/// read on the ring and an `O(n / 64)` word-wise pass elsewhere.
+/// ones, which keeps the sample buffer small; each sample is an
+/// `O(n / 64)` word-wise pass over the engine's visit record.
 fn run_rotor_cell(sc: &Scenario) -> RotorRun {
     let bound = lockin_bound(sc);
     let mut sampler = DomainSampler::every((bound / 4096).max(1));
@@ -1937,22 +1937,16 @@ fn measure_ring_vs_general(n: usize, ks: &[usize], rounds: &[u64], reps: usize) 
 
 /// Rounds/sec of one `run(rounds)` call.
 fn timed_rounds_per_sec(rounds: u64, run: impl FnOnce(u64)) -> f64 {
-    // lint: allow(wall-clock) -- rounds/sec is the measured quantity of the throughput report, never a deterministic column
+    #[expect(clippy::disallowed_methods, reason = "rounds/sec is measured here")]
     let start = Instant::now();
     run(rounds);
     rounds as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Repository root (two levels above this crate's manifest) — where the
-/// canonical `BENCH_*.json` reports and the default state files live.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
-}
-
 /// The default state-file path of a `(campaign, scale)` pass, under
 /// `target/campaign/` so it never pollutes the working tree.
 pub fn default_state_path(campaign: &str, scale: Scale) -> PathBuf {
-    repo_root()
+    crate::workspace_root()
         .join("target")
         .join("campaign")
         .join(format!("{campaign}-{}.state.json", scale.tag()))
@@ -2036,6 +2030,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use std::sync::OnceLock;
 
     /// `Band::AfterMedian` resamples the covers in the order `median`
@@ -2340,7 +2335,7 @@ mod tests {
 
     #[test]
     fn every_row_has_a_committed_report_and_every_report_a_row() {
-        let root = repo_root();
+        let root = crate::workspace_root();
         let mut committed: Vec<String> = std::fs::read_dir(&root)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

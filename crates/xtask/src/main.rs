@@ -20,12 +20,10 @@
 //!   file, the assembled report is validated and written to the
 //!   campaign's canonical `BENCH_<bench>.json` (or `--out`); a report
 //!   with failed cells is written and then exits nonzero;
-//! * `lint [--list-rules] [paths...]` — the determinism-contract static
-//!   analysis (see [`xtask::lint`]): walks every non-vendor workspace
-//!   crate (or the given paths), reports findings as `file:line rule
-//!   message` and exits nonzero on any unwaived finding.
-
-#![forbid(unsafe_code)]
+//! * `lint [--list-rules] [paths...]` — the determinism contract's text
+//!   rules (see [`xtask::lint`]; clippy checks the rest): walks every
+//!   non-vendor workspace crate (or the given paths), reports findings as
+//!   `file:line rule message` and exits nonzero on any unwaived finding.
 
 use rotor_analysis::report::Json;
 use std::path::PathBuf;
@@ -196,13 +194,7 @@ fn run_lint(args: Vec<&str>) -> ExitCode {
     if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
         return usage_error(&format!("lint: unknown flag {flag:?}"));
     }
-    let root = lint::workspace_root();
-    let result = if args.is_empty() {
-        lint::lint_workspace(&root)
-    } else {
-        lint::lint_paths(&root, &args)
-    };
-    match result {
+    match lint::lint_paths(&xtask::workspace_root(), &args) {
         Ok(findings) if findings.is_empty() => {
             println!("lint: clean (0 findings, {} rules)", lint::RULES.len());
             ExitCode::SUCCESS
@@ -211,11 +203,8 @@ fn run_lint(args: Vec<&str>) -> ExitCode {
             for f in &findings {
                 eprintln!("{f}");
             }
-            eprintln!(
-                "lint: {} finding(s); waive intentional sites with \
-                 `// lint: allow(<rule>) -- <reason>`",
-                findings.len()
-            );
+            let n = findings.len();
+            eprintln!("lint: {n} finding(s); waive a deliberate site with a `lint: allow(<rule>) -- <reason>` comment");
             ExitCode::FAILURE
         }
         Err(e) => {

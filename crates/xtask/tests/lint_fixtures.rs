@@ -1,20 +1,58 @@
-//! The lint engine's fixture-based self-test: every rule of the
-//! determinism contract has one fixture that must fire and one clean
-//! twin that must not, plus golden checks keeping `--list-rules` and the
-//! README rule table in sync with [`xtask::lint::RULES`].
-//!
-//! Fixtures live in `crates/xtask/fixtures/lint/` (a directory the
-//! workspace walk explicitly skips — the firing fixtures would otherwise
-//! fail `xtask lint` itself) and impersonate real workspace locations
-//! via a first-line `//@ lint-path:` directive.
+//! Self-tests of the determinism contract. Each `xtask lint` rule has a
+//! firing fixture and a clean twin in `fixtures/lint/` (which impersonate
+//! workspace paths via a first-line `//@ lint-path:`), and `--list-rules`
+//! and the README table stay in sync with [`xtask::lint::RULES`]. For the
+//! compiler-checked rules, every member inherits the workspace lint table,
+//! and the clippy fixture crate `fixtures/contract/` shares it and commits
+//! a rejection set covering every rule, which CI compares with clippy's.
 
-#![forbid(unsafe_code)]
-
-use std::path::PathBuf;
-use xtask::lint::{lint_file, lint_workspace, workspace_root, RULES};
+use std::path::{Path, PathBuf};
+use xtask::lint::{lint_file, lint_paths, RULES};
+use xtask::workspace_root;
 
 fn fixture_dir() -> PathBuf {
     workspace_root().join("crates/xtask/fixtures/lint")
+}
+
+fn contract_dir() -> PathBuf {
+    workspace_root().join("crates/xtask/fixtures/contract")
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The `[workspace.lints.*]` tables of a manifest, up to the next table
+/// that is not one of them.
+fn lint_tables(manifest: &str) -> String {
+    let start = manifest
+        .find("[workspace.lints.")
+        .expect("manifest has workspace lints");
+    let rest = &manifest[start..];
+    let end = rest
+        .match_indices("\n[")
+        .map(|(i, _)| i)
+        .find(|&i| !rest[i + 1..].starts_with("[workspace.lints."))
+        .unwrap_or(rest.len());
+    rest[..end].trim_end().to_string()
+}
+
+/// The fixture lines, 1-based, that clippy must reject with `lint` per the
+/// committed `expected.txt` (`<line> <lint>` per rejection).
+fn rejected(lint: &str) -> Vec<usize> {
+    let expected = read(&contract_dir().join("expected.txt"));
+    let pairs = expected.lines().filter_map(|l| l.split_once(' '));
+    let lines = pairs.filter(|&(_, l)| l == lint || lint.is_empty());
+    lines
+        .map(|(n, _)| n.parse().expect("line number"))
+        .collect()
+}
+
+/// The contract fixture's lines, 1-based, that contain `needle`.
+fn fixture_lines(needle: &str) -> Vec<usize> {
+    let src = read(&contract_dir().join("src/lib.rs"));
+    let lines = src.lines().enumerate().filter(|(_, l)| l.contains(needle));
+    lines.map(|(i, _)| i + 1).collect()
 }
 
 #[test]
@@ -59,18 +97,16 @@ fn clean_twins_produce_zero_findings() {
 
 #[test]
 fn the_prefix_hashmap_delays_store_is_caught_and_the_tree_is_clean() {
-    // The motivating hazard: rule 1 fires on the pre-fix `delays.rs`
-    // HashMap store (kept verbatim as the fixture) — and the live tree,
-    // which now uses a BTreeMap, carries no unwaived finding anywhere.
-    let root = workspace_root();
-    let fixture = fixture_dir().join("no-hash-collections_fire.rs");
-    let findings = lint_file(&root, &fixture).expect("fixture reads");
-    assert!(findings
-        .iter()
-        .all(|f| f.rule == "no-hash-collections" && f.file.ends_with("_fire.rs")));
-    assert_eq!(findings.len(), 2, "use + field declaration: {findings:?}");
+    // The motivating hazard: the pre-fix `DelaySchedule` HashMap store,
+    // kept in the contract fixture crate, is rejected by clippy on its
+    // `use` and on its field; the live tree (a BTreeMap since) carries no
+    // unwaived text-rule finding anywhere.
+    let hash_lines = fixture_lines("HashMap");
+    assert_eq!(hash_lines.len(), 2, "use + field declaration");
+    let types = rejected("clippy::disallowed_types");
+    assert!(hash_lines.iter().all(|l| types.contains(l)), "{types:?}");
 
-    let workspace = lint_workspace(&root).expect("workspace walks");
+    let workspace = lint_paths(&workspace_root(), &[]).expect("workspace walks");
     assert!(
         workspace.is_empty(),
         "the workspace must lint clean: {workspace:?}"
@@ -79,17 +115,72 @@ fn the_prefix_hashmap_delays_store_is_caught_and_the_tree_is_clean() {
 
 #[test]
 fn rotor_batch_reads_fail_the_env_allowlist() {
-    // ROTOR_BATCH is not a documented override: reading it must fail the
-    // lint until a reviewed allowlist entry adds it.
+    // ROTOR_BATCH is not a documented input: clippy rejects reading it,
+    // and every other environment read, with no list to extend.
+    let reads = fixture_lines("var(\"ROTOR_BATCH\")");
+    let methods = rejected("clippy::disallowed_methods");
+    assert!(!reads.is_empty() && reads.iter().all(|l| methods.contains(l)));
+}
+
+#[test]
+fn contract_fixture_rejects_every_disallowed_path_and_waiver_form() {
+    for lint in [
+        "clippy::disallowed_types",
+        "clippy::disallowed_methods",
+        "unsafe_code",
+        "unfulfilled_lint_expectations",
+        "clippy::allow_attributes",
+        "clippy::allow_attributes_without_reason",
+    ] {
+        assert!(!rejected(lint).is_empty(), "no fixture site fires {lint}");
+    }
+    // Every disallowed path of `clippy.toml` is named at a rejected line.
+    let config = read(&workspace_root().join("clippy.toml"));
+    for entry in config.lines().filter_map(|l| l.split("path = \"").nth(1)) {
+        let path = &entry[..entry.find('"').expect("quoted path")];
+        let name = path.rsplit("::").next().expect("path segment");
+        let rejected = rejected("");
+        assert!(
+            fixture_lines(name).iter().any(|l| rejected.contains(l)),
+            "{path} fires nowhere in the fixture"
+        );
+    }
+}
+
+#[test]
+fn contract_fixture_shares_the_workspace_lint_table() {
+    let root = read(&workspace_root().join("Cargo.toml"));
+    let fixture = read(&contract_dir().join("Cargo.toml"));
+    assert_eq!(lint_tables(&fixture), lint_tables(&root));
+    assert!(fixture.contains("\n[lints]\nworkspace = true\n"));
+}
+
+#[test]
+fn every_workspace_member_inherits_the_workspace_lints() {
+    // `unsafe_code = "forbid"` and the waiver discipline reach every
+    // target of a package only through this inheritance. The vendored
+    // stand-ins keep their own attributes instead.
     let root = workspace_root();
-    let fixture = fixture_dir().join("env-allowlist_fire.rs");
-    let findings = lint_file(&root, &fixture).expect("fixture reads");
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "env-allowlist" && f.to_string().contains("\"ROTOR_BATCH\"")),
-        "{findings:?}"
-    );
+    let manifest = read(&root.join("Cargo.toml"));
+    let members = manifest
+        .split("\nmembers = [")
+        .nth(1)
+        .and_then(|m| m.split(']').next())
+        .expect("workspace members");
+    let members: Vec<&str> = members
+        .split(',')
+        .map(|m| m.trim().trim_matches('"'))
+        .filter(|m| !m.is_empty() && !m.starts_with("crates/vendor/"))
+        .collect();
+    assert!(members.len() >= 7, "{members:?}");
+    for member in members {
+        let path = root.join(member).join("Cargo.toml");
+        assert!(
+            read(&path).contains("\n[lints]\nworkspace = true\n"),
+            "{} must inherit the workspace lints",
+            path.display()
+        );
+    }
 }
 
 #[test]

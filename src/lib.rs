@@ -33,8 +33,6 @@
 //! assert!(r.run_until_covered(1_000_000).is_some());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use rotor_analysis;
 pub use rotor_core;
 pub use rotor_graph;
