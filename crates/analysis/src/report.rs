@@ -38,10 +38,7 @@
 //!   `worst_ratio`, the §2.2 domain-dynamics columns `max_domains` (peak
 //!   count of maximal contiguous visited index segments over the run,
 //!   worst repetition) and `single_domain_round` (first round from which
-//!   the domain count stays at 1, latest repetition), plus the report-meta
-//!   scalar `domain_sampler_speedup_n4096` (measured wall-clock ratio of
-//!   every-round domain sampling through the bit-by-bit reference scan vs
-//!   the word-wise pass over the visit record).
+//!   the domain count stays at 1, latest repetition).
 //!
 //! Reports are parsed back (for the `xtask` validator and the
 //! determinism-drift comparison in CI) with [`Json::parse`], the exact

@@ -23,10 +23,9 @@
 
 use crate::scenario::Scenario;
 use rotor_core::faults::{agent_multiset, churn_graph, FaultKind, FaultPlan, Perturb};
-use rotor_core::limit::{probe_cycle, ConfigSnapshot, CycleInfo};
+use rotor_core::limit::{probe_cycle, ConfigSnapshot};
 use rotor_core::{CoverProcess, Engine};
 use rotor_graph::NodeId;
-use std::time::Instant;
 
 /// One disturbance to apply to a covered scenario: what strikes, how hard,
 /// and how many rounds after cover.
@@ -89,20 +88,26 @@ pub struct RecoverySample {
     pub period: Option<u64>,
     /// Which engine ran the cell ([`CoverProcess::kind_name`]).
     pub backend: &'static str,
-    /// Wall-clock nanoseconds spent simulating (excludes setup).
-    pub nanos: u64,
 }
 
-/// What one recovery cell measured, before [`RecoverySample`] adds the
-/// cell coordinates and the timing.
-#[derive(Default)]
-struct Outcome {
-    cover: Option<u64>,
-    disturb_round: Option<u64>,
-    touched: u32,
-    recover: Option<u64>,
-    cycle: Option<CycleInfo>,
-    backend: &'static str,
+impl RecoverySample {
+    /// `sc`'s cell on `backend` before any fault: what a healthy phase that
+    /// never covers records, and the base every struck cell fills in.
+    fn undisturbed(sc: &Scenario, backend: &'static str) -> RecoverySample {
+        RecoverySample {
+            n: sc.n,
+            k: sc.k,
+            seed_index: sc.seed_index,
+            seed: sc.seed,
+            cover: None,
+            disturb_round: None,
+            touched: 0,
+            recover: None,
+            relock: None,
+            period: None,
+            backend,
+        }
+    }
 }
 
 /// The healthy phase every recovery cell shares: run `p` to cover, keep
@@ -132,15 +137,12 @@ fn disturb_and_recover<P>(
     fault: &FaultSpec,
     opts: &RecoveryOptions,
     hold_all: impl Fn(&mut P),
-) -> Outcome
+) -> RecoverySample
 where
     P: Perturb + ConfigSnapshot + Clone,
 {
     let Some((cover, plan)) = run_healthy(&mut p, sc, fault, opts) else {
-        return Outcome {
-            backend: p.kind_name(),
-            ..Outcome::default()
-        };
+        return RecoverySample::undisturbed(sc, p.kind_name());
     };
     let disturb_round = p.round();
     let touched = match fault.kind {
@@ -171,13 +173,14 @@ where
     let cycle = opts
         .relock_budget
         .and_then(|b| probe_cycle(|| disturbed.clone(), b));
-    Outcome {
+    RecoverySample {
         cover: Some(cover),
         disturb_round: Some(disturb_round),
         touched,
         recover,
-        cycle,
-        backend: p.kind_name(),
+        relock: cycle.map(|c| c.tail),
+        period: cycle.map(|c| c.period),
+        ..RecoverySample::undisturbed(sc, p.kind_name())
     }
 }
 
@@ -185,14 +188,11 @@ where
 /// fresh engine's starts-visited initialisation *is* the epoch reset. The
 /// ring family also takes this path: a churned ring is not the ring the
 /// fast path assumes.
-fn churn_and_recover(sc: &Scenario, fault: &FaultSpec, opts: &RecoveryOptions) -> Outcome {
+fn churn_and_recover(sc: &Scenario, fault: &FaultSpec, opts: &RecoveryOptions) -> RecoverySample {
     let g = sc.graph();
     let mut e = sc.engine(&g);
     let Some((cover, plan)) = run_healthy(&mut e, sc, fault, opts) else {
-        return Outcome {
-            backend: e.kind_name(),
-            ..Outcome::default()
-        };
+        return RecoverySample::undisturbed(sc, e.kind_name());
     };
     let disturb_round = e.round();
     let state = e.state();
@@ -211,13 +211,14 @@ fn churn_and_recover(sc: &Scenario, fault: &FaultSpec, opts: &RecoveryOptions) -
     // Fresh engine: rounds count from the disturbance by construction.
     let recover = e2.run_until_covered(opts.recover_budget);
     let cycle = opts.relock_budget.and_then(|b| probe_cycle(rebuilt, b));
-    Outcome {
+    RecoverySample {
         cover: Some(cover),
         disturb_round: Some(disturb_round),
         touched: applied,
         recover,
-        cycle,
-        backend: e2.kind_name(),
+        relock: cycle.map(|c| c.tail),
+        period: cycle.map(|c| c.period),
+        ..RecoverySample::undisturbed(sc, e2.kind_name())
     }
 }
 
@@ -238,9 +239,7 @@ pub fn run_scenario_recovery(
     fault: &FaultSpec,
     opts: &RecoveryOptions,
 ) -> RecoverySample {
-    #[expect(clippy::disallowed_methods, reason = "feeds RecoverySample::nanos")]
-    let start = Instant::now();
-    let o = if fault.kind == FaultKind::ChurnEdges {
+    if fault.kind == FaultKind::ChurnEdges {
         churn_and_recover(sc, fault, opts)
     } else if sc.family.is_ring() {
         disturb_and_recover(sc.ring_router(), sc, fault, opts, |r| {
@@ -251,20 +250,6 @@ pub fn run_scenario_recovery(
         disturb_and_recover(sc.engine(&g), sc, fault, opts, |e| {
             e.step_delayed(|_, c| c);
         })
-    };
-    RecoverySample {
-        n: sc.n,
-        k: sc.k,
-        seed_index: sc.seed_index,
-        seed: sc.seed,
-        cover: o.cover,
-        disturb_round: o.disturb_round,
-        touched: o.touched,
-        recover: o.recover,
-        relock: o.cycle.map(|c| c.tail),
-        period: o.cycle.map(|c| c.period),
-        backend: o.backend,
-        nanos: start.elapsed().as_nanos() as u64,
     }
 }
 

@@ -67,16 +67,6 @@ pub struct CoverSample {
     pub backend: &'static str,
 }
 
-impl CoverSample {
-    /// Simulated rounds per second over this cell's run.
-    pub fn rounds_per_sec(&self) -> f64 {
-        if self.nanos == 0 {
-            return f64::NAN;
-        }
-        self.rounds as f64 / (self.nanos as f64 / 1e9)
-    }
-}
-
 /// Measures one [`Scenario`] with the given process, running to cover or
 /// `max_rounds`, whichever comes first.
 ///
@@ -414,8 +404,8 @@ mod tests {
     fn ring_backends_match_cell_by_cell() {
         // One ScenarioGrid through Rotor and RotorGeneral must produce
         // field-identical reports under `xtask compare` semantics — every
-        // CoverSample field except `nanos` (a declared
-        // NONDETERMINISTIC_FIELDS timing column) and `backend`
+        // CoverSample field except `nanos` (wall-clock time, which no
+        // report carries) and `backend`
         // (compare-stable *within* a backend; across backends it differs
         // by construction and is asserted exactly). Of the three
         // kind_names — rotor_ring, rotor_general and walk — only the

@@ -1,6 +1,8 @@
 //! Named, resumable sweep campaigns — every experiment pass behind
 //! `cargo run -p xtask -- campaign <name>`, and the only writer of the
-//! committed `BENCH_*.json` reports.
+//! committed `BENCH_*.json` reports. Every report field is a pure function
+//! of the grid and its seeds; the wall-clock measurements live in
+//! [`perf`](crate::perf).
 //!
 //! [`CAMPAIGNS`] is the one table of experiments. Each row names the
 //! campaign and the bench its report is filed under, and holds its
@@ -32,10 +34,6 @@
 //!   one shared grid, for random and all-on-one placements, with
 //!   bootstrap bands, regime fits and the fitted speed-up exponent per
 //!   `(placement, n)`. Unit `<placement>`, every `n` inside it.
-//! * `engine-throughput` → `BENCH_engine_throughput.json`: rounds/sec of
-//!   the general engine on three standard graphs, and of [`RingRouter`]
-//!   against [`Engine`] on the same worst-case ring cells. The only
-//!   timing campaign: it stores no units, so every pass re-times.
 //! * `family-speedup` → `BENCH_general_graphs.json`: the headline
 //!   comparison *off* the ring, every shape-free graph family (ring,
 //!   path, complete, star, binary tree, random-regular) at
@@ -47,9 +45,9 @@
 //!   across all three sizes. Unit `<family>/n<n>`.
 //! * `ring-large-n` → `BENCH_ring_large_n.json`: the ring `walk_vs_rotor`
 //!   / `table1` grids at `n ≥ 10⁵` (worst-case, best-case and paired
-//!   random columns) on the [`RingRouter`] fast path through
-//!   [`ProcessKind::Rotor`]. Unit `<column>/n<n>`, so an interrupted pass
-//!   loses at most one long worst-case cell.
+//!   random columns) on the [`RingRouter`](rotor_core::RingRouter) fast
+//!   path through [`ProcessKind::Rotor`]. Unit `<column>/n<n>`, so an
+//!   interrupted pass loses at most one long worst-case cell.
 //! * `recovery` → `BENCH_recovery.json`: fault injection, every
 //!   disturbance kind (pointer corruption, agent crashes, §2.1 stalls,
 //!   edge churn) struck after cover on ring, random-regular and
@@ -61,9 +59,10 @@
 //!   report and then fails. Unit `<kind>/<family>/n<n>`.
 //! * `torus-seg` → `BENCH_torus_seg.json`: the torus canary, worst-case
 //!   and seeded random cover curves per torus shape on the general
-//!   [`Engine`], so the determinism-drift job can diff a full-scale rerun
-//!   against the committed report. The name and report file are kept
-//!   from the retired row-banded torus backend. Unit `<rows>x<cols>`.
+//!   [`Engine`](rotor_core::Engine), so the determinism-drift job can diff
+//!   a full-scale rerun against the committed report. The name and report
+//!   file are kept from the retired row-banded torus backend. Unit
+//!   `<rows>x<cols>`.
 
 use crate::validate::{self, flag, int, num, Bound::*, Check::*, ReportRule::*, Rules, SetTest::*};
 use rotor_analysis::recovery::{summarize_recovery, RecoveryObs};
@@ -71,27 +70,23 @@ use rotor_analysis::report::{report_json, write_summary, Curve, Json, Point};
 use rotor_analysis::{
     bootstrap_median_band, fit_regime, fit_regime_scaled, median, speedup_exponent, RegimeFit,
 };
-use rotor_core::domains::{scan_domain_stats, DomainSampler};
+use rotor_core::domains::DomainSampler;
 use rotor_core::faults::FaultKind;
-use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, Engine, RingRouter};
-use rotor_graph::{algo, builders, NodeId, PortGraph};
+use rotor_graph::algo;
 use rotor_sweep::{
     run_scenario, run_scenario_cycle, run_scenario_observed, run_scenario_recovery, run_sharded,
     run_sharded_checked, CoverSample, FaultSpec, GraphFamily, InitSpec, PlacementSpec, ProcessKind,
     RecoveryOptions, RecoverySample, Scenario, ScenarioGrid,
 };
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// The torus of the `return-time` sweeps.
 const TORUS_4X4: GraphFamily = GraphFamily::Torus { rows: 4, cols: 4 };
 /// Powers of two up to 64: the `table1` and `walk-vs-rotor` `k` ladder.
 const POW2_KS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
-/// `engine-throughput`'s ring cells.
-const RING_KS: &[usize] = &[1, 16, 8192];
 
 /// Every experiment, one row each.
-pub const CAMPAIGNS: [Campaign; 8] = [
+pub const CAMPAIGNS: [Campaign; 7] = [
     Campaign {
         name: "table1",
         bench: "table1",
@@ -104,13 +99,9 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: table1_report,
         rules: Rules {
-            x_increasing: true,
             // `cover` in the deterministic worst/best columns, the median
             // over seeds in the random one
-            points: &[
-                AnyOf(&[&[int("cover")], &[int("median_cover")]]),
-                num("rounds_per_sec").if_present().bounded(Above(0.0)),
-            ],
+            points: &[AnyOf(&[&[int("cover")], &[int("median_cover")]])],
             ..Rules::GENERIC
         },
     },
@@ -142,7 +133,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: return_time_report,
         rules: Rules {
-            x_increasing: true,
             meta_keys: &["family", "n"],
             points: &[
                 flag("found"),
@@ -166,7 +156,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: walk_vs_rotor_report,
         rules: Rules {
-            x_increasing: true,
             meta_keys: &["process", "placement", "n"],
             points: &[
                 int("median_cover"),
@@ -184,33 +173,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         },
     },
     Campaign {
-        name: "engine-throughput",
-        bench: "engine_throughput",
-        // `seeds` counts the timing repetitions; `rounds` the timed rounds
-        // of the workload curve, then of each ring cell (a few
-        // milliseconds per timing at full scale).
-        grids: [
-            Grid {
-                rounds: &[4096, 1 << 20, 1 << 18, 4096],
-                ..grid(&[1 << 21], RING_KS, 5)
-            },
-            Grid {
-                rounds: &[64, 1024, 256, 64],
-                ..grid(&[4096], RING_KS, 1)
-            },
-            Grid {
-                rounds: &[64, 1024, 256, 64],
-                ..grid(&[4096], RING_KS, 1)
-            },
-        ],
-        build: engine_throughput_report,
-        rules: Rules {
-            points: &[num("rounds_per_sec").bounded(Above(0.0))],
-            report: &[Custom(validate::ring_vs_general)],
-            ..Rules::GENERIC
-        },
-    },
-    Campaign {
         name: "family-speedup",
         bench: "general_graphs",
         // 16 seeds per point at full scale: the extra repetitions tighten
@@ -222,7 +184,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: family_speedup_report,
         rules: Rules {
-            x_increasing: true,
             meta_keys: &["family", "n", "process"],
             per_process: &[
                 // Rotor covers against the 2·D·|E| budget, a bootstrap
@@ -259,9 +220,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
             ],
             report: &[
                 Distinct("family", "graph families", NotOnly("ring")),
-                // The word-wise §2.2 pass must beat the O(n) bit-by-bit
-                // reference scan by a wide margin (18–29× at n = 4096).
-                Meta(&[num("domain_sampler_speedup_n4096").bounded(AtLeast(5.0))]),
                 Custom(validate::paired_speedups),
             ],
             ..Rules::GENERIC
@@ -281,7 +239,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: ring_large_n_report,
         rules: Rules {
-            x_increasing: true,
             meta_keys: &["placement", "n", "process"],
             points: &[AnyOf(&[
                 &[int("cover")],
@@ -306,7 +263,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: recovery_report,
         rules: Rules {
-            x_increasing: true,
             meta_keys: &["kind", "family", "n", "process"],
             // Timeout honesty: the re-cover and re-lock statistics exist
             // exactly when something recovered (re-locked), and are null,
@@ -370,7 +326,6 @@ pub const CAMPAIGNS: [Campaign; 8] = [
         ],
         build: torus_seg_report,
         rules: Rules {
-            x_increasing: true,
             // The campaign canaries the general engine on the torus; a
             // report claiming another engine ran is a wiring regression.
             meta_values: &[("backend", "rotor_general")],
@@ -406,8 +361,7 @@ impl Campaign {
         threads: usize,
         state: &mut CampaignState,
     ) -> Result<Json, String> {
-        let Body(threads, meta, curves) =
-            (self.build)(&self.grids[scale as usize], threads, state)?;
+        let Body(meta, curves) = (self.build)(&self.grids[scale as usize], threads, state)?;
         Ok(report_json(self.bench, threads, meta, curves))
     }
 }
@@ -433,22 +387,17 @@ pub fn names(sep: &str) -> String {
 /// empty.
 #[derive(Clone, Copy, Debug)]
 pub struct Grid {
-    /// Node counts `n`; `engine-throughput`'s is the ring of its
-    /// ring-vs-general curve.
+    /// Node counts `n`.
     pub ns: &'static [usize],
     /// The `k` ladder, capped at `n/16` in per-`n` units; empty where the
-    /// campaign takes [`ks_for`]. `engine-throughput`'s ring cells.
+    /// campaign takes [`ks_for`].
     pub ks: &'static [usize],
-    /// Seed repetitions per point of the seeded columns;
-    /// `engine-throughput`'s timing repetitions.
+    /// Seed repetitions per point of the seeded columns.
     pub seeds: usize,
     /// `torus-seg`'s torus shapes `(rows, cols)`.
     pub shapes: &'static [(usize, usize)],
     /// `return-time`'s `(family, n, ks)` sweeps.
     pub sweeps: &'static [(GraphFamily, usize, &'static [usize])],
-    /// `engine-throughput`'s timed rounds: the workload curve's, then one
-    /// per ring cell.
-    pub rounds: &'static [u64],
 }
 
 /// A grid of sizes `ns` over the `ks` ladder with `seeds` repetitions;
@@ -460,7 +409,6 @@ const fn grid(ns: &'static [usize], ks: &'static [usize], seeds: usize) -> Grid 
         seeds,
         shapes: &[],
         sweeps: &[],
-        rounds: &[],
     }
 }
 
@@ -475,9 +423,8 @@ impl Grid {
     }
 }
 
-/// A report before its envelope: the worker threads it records, its meta
-/// and its curves.
-struct Body(usize, Json, Vec<Json>);
+/// A report before its envelope: its meta and its curves.
+struct Body(Json, Vec<Json>);
 
 /// Schema tag of the campaign state file.
 pub const STATE_SCHEMA: &str = "rotor-campaign-state/1";
@@ -695,43 +642,6 @@ fn walk_budget(n: usize) -> u64 {
     64 * (n as u64) * (n as u64)
 }
 
-/// Wall-clock ratio of every-round §2.2 sampling on a `RingRouter` through
-/// the `O(n)` bit-by-bit reference scan versus the word-wise
-/// [`VisitSet::domain_stats`](rotor_core::bitset::VisitSet::domain_stats)
-/// pass that `DomainSampler` runs, at `n = 4096` — recorded in every
-/// `general_graphs` report's meta (the validator requires at least 5×).
-pub fn domain_sampler_speedup() -> f64 {
-    let n = 4096;
-    let rounds = 2048;
-    let starts = Placement::EquallySpaced { offset: 0 }.positions(n, 8);
-    let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-
-    let mut word_wise = RingRouter::new(n, &starts, &dirs);
-    let mut sampler = DomainSampler::every(1);
-    #[expect(clippy::disallowed_methods, reason = "times a nondeterministic ratio")]
-    let t0 = Instant::now();
-    word_wise.run_observed(rounds, &mut sampler);
-    let word_wise_time = t0.elapsed();
-
-    let mut scanned = RingRouter::new(n, &starts, &dirs);
-    let mut scans = Vec::new();
-    #[expect(clippy::disallowed_methods, reason = "times that ratio's scan leg")]
-    let t0 = Instant::now();
-    scanned.run_observed(rounds, &mut |p: &RingRouter| {
-        scans.push(scan_domain_stats(p.visits()));
-    });
-    let scan_time = t0.elapsed();
-
-    // Identical runs: the two instruments must agree sample for sample.
-    assert_eq!(sampler.samples.len(), scans.len());
-    assert!(sampler
-        .samples
-        .iter()
-        .zip(&scans)
-        .all(|(s, sc)| (s.domains, s.borders) == (sc.domains, sc.borders)));
-    scan_time.as_secs_f64() / word_wise_time.as_secs_f64().max(f64::EPSILON)
-}
-
 // ---------------------------------------------------------------------------
 // Shared pieces: columns, the single-family grid, cover points, units
 // ---------------------------------------------------------------------------
@@ -822,19 +732,6 @@ enum Shape {
     Counted,
 }
 
-/// The bootstrap band around a point's median, and the seed of its
-/// resamples.
-#[derive(Clone, Copy)]
-enum Band {
-    /// Resamples the covers in cell order. `median` permutes its slice in
-    /// an order std leaves unspecified, so this keeps the bands
-    /// reproducible across Rust versions.
-    Cells(u64),
-    /// Resamples the covers as `median` left them (the order behind the
-    /// committed `family-speedup` bands).
-    AfterMedian(u64),
-}
-
 /// Bootstrap resamples behind every `band_lo`/`band_hi` pair (shared by
 /// `family-speedup` and `walk-vs-rotor`, so band widths are comparable
 /// across reports).
@@ -843,14 +740,14 @@ const BOOTSTRAP_RESAMPLES: usize = 300;
 const BAND_CONFIDENCE: f64 = 0.95;
 
 /// Turns one point's cover samples (`None`: a cell that timed out) into
-/// its fields: the cover fields of `shape`, the `band` when given, then
-/// `extra`, then `walk_over_rotor` against the rotor median when given.
-/// Returns the median with the point.
+/// its fields: the cover fields of `shape`, the bootstrap band around the
+/// median when `band_seed` seeds one, then `extra`, then `walk_over_rotor`
+/// against the rotor median when given. Returns the median with the point.
 fn cover_point(
     k: usize,
     cells: impl IntoIterator<Item = Option<u64>>,
     shape: Shape,
-    band: Option<Band>,
+    band_seed: Option<u64>,
     extra: impl IntoIterator<Item = (&'static str, Json)>,
     rotor_median: Option<Option<u64>>,
 ) -> (Option<u64>, Point) {
@@ -861,18 +758,12 @@ fn cover_point(
             .map(|c| c.expect("rotor-router always covers"))
             .collect(),
     };
-    let resample = |covers: &[u64], seed| {
-        bootstrap_median_band(covers, BOOTSTRAP_RESAMPLES, BAND_CONFIDENCE, seed)
-    };
-    let mut bands = match band {
-        Some(Band::Cells(seed)) => Some(resample(&covers, seed)),
-        _ => None,
-    };
+    // Resampled in cell order, before `median` permutes the covers in an
+    // order std leaves unspecified.
+    let band = band_seed
+        .map(|seed| bootstrap_median_band(&covers, BOOTSTRAP_RESAMPLES, BAND_CONFIDENCE, seed));
     let covered = covers.len() as u64;
     let m = median(&mut covers);
-    if let Some(Band::AfterMedian(seed)) = band {
-        bands = Some(resample(&covers, seed));
-    }
     let mut fields = match shape {
         Shape::Cover => vec![("cover", int_or_null(m))],
         Shape::Median => vec![("median_cover", int_or_null(m))],
@@ -881,7 +772,7 @@ fn cover_point(
             ("median_cover", int_or_null(m)),
         ],
     };
-    if let Some(b) = bands {
+    if let Some(b) = band {
         fields.push(("band_lo", int_or_null(b.as_ref().map(|b| b.lo))));
         fields.push(("band_hi", int_or_null(b.as_ref().map(|b| b.hi))));
     }
@@ -1011,12 +902,11 @@ fn table1_report(grid: &Grid, threads: usize, state: &mut CampaignState) -> Resu
         ("n", Json::Int(n as u64)),
         ("random_seeds", Json::Int(grid.seeds as u64)),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// One Table 1 column: the ring at size `n` over the `k` ladder, with a
-/// [`fit_regime`] verdict on its cover curve. The worst-case column also
-/// records the ring rounds/sec per `k`.
+/// [`fit_regime`] verdict on its cover curve.
 fn run_table1_unit(column: &Column, n: usize, grid: &Grid, threads: usize) -> Json {
     let ks = grid.ks_at(n);
     let seeds = column.seed_count(grid.seeds);
@@ -1035,9 +925,7 @@ fn run_table1_unit(column: &Column, n: usize, grid: &Grid, threads: usize) -> Js
     let mut fit_points: Vec<(u64, u64)> = Vec::new();
     for (ki, &k) in ks.iter().enumerate() {
         let cells = &samples[sg.point_range(0, 0, ki)];
-        let rate = (column.name == WORST.name)
-            .then(|| ("rounds_per_sec", Json::Num(cells[0].rounds_per_sec())));
-        let (m, point) = cover_point(k, covers(cells), shape, None, rate, None);
+        let (m, point) = cover_point(k, covers(cells), shape, None, [], None);
         fit_points.extend(m.map(|m| (k as u64, m)));
         curve.points.push(point);
     }
@@ -1065,7 +953,7 @@ fn return_time_report(
         run_return_time_unit(family, n, ks, threads)
     })?;
     let meta = Json::obj([("max_steps", Json::Int(RETURN_TIME_MAX_STEPS))]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// One `(family, n)` sweep: the worst-case start (all agents on one
@@ -1128,7 +1016,7 @@ fn walk_vs_rotor_report(
         ("ks", ints(grid.ks)),
         ("speedups", Json::Arr(speedups)),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// One placement column: the rotor-router and `k` random walks over one
@@ -1174,7 +1062,7 @@ fn run_walk_vs_rotor_unit(column: &Column, grid: &Grid, threads: usize) -> Json 
                 k,
                 covers(&rotor[range.clone()]),
                 Shape::Counted,
-                Some(Band::Cells(0xB00 + k as u64)),
+                Some(0xB00 + k as u64),
                 [],
                 None,
             );
@@ -1183,7 +1071,7 @@ fn run_walk_vs_rotor_unit(column: &Column, grid: &Grid, threads: usize) -> Json 
                 k,
                 covers(&walks[range]),
                 Shape::Counted,
-                Some(Band::Cells(0xBA5E + k as u64)),
+                Some(0xBA5E + k as u64),
                 [],
                 Some(r),
             );
@@ -1271,12 +1159,8 @@ fn family_speedup_report(
         ("placement", Json::Str("random".into())),
         ("ks_rule", Json::Str(KS_RULE.into())),
         ("speedups", Json::Arr(speedups)),
-        (
-            "domain_sampler_speedup_n4096",
-            Json::Num(domain_sampler_speedup()),
-        ),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// One measured rotor cell of a speed-up unit: the cover round against its
@@ -1370,13 +1254,13 @@ fn run_speedup_unit(family: GraphFamily, n: usize, seeds: usize, threads: usize)
         let single_domain_round = r_cells.iter().map(|c| c.single_domain_round).max();
         // Seeded percentile-bootstrap band around the cover median, keyed
         // by the point's first scenario seed so reassembly reproduces it.
-        let band = Band::AfterMedian(scenarios[range.start].seed);
+        let band_seed = scenarios[range.start].seed;
         rotor_scaled.push((k as u64, r_ratio));
         let (r_median, point) = cover_point(
             k,
             r_cells.iter().map(|c| Some(c.cover)),
             Shape::Median,
-            Some(band),
+            Some(band_seed),
             [
                 ("median_ratio", Json::Num(r_ratio)),
                 ("bound_2_d_e", shared_bound),
@@ -1402,7 +1286,7 @@ fn run_speedup_unit(family: GraphFamily, n: usize, seeds: usize, threads: usize)
             k,
             covers(&walks[range]),
             Shape::Counted,
-            Some(band),
+            Some(band_seed),
             [("median_ratio", num_or_null(w_ratio))],
             Some(r_median),
         );
@@ -1479,7 +1363,7 @@ fn ring_large_n_report(
         ("scaled_fits", Json::Arr(scaled_fits)),
         ("speedups", Json::Arr(speedups)),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// The ring's `2·D·|E|` bound: `2·⌊n/2⌋·n`.
@@ -1622,7 +1506,7 @@ fn recovery_report(grid: &Grid, threads: usize, state: &mut CampaignState) -> Re
         ("failed_cells", Json::Int(failures.len() as u64)),
         ("failures", Json::Arr(failures)),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// Disturbance magnitude at size `n`: enough to measurably uncover the
@@ -1718,7 +1602,6 @@ fn run_recovery_unit(
         let mut covers: Vec<u64> = cells.iter().filter_map(|s| s.cover).collect();
         let median_cover = median(&mut covers);
         let touched = cells.iter().map(|s| u64::from(s.touched)).max();
-        let nanos: u64 = cells.iter().map(|s| s.nanos).sum();
         curve.points.push(Point::new(
             k as u64,
             [
@@ -1731,7 +1614,6 @@ fn run_recovery_unit(
                 ("median_relock", int_or_null(summary.median_relock)),
                 ("median_period", int_or_null(summary.median_period)),
                 ("max_touched", int_or_null(touched)),
-                ("nanos", Json::Int(nanos)),
             ],
         ));
     }
@@ -1771,7 +1653,7 @@ fn torus_seg_report(
         ("shapes", Json::Arr(shapes.collect())),
         ("seed_count", Json::Int(grid.seeds as u64)),
     ]);
-    Ok(Body(threads, meta, curves))
+    Ok(Body(meta, curves))
 }
 
 /// One shape unit: the deterministic worst-case column and a seeded
@@ -1812,137 +1694,6 @@ fn run_torus_seg_unit(rows: usize, cols: usize, seeds: usize, threads: usize) ->
     Json::obj([("curves", Json::Arr(curves.to_vec()))])
 }
 
-// ---------------------------------------------------------------------------
-// engine-throughput
-// ---------------------------------------------------------------------------
-
-/// Agents per general-engine workload: enough to keep a meaningful
-/// occupied set alive.
-const THROUGHPUT_AGENTS: u32 = 64;
-
-fn throughput_workloads() -> [(&'static str, PortGraph); 3] {
-    [
-        ("grid_64x64", builders::grid(64, 64)),
-        ("hypercube_10", builders::hypercube(10)),
-        (
-            "random_regular_1024_4",
-            builders::random_regular(1024, 4, 1),
-        ),
-    ]
-}
-
-/// The `engine-throughput` report: `Engine` rounds/sec on the standard
-/// workloads (x = node count), and `RingRouter` against `Engine` on
-/// worst-case ring cells (x = k), which the validator requires to be at
-/// least as fast at every k.
-///
-/// The timed loops run on one thread, so the report records one thread.
-/// Nothing is stored in the campaign state: every pass re-times, so a
-/// resumed pass can never return stale rounds/sec.
-fn engine_throughput_report(
-    grid: &Grid,
-    _threads: usize,
-    _state: &mut CampaignState,
-) -> Result<Body, String> {
-    let Some((&rounds, ring_rounds)) = grid.rounds.split_first() else {
-        return Err("the engine-throughput grid times no rounds".into());
-    };
-    let mut curve = Curve::new("rounds_per_sec");
-    for (name, g) in throughput_workloads() {
-        curve.points.push(Point::new(
-            g.node_count() as u64,
-            [
-                ("graph", Json::Str(name.into())),
-                ("edges", Json::Int(g.edge_count() as u64)),
-                (
-                    "rounds_per_sec",
-                    Json::Num(measure_rounds_per_sec(&g, rounds)),
-                ),
-            ],
-        ));
-    }
-    let ring_n = grid.ns[0];
-    let mut ring_curve = Curve::new(validate::RING_VS_GENERAL)
-        .meta("n", Json::Int(ring_n as u64))
-        .meta("placement", Json::Str(WORST.placement_label.into()))
-        .meta("init", Json::Str("toward_nearest_agent".into()))
-        .meta("reps", Json::Int(grid.seeds as u64));
-    let measured = measure_ring_vs_general(ring_n, grid.ks, ring_rounds, grid.seeds);
-    for ((&k, &rounds), (ring, general)) in grid.ks.iter().zip(ring_rounds).zip(measured) {
-        ring_curve.points.push(Point::new(
-            k as u64,
-            [
-                ("k", Json::Int(k as u64)),
-                ("rounds", Json::Int(rounds)),
-                ("rounds_per_sec", Json::Num(ring)),
-                ("general_rounds_per_sec", Json::Num(general)),
-                ("ring_over_general", Json::Num(ring / general)),
-            ],
-        ));
-    }
-    let meta = Json::obj([
-        ("agents", Json::Int(u64::from(THROUGHPUT_AGENTS))),
-        ("rounds", Json::Int(rounds)),
-    ]);
-    Ok(Body(1, meta, vec![curve.to_json(), ring_curve.to_json()]))
-}
-
-/// Rounds/sec of `Engine` on `g` over a timed run of `rounds` rounds,
-/// after a warm-up.
-fn measure_rounds_per_sec(g: &PortGraph, rounds: u64) -> f64 {
-    let n = g.node_count() as u32;
-    let agents: Vec<NodeId> = (0..THROUGHPUT_AGENTS)
-        .map(|i| NodeId::new(i * n / THROUGHPUT_AGENTS))
-        .collect();
-    let mut e = Engine::new(g, &agents, &PointerInit::Random(7));
-    e.run(rounds / 10 + 1); // warm-up: caches, occupied list steady state
-    timed_rounds_per_sec(rounds, |r| e.run(r))
-}
-
-/// Rounds/sec of `RingRouter` and of `Engine` on the same ring cell (all
-/// agents on one node, pointers toward it — Theorem 1's initialisation),
-/// one pair per `k` cell timed over its `rounds`. Every engine is measured `reps` times in
-/// a round-robin over the cells and the best repetition is kept, so
-/// transient machine interference cannot skew the ring-vs-general
-/// comparison the validator gates on. Both engines of a cell start from
-/// the same configuration and step in lockstep, so each repetition times
-/// the same rounds on both.
-fn measure_ring_vs_general(n: usize, ks: &[usize], rounds: &[u64], reps: usize) -> Vec<(f64, f64)> {
-    let g = builders::ring(n);
-    let mut engines: Vec<(RingRouter, Engine)> = ks
-        .iter()
-        .zip(rounds)
-        .map(|(&k, &rounds)| {
-            let starts = Placement::AllOnOne(0).positions(n, k);
-            let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-            let ids: Vec<NodeId> = starts.iter().map(|&s| NodeId::new(s)).collect();
-            let ptrs = dirs.iter().map(|&d| u32::from(d)).collect();
-            let mut ring = RingRouter::new(n, &starts, &dirs);
-            let mut general = Engine::with_pointers(&g, &ids, ptrs);
-            // warm-up: spread the occupied band
-            ring.run(rounds / 2 + 1);
-            general.run(rounds / 2 + 1);
-            (ring, general)
-        })
-        .collect();
-    let mut best = vec![(0f64, 0f64); ks.len()];
-    for _ in 0..reps {
-        for ((b, (ring, general)), &rounds) in best.iter_mut().zip(&mut engines).zip(rounds) {
-            b.0 = b.0.max(timed_rounds_per_sec(rounds, |r| ring.run(r)));
-            b.1 = b.1.max(timed_rounds_per_sec(rounds, |r| general.run(r)));
-        }
-    }
-    best
-}
-
-/// Rounds/sec of one `run(rounds)` call.
-fn timed_rounds_per_sec(rounds: u64, run: impl FnOnce(u64)) -> f64 {
-    #[expect(clippy::disallowed_methods, reason = "rounds/sec is measured here")]
-    let start = Instant::now();
-    run(rounds);
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
 /// The default state-file path of a `(campaign, scale)` pass, under
 /// `target/campaign/` so it never pollutes the working tree.
 pub fn default_state_path(campaign: &str, scale: Scale) -> PathBuf {
@@ -1960,9 +1711,6 @@ pub struct RunSummary {
     pub computed: usize,
     /// Units resumed from the state file.
     pub resumed: usize,
-    /// The worker-thread count the written report records (one for
-    /// `engine-throughput`, whose timed loops run on one thread).
-    pub threads: u64,
 }
 
 /// Runs a campaign end to end: load (or start) the state, compute the
@@ -2020,10 +1768,6 @@ pub fn run(
         out: out_path,
         computed: state.computed,
         resumed: state.resumed,
-        threads: report
-            .get("threads")
-            .and_then(Json::as_u64)
-            .expect("every report records its thread count"),
     })
 }
 
@@ -2032,28 +1776,6 @@ mod tests {
     use super::*;
     use std::path::Path;
     use std::sync::OnceLock;
-
-    /// `Band::AfterMedian` resamples the covers in the order `median`
-    /// leaves them, which `select_nth_unstable` does not specify. Pin that
-    /// order for 16 covers, the full-scale `family-speedup` repetitions.
-    #[test]
-    fn after_median_resamples_a_pinned_order() {
-        let mut covers = [
-            5230, 611, 4471, 611, 9036, 1287, 3302, 7745, 2210, 6108, 958, 4471, 8120, 150, 3987,
-            2749,
-        ];
-        assert_eq!(median(&mut covers), Some(3302));
-        assert_eq!(
-            covers,
-            [
-                150, 611, 611, 958, 1287, 2210, 2749, 3302, 3987, 4471, 4471, 5230, 6108, 7745,
-                8120, 9036
-            ],
-            "the order `median` leaves changed: the committed general_graphs \
-             band_lo/band_hi were resampled in the old order and must be \
-             regenerated (campaign family-speedup)"
-        );
-    }
 
     #[test]
     fn ks_rule_matches_the_issue() {
@@ -2078,14 +1800,7 @@ mod tests {
                 .collect()
         });
         let i = CAMPAIGNS.iter().position(|c| c.name == name).unwrap();
-        // Every rule holds except, possibly, engine-throughput's wall-clock
-        // one: a single short timing in a debug build puts the k = 1 ring
-        // cell within noise of `Engine`. Full-scale release passes through
-        // `run` keep that gate.
-        let errors: Vec<String> = validate::validate(&reports[i], &validate::Options::default())
-            .into_iter()
-            .filter(|e| !e.contains("slower than the general engine"))
-            .collect();
+        let errors = validate::validate(&reports[i], &validate::Options::default());
         assert_eq!(errors, Vec::<String>::new(), "{name}");
         &reports[i]
     }
@@ -2188,15 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_throughput_test_scale_passes_its_own_validator() {
-        let report = validated("engine-throughput");
-        assert_eq!(
-            curve_labels(report),
-            ["rounds_per_sec", validate::RING_VS_GENERAL]
-        );
-    }
-
-    #[test]
     fn torus_seg_test_scale_passes_its_own_validator() {
         let report = validated("torus-seg");
         // worst + random columns at two shapes
@@ -2254,11 +1960,8 @@ mod tests {
     #[test]
     fn state_resumes_bit_identically() {
         let dir = scratch("resume");
-        // Units per row at test scale; engine-throughput stores none.
-        for (c, units) in CAMPAIGNS
-            .iter()
-            .zip([3, 2, 2, 0, 6 * 2, 3 * 2, 4 * 3 * 2, 2])
-        {
+        // Units per row at test scale.
+        for (c, units) in CAMPAIGNS.iter().zip([3, 2, 2, 6 * 2, 3 * 2, 4 * 3 * 2, 2]) {
             let path = dir.join(format!("{}.state.json", c.name));
             let _ = std::fs::remove_file(&path);
 
@@ -2266,14 +1969,9 @@ mod tests {
                 CampaignState::load(path.clone(), c.name, Scale::Test, false).expect("fresh");
             let a = c.report(Scale::Test, 2, &mut first).expect("first pass");
             assert_eq!((first.resumed, first.computed), (0, units), "{}", c.name);
-            if units == 0 {
-                continue;
-            }
 
             // A second pass on another thread count answers every unit
-            // from disk and reassembles the identical report: every field
-            // agrees except the wall-clock-derived ones (the domain-sampler
-            // speedup is re-measured at each assembly).
+            // from disk and reassembles the identical report.
             let mut second =
                 CampaignState::load(path.clone(), c.name, Scale::Test, false).expect("reload");
             let b = c.report(Scale::Test, 1, &mut second).expect("resumed pass");
@@ -2406,30 +2104,6 @@ mod tests {
         assert!(other.unwrap_err().contains("scale"));
         // --fresh overrides the mismatch
         assert!(load("ring-large-n", Scale::Test, true).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn summary_reports_the_thread_count_the_report_records() {
-        let dir = scratch("sum");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("return_time.json");
-        let state = Some(dir.join("state.json"));
-        let summary = run(
-            "return-time",
-            Scale::Test,
-            2,
-            Some(out.clone()),
-            state,
-            true,
-        )
-        .expect("test-scale campaign runs");
-        let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(
-            Some(summary.threads),
-            report.get("threads").and_then(Json::as_u64)
-        );
-        assert_eq!(summary.out, out);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

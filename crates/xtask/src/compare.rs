@@ -1,22 +1,15 @@
 //! Determinism comparison between two runs of the same experiment: every
-//! field must agree except the wall-clock-derived ones — the CI gate that
+//! field must agree except the worker-thread count — the CI gate that
 //! catches shard-order regressions by rerunning the smoke sweeps with 1
 //! and 2 worker threads and diffing the reports.
 
 use rotor_analysis::report::Json;
 
-/// Field names whose values legitimately differ between reruns: wall-clock
-/// measurements and the worker-thread count itself. Everything else in a
-/// report is derived deterministically from the grid seeds, so any other
-/// difference is a reproducibility bug.
-pub const NONDETERMINISTIC_FIELDS: &[&str] = &[
-    "threads",
-    "rounds_per_sec",
-    "general_rounds_per_sec",
-    "ring_over_general",
-    "nanos",
-    "domain_sampler_speedup_n4096",
-];
+/// Field names whose values legitimately differ between reruns: only the
+/// worker-thread count. Everything else in a report is derived
+/// deterministically from the grid seeds, so any other difference is a
+/// reproducibility bug.
+pub const NONDETERMINISTIC_FIELDS: &[&str] = &["threads"];
 
 /// Diffs two parsed reports, ignoring [`NONDETERMINISTIC_FIELDS`]; an
 /// empty vector means the runs agree on every deterministic field.
@@ -117,40 +110,26 @@ mod tests {
         let a = Json::parse(
             r#"{"schema":"rotor-experiment/1","bench":"b","threads":1,"meta":{},
                 "curves":[{"label":"c","meta":{},"fit":null,
-                           "points":[{"x":1,"median_cover":5,"rounds_per_sec":9.0}]}]}"#,
+                           "points":[{"x":1,"median_cover":5}]}]}"#,
         )
         .unwrap();
         assert!(compare(&a, &a).is_empty());
     }
 
     #[test]
-    fn timing_fields_and_thread_count_are_ignored() {
+    fn thread_count_is_ignored() {
         let a = Json::parse(
-            r#"{"schema":"s","bench":"b","threads":1,
-                "meta":{"domain_sampler_speedup_n4096":40.0},
-                "curves":[{"label":"c","points":[{"x":1,"cover":5,"rounds_per_sec":9.0}]}]}"#,
+            r#"{"schema":"s","bench":"b","threads":1,"meta":{},
+                "curves":[{"label":"c","points":[{"x":1,"cover":5}]}]}"#,
         )
         .unwrap();
-        let b = Json::parse(
-            r#"{"schema":"s","bench":"b","threads":2,
-                "meta":{"domain_sampler_speedup_n4096":77.0},
-                "curves":[{"label":"c","points":[{"x":1,"cover":5,"rounds_per_sec":3.0}]}]}"#,
-        )
-        .unwrap();
+        let b = Json::parse(&a.render().replace(r#""threads":1"#, r#""threads":2"#)).unwrap();
         assert!(compare(&a, &b).is_empty());
 
-        // the ring-vs-general throughput curve is timing through and through
-        let ring = |rps: f64, general: f64| {
-            Json::parse(&format!(
-                r#"{{"curves":[{{"label":"ring_vs_general_rounds_per_sec",
-                    "points":[{{"x":1,"k":1,"rounds":1024,"rounds_per_sec":{rps},
-                                "general_rounds_per_sec":{general},
-                                "ring_over_general":{}}}]}}]}}"#,
-                rps / general
-            ))
-            .unwrap()
-        };
-        assert!(compare(&ring(9.0, 6.0), &ring(8.0, 2.0)).is_empty());
+        // a former timing field is compared like any other
+        let a = Json::parse(r#"{"points":[{"x":1,"rounds_per_sec":9.0}]}"#).unwrap();
+        let b = Json::parse(r#"{"points":[{"x":1,"rounds_per_sec":3.0}]}"#).unwrap();
+        assert_eq!(compare(&a, &b).len(), 1);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   determinism gate);
 //! * [`campaign`] — named, resumable experiment campaigns
 //!   (`xtask campaign table1`, `return-time`, `walk-vs-rotor`,
-//!   `engine-throughput`, `family-speedup`, `ring-large-n`, `recovery`,
-//!   `torus-seg`), one row of the [`CAMPAIGNS`](campaign::CAMPAIGNS)
-//!   table per committed report;
+//!   `family-speedup`, `ring-large-n`, `recovery`, `torus-seg`), one row
+//!   of the [`CAMPAIGNS`](campaign::CAMPAIGNS) table per committed report;
+//! * [`perf`] — every wall-clock measurement and timing gate, in paired
+//!   trials that are printed and never written (`xtask perf-check`);
 //! * [`lint`] — the determinism contract's text rules (`xtask lint`):
 //!   unpinned float accumulation in report crates, and to-do comments
 //!   that cite no ROADMAP item. The root `clippy.toml` and workspace
@@ -45,6 +46,7 @@
 pub mod campaign;
 pub mod compare;
 pub mod lint;
+pub mod perf;
 pub mod validate;
 
 /// The repository root, two levels above this crate's manifest and fixed

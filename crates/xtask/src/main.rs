@@ -11,15 +11,17 @@
 //!   curve/point invariants and the per-bench rules of the report's
 //!   [`xtask::campaign::CAMPAIGNS`] row (see [`xtask::validate`]);
 //! * `compare <a.json> <b.json>` — assert two runs of the same experiment
-//!   agree on every deterministic field (timing-derived fields are
-//!   ignored), which is the CI determinism-drift gate between 1-thread and
-//!   2-thread reruns of the smoke campaigns;
+//!   agree on every field but the worker-thread count, which is the CI
+//!   determinism-drift gate between 1-thread and 2-thread reruns of the
+//!   smoke campaigns;
 //! * `campaign <name> [--smoke] [--threads N] [--out PATH] [--state PATH]
 //!   [--fresh]` — run a named, resumable sweep campaign (see
 //!   [`xtask::campaign`]): completed units are answered from the state
 //!   file, the assembled report is validated and written to the
 //!   campaign's canonical `BENCH_<bench>.json` (or `--out`); a report
 //!   with failed cells is written and then exits nonzero;
+//! * `perf-check` — every timing and timing gate (see [`xtask::perf`]):
+//!   prints one line per comparison and exits nonzero when a gate misses;
 //! * `lint [--list-rules] [paths...]` — the determinism contract's text
 //!   rules (see [`xtask::lint`]; clippy checks the rest): walks every
 //!   non-vendor workspace crate (or the given paths), reports findings as
@@ -28,7 +30,7 @@
 use rotor_analysis::report::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{campaign, compare, lint, validate};
+use xtask::{campaign, compare, lint, perf, validate};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,12 +39,14 @@ fn main() -> ExitCode {
         Some("validate") => run_validate(it.collect()),
         Some("compare") => run_compare(it.collect()),
         Some("campaign") => run_campaign(it.collect()),
+        Some("perf-check") => run_perf_check(it.collect()),
         Some("lint") => run_lint(it.collect()),
         _ => {
             eprintln!(
                 "usage: xtask validate [--expect-threads N] [--max-n N] <files...>\n       \
                  xtask compare <a.json> <b.json>\n       \
                  xtask campaign <{}> [--smoke] [--threads N] [--out PATH] [--state PATH] [--fresh]\n       \
+                 xtask perf-check\n       \
                  xtask lint [--list-rules] [paths...]",
                 campaign::names("|")
             );
@@ -170,11 +174,10 @@ fn run_campaign(args: Vec<&str>) -> ExitCode {
     match campaign::run(name, scale, threads, out, state, fresh) {
         Ok(summary) => {
             println!(
-                "campaign {name} ({}) done: {} unit(s) computed, {} resumed, {} thread(s)",
+                "campaign {name} ({}) done: {} unit(s) computed, {} resumed, {threads} thread(s)",
                 scale.tag(),
                 summary.computed,
                 summary.resumed,
-                summary.threads
             );
             println!("wrote {} (validated)", summary.out.display());
             ExitCode::SUCCESS
@@ -184,6 +187,24 @@ fn run_campaign(args: Vec<&str>) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+fn run_perf_check(args: Vec<&str>) -> ExitCode {
+    if !args.is_empty() {
+        return usage_error("perf-check takes no arguments");
+    }
+    let (lines, failures) = perf::verdicts(&perf::measure(&perf::FULL), &perf::gates(&perf::FULL));
+    for line in &lines {
+        println!("{line}");
+    }
+    if failures.is_empty() {
+        println!("perf-check: every gate passes");
+        return ExitCode::SUCCESS;
+    }
+    for f in &failures {
+        eprintln!("perf-check: {f}");
+    }
+    ExitCode::FAILURE
 }
 
 fn run_lint(args: Vec<&str>) -> ExitCode {

@@ -5,6 +5,8 @@
 //! with no row gets only the generic checks, so the validator does not
 //! reject future experiments out of hand. Returns every violation found
 //! (not just the first), each prefixed with its curve/point context.
+//! Every check is on deterministic data; timings are gated by
+//! [`perf`](crate::perf) alone.
 
 use crate::campaign::CAMPAIGNS;
 use rotor_analysis::report::{Json, SCHEMA};
@@ -21,9 +23,6 @@ pub struct Options {
 
 /// The rules one bench's reports satisfy beyond the generic checks.
 pub struct Rules {
-    /// Every curve's x strictly increases (every bench but
-    /// `engine_throughput`, whose x is a node count across mixed graphs).
-    pub x_increasing: bool,
     /// Curve-meta keys every curve carries.
     pub meta_keys: &'static [&'static str],
     /// Curve-meta `(key, value)` pairs every curve carries.
@@ -42,7 +41,6 @@ impl Rules {
     /// No rules beyond the generic checks; `..Rules::GENERIC` fills the
     /// fields a bench leaves unused.
     pub const GENERIC: Rules = Rules {
-        x_increasing: false,
         meta_keys: &[],
         meta_values: &[],
         points: &[],
@@ -64,15 +62,13 @@ pub enum Ty {
     Str,
 }
 
-/// Whether a checked field may be null or absent.
+/// Whether a checked field may be null.
 #[derive(Clone, Copy, Debug)]
 pub enum Presence {
     /// Present and of its type.
     Required,
     /// Present, and of its type or null.
     Nullable,
-    /// Absent, or of its type.
-    Optional,
 }
 
 /// A bound on a checked field's value.
@@ -82,8 +78,6 @@ pub enum Bound {
     Any,
     /// At least the bound.
     AtLeast(f64),
-    /// Strictly above the bound.
-    Above(f64),
     /// At most the bound.
     AtMost(f64),
 }
@@ -91,7 +85,7 @@ pub enum Bound {
 /// One rule on a JSON object: a point, the report meta or a summary entry.
 #[derive(Clone, Copy, Debug)]
 pub enum Check {
-    /// Field `key` holds a `Ty`, present as `Presence` says, and its
+    /// Field `key` holds a `Ty`, or null where `Presence` allows, and its
     /// numeric value satisfies `Bound`.
     Field(&'static str, Ty, Presence, Bound),
     /// The first field is at most the second whenever both are integers.
@@ -130,14 +124,6 @@ impl Check {
         }
     }
 
-    /// The same field, which may also be absent.
-    pub const fn if_present(self) -> Check {
-        match self {
-            Check::Field(key, ty, _, bound) => Check::Field(key, ty, Presence::Optional, bound),
-            other => other,
-        }
-    }
-
     /// The same field under `bound`.
     pub const fn bounded(self, bound: Bound) -> Check {
         match self {
@@ -163,7 +149,6 @@ impl Check {
                 };
                 match (v, presence) {
                     _ if is => {}
-                    (None, Presence::Optional) => {}
                     (Some(v), Presence::Nullable) if v.is_null() => {}
                     (other, Presence::Nullable) => {
                         err(format!("{key} = {other:?}, expected {short} or null"));
@@ -176,7 +161,6 @@ impl Check {
                 let (ok, op, b) = match bound {
                     Bound::Any => (true, "", 0.0),
                     Bound::AtLeast(b) => (x >= b, ">=", b),
-                    Bound::Above(b) => (x > b, ">", b),
                     Bound::AtMost(b) => (x <= b, "<=", b),
                 };
                 if !ok {
@@ -352,6 +336,10 @@ pub fn validate(report: &Json, opts: &Options) -> Vec<String> {
                 .map(|fields| fields.iter().map(|(k, _)| k.clone()).collect())
                 .unwrap_or_default()
         };
+        let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
+        if !xs.windows(2).all(|w| w[0] < w[1]) {
+            err(format!("x must be strictly increasing, got {xs:?}"));
+        }
         let first_keys = keys(&points[0]);
         for (pi, point) in points.iter().enumerate() {
             let mut err = |msg: String| errors.push(format!("{ctx}: point #{pi}: {msg}"));
@@ -410,12 +398,6 @@ fn distinct<'a>(values: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
 
 impl Rules {
     fn check_curve(&self, ctx: &str, curve: &Json, points: &[Json], errors: &mut Vec<String>) {
-        if self.x_increasing {
-            let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-            if !xs.windows(2).all(|w| w[0] < w[1]) {
-                errors.push(format!("{ctx}: x must be strictly increasing, got {xs:?}"));
-            }
-        }
         for key in self.meta_keys {
             if curve.get("meta").and_then(|m| m.get(key)).is_none() {
                 errors.push(format!("{ctx}: meta.{key} missing"));
@@ -485,50 +467,6 @@ impl Rules {
                 }
                 ReportRule::Custom(rule) => rule(report, curves, errors),
             }
-        }
-    }
-}
-
-/// Label of `engine_throughput`'s ring-vs-general curve.
-pub const RING_VS_GENERAL: &str = "ring_vs_general_rounds_per_sec";
-
-/// `engine_throughput`'s ring fast-path contract: the report carries the
-/// ring cells' rounds/sec against the general engine over the full `k`
-/// ladder, and `RingRouter` is at least as fast as `Engine` on the same
-/// ring at every point.
-pub fn ring_vs_general(_: &Json, curves: &[Json], errors: &mut Vec<String>) {
-    let Some(curve) = curves
-        .iter()
-        .find(|c| c.get("label").and_then(Json::as_str) == Some(RING_VS_GENERAL))
-    else {
-        errors.push(format!(
-            "missing the ring-vs-general rounds/sec curve (label \"{RING_VS_GENERAL}\")"
-        ));
-        return;
-    };
-    let points = curve
-        .get("points")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    let xs: Vec<u64> = points.iter().filter_map(|p| p.get("x")?.as_u64()).collect();
-    if xs != [1, 16, 8192] {
-        errors.push(format!(
-            "ring-vs-general curve x = {xs:?}, expected agent counts [1, 16, 8192]"
-        ));
-    }
-    for p in points {
-        let x = p.get("x").and_then(Json::as_u64).unwrap_or_default();
-        let ring = p.get("rounds_per_sec").and_then(Json::as_f64);
-        match (ring, p.get("general_rounds_per_sec").and_then(Json::as_f64)) {
-            (Some(r), Some(g)) if r >= g => {}
-            (Some(r), Some(g)) => errors.push(format!(
-                "ring fast path at k = {x} ({r:.0} rounds/sec) is slower than \
-                 the general engine ({g:.0} rounds/sec)"
-            )),
-            (_, None) => errors.push(format!(
-                "ring-vs-general k = {x}: general_rounds_per_sec missing or not a number"
-            )),
-            (None, _) => {}
         }
     }
 }
@@ -690,8 +628,7 @@ mod tests {
     fn paired_general_graphs(family: &str, speedups_family: &str) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"rotor-experiment/1","bench":"general_graphs","threads":2,
-                 "meta":{{"domain_sampler_speedup_n4096":40.0,
-                          "speedups":[{{"family":"{speedups_family}","rotor_exponent":-1.2,
+                 "meta":{{"speedups":[{{"family":"{speedups_family}","rotor_exponent":-1.2,
                                         "walk_exponent":-0.9,"speedup_exponent":0.3}}]}},
                  "curves":[
                    {{"label":"rotor/{family}/n64",
@@ -714,14 +651,6 @@ mod tests {
     fn general_graphs_rules() {
         let ok = paired_general_graphs("torus_4x4", "torus_4x4");
         assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
-        let slow_sampler = Json::parse(&ok.render().replace(
-            r#""domain_sampler_speedup_n4096":40"#,
-            r#""domain_sampler_speedup_n4096":4.5"#,
-        ))
-        .unwrap();
-        assert!(validate(&slow_sampler, &Options::default())
-            .iter()
-            .any(|e| e.contains("must be >= 5")));
 
         let bad = minimal(
             "general_graphs",
@@ -738,7 +667,6 @@ mod tests {
             .iter()
             .any(|e| e.contains("band_lo = 120 > band_hi = 95")));
         assert!(errors.iter().any(|e| e.contains("meta.family")));
-        assert!(errors.iter().any(|e| e.contains("domain_sampler_speedup")));
         assert!(errors.iter().any(|e| e.contains("meta.speedups")));
 
         // a rotor point without its bootstrap band must fail, and a
@@ -748,7 +676,7 @@ mod tests {
             r#"[{"x":1,"median_cover":100,"median_ratio":0.5,"bound_2_d_e":200,
                  "worst_ratio":0.6,"max_domains":2,"single_domain_round":7}]"#,
             r#"{"process":"rotor","family":"path","n":64}"#,
-            r#"{"domain_sampler_speedup_n4096":40.0,"speedups":[]}"#,
+            r#"{"speedups":[]}"#,
         );
         assert!(validate(&bandless, &Options::default())
             .iter()
@@ -759,7 +687,7 @@ mod tests {
                  "bound_2_d_e":200,
                  "worst_ratio":0.6,"max_domains":2,"single_domain_round":7}]"#,
             r#"{"process":"rotor","family":"path","n":64}"#,
-            r#"{"domain_sampler_speedup_n4096":40.0,"speedups":[]}"#,
+            r#"{"speedups":[]}"#,
         );
         assert!(validate(&outside, &Options::default())
             .iter()
@@ -772,8 +700,7 @@ mod tests {
                  "bound_2_d_e":200,
                  "worst_ratio":0.6,"max_domains":2,"single_domain_round":7}]"#,
             r#"{"process":"rotor","family":"path","n":64}"#,
-            r#"{"domain_sampler_speedup_n4096":40.0,
-                "speedups":[{"family":"path","rotor_exponent":null,
+            r#"{"speedups":[{"family":"path","rotor_exponent":null,
                              "walk_exponent":null,"speedup_exponent":null}]}"#,
         );
         assert!(validate(&unpaired, &Options::default())
@@ -797,7 +724,7 @@ mod tests {
             "general_graphs",
             r#"[{"x":1,"median_cover":1}]"#,
             r#"{"process":"quantum","family":"path","n":8}"#,
-            r#"{"domain_sampler_speedup_n4096":40.0,"speedups":[]}"#,
+            r#"{"speedups":[]}"#,
         );
         assert!(validate(&unknown, &Options::default())
             .iter()
@@ -839,7 +766,7 @@ mod tests {
     /// One well-formed recovery point with every column populated.
     const RECOVERY_POINT: &str = r#"{"x":1,"attempts":3,"recovered":3,"median_cover":500,
         "median_recover":120,"worst_recover":300,"relocked":3,"median_relock":64,
-        "median_period":32,"max_touched":4,"nanos":1000}"#;
+        "median_period":32,"max_touched":4}"#;
 
     fn recovery_report_with(points: &str, kind: &str, family: &str, report_meta: &str) -> Json {
         Json::parse(&format!(
@@ -869,7 +796,7 @@ mod tests {
             // a timed-out point: zero recoveries, all statistics null
             r#"[{"x":1,"attempts":2,"recovered":0,"median_cover":null,
                  "median_recover":null,"worst_recover":null,"relocked":0,
-                 "median_relock":null,"median_period":null,"max_touched":0,"nanos":7}]"#,
+                 "median_relock":null,"median_period":null,"max_touched":0}]"#,
             "stall",
             "ring",
             r#"{"failed_cells":0}"#,
@@ -881,10 +808,10 @@ mod tests {
         let bad = recovery_report_with(
             r#"[{"x":1,"attempts":2,"recovered":3,"median_cover":null,
                  "median_recover":400,"worst_recover":300,"relocked":2,
-                 "median_relock":10,"median_period":0,"max_touched":1,"nanos":7},
+                 "median_relock":10,"median_period":0,"max_touched":1},
                 {"x":4,"attempts":2,"recovered":0,"median_cover":null,
                  "median_recover":17,"worst_recover":null,"relocked":0,
-                 "median_relock":null,"median_period":null,"max_touched":1,"nanos":7}]"#,
+                 "median_relock":null,"median_period":null,"max_touched":1}]"#,
             "stall",
             "ring",
             r#"{"failed_cells":0}"#,
@@ -939,82 +866,6 @@ mod tests {
         assert!(errors.iter().any(|e| e.contains("placement columns")));
     }
 
-    /// A well-formed engine_throughput report: the workload curve (x not
-    /// monotone by design) plus the required ring-vs-general curve.
-    fn throughput_report(ring_points: &str) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema":"rotor-experiment/1","bench":"engine_throughput","threads":1,
-                 "meta":{{}},
-                 "curves":[
-                   {{"label":"rounds_per_sec","meta":{{}},"fit":null,
-                     "points":[{{"x":4096,"rounds_per_sec":1.0}},{{"x":1024,"rounds_per_sec":2.0}}]}},
-                   {{"label":"ring_vs_general_rounds_per_sec","meta":{{"n":2097152}},"fit":null,
-                     "points":{ring_points}}}
-                 ]}}"#
-        ))
-        .expect("well-formed test report")
-    }
-
-    const RING_POINTS: &str = r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
-        {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
-        {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#;
-
-    #[test]
-    fn engine_throughput_requires_the_ring_vs_general_curve() {
-        let ok = throughput_report(RING_POINTS);
-        assert_eq!(validate(&ok, &Options::default()), Vec::<String>::new());
-
-        // missing ring curve
-        let missing = minimal(
-            "engine_throughput",
-            r#"[{"x":4096,"rounds_per_sec":1.0}]"#,
-            "{}",
-            "{}",
-        );
-        assert!(validate(&missing, &Options::default())
-            .iter()
-            .any(|e| e.contains("missing the ring-vs-general")));
-
-        // wrong k ladder
-        let short = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
-                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
-        );
-        assert!(validate(&short, &Options::default())
-            .iter()
-            .any(|e| e.contains("expected agent counts")));
-
-        // a ring point slower than the general engine fails, and only it
-        let slow = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":130.0,"general_rounds_per_sec":95.0},
-                {"x":16,"rounds_per_sec":9.0,"general_rounds_per_sec":14.0},
-                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
-        );
-        let errors = validate(&slow, &Options::default());
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("k = 16") && errors[0].contains("slower"));
-
-        // the general engine's figure is required
-        let unpaired = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":130.0},
-                {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
-                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
-        );
-        assert!(validate(&unpaired, &Options::default())
-            .iter()
-            .any(|e| e.contains("k = 1: general_rounds_per_sec missing")));
-
-        // a rounds_per_sec point <= 0 trips the generic point rule
-        let zero = throughput_report(
-            r#"[{"x":1,"rounds_per_sec":0.0,"general_rounds_per_sec":0.0},
-                {"x":16,"rounds_per_sec":20.0,"general_rounds_per_sec":14.0},
-                {"x":8192,"rounds_per_sec":1.0,"general_rounds_per_sec":0.4}]"#,
-        );
-        assert!(validate(&zero, &Options::default())
-            .iter()
-            .any(|e| e.contains("rounds_per_sec = 0 must be > 0")));
-    }
-
     #[test]
     fn torus_seg_requires_the_general_engine_backend() {
         let points = r#"[{"x":1,"cover":5},{"x":4,"cover":3}]"#;
@@ -1034,21 +885,19 @@ mod tests {
     }
 
     #[test]
-    fn x_monotonicity_is_per_bench() {
-        let throughput = throughput_report(RING_POINTS);
-        assert_eq!(
-            validate(&throughput, &Options::default()),
-            Vec::<String>::new()
-        );
-
-        let table = minimal(
-            "table1",
-            r#"[{"x":2,"cover":5,"rounds_per_sec":1.0},{"x":1,"cover":9,"rounds_per_sec":1.0}]"#,
-            "{}",
-            "{}",
-        );
-        let errors = validate(&table, &Options::default());
-        assert!(errors.iter().any(|e| e.contains("strictly increasing")));
+    fn x_strictly_increases_on_every_bench() {
+        for bench in ["table1", "custom_bench"] {
+            for points in [
+                r#"[{"x":2,"cover":5},{"x":1,"cover":9}]"#,
+                r#"[{"x":1,"cover":5},{"x":1,"cover":9}]"#,
+            ] {
+                let errors = validate(&minimal(bench, points, "{}", "{}"), &Options::default());
+                assert!(
+                    errors.iter().any(|e| e.contains("strictly increasing")),
+                    "{bench}: {errors:?}"
+                );
+            }
+        }
     }
 
     #[test]
