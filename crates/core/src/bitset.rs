@@ -4,7 +4,8 @@
 //! [`VisitSet`] is the one place in the workspace that does first-visit
 //! bookkeeping. The [`RingRouter`](crate::RingRouter), the
 //! [`Engine`](crate::Engine) and the random walks each own one, call
-//! [`arrive`](VisitSet::arrive) for every arrival of a round and
+//! [`arrive`](VisitSet::arrive) for every arrival of a round (the ring
+//! marks the straight runs of a skip a word at a time instead) and
 //! [`reset`](VisitSet::reset) when a fault opens a new cover epoch, and
 //! hand it out through [`CoverProcess::visits`](crate::CoverProcess::visits).
 //!
@@ -16,6 +17,7 @@
 //! them.
 
 use crate::domains::DomainStats;
+use std::ops::Range;
 
 /// The visited nodes `0..len` of a process, with its unvisited count and
 /// cover round.
@@ -81,6 +83,96 @@ impl VisitSet {
         self.unvisited -= 1;
         if self.unvisited == 0 {
             self.cover_round = Some(round);
+        }
+    }
+
+    /// Records `len` rounds of straight runs on the cyclic universe
+    /// `0..self.len()`, one run per `(from, cw)` item: an agent that
+    /// leaves `from` in round `round + 1` and keeps going clockwise (`cw`,
+    /// toward `from + 1`) or anticlockwise arrives at `from ± j` in round
+    /// `round + j`, for `j` in `1..=len`. The runs are marked a word at a
+    /// time. If they visit the last unvisited node, the cover round is
+    /// the last round in which any run made a first visit; it is set and
+    /// returned, and the arrivals after it change nothing. Does nothing
+    /// once covered.
+    ///
+    /// Two runs may share a node only where it is already visited, as
+    /// when one agent ends on the node another agent started from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the universe or a run starts out of range.
+    pub(crate) fn arrive_runs(
+        &mut self,
+        round: u64,
+        len: usize,
+        runs: impl IntoIterator<Item = (usize, bool)>,
+    ) -> Option<u64> {
+        if self.unvisited == 0 {
+            return None;
+        }
+        let n = self.len;
+        assert!(len <= n, "a run of {len} rounds laps a universe of {n}");
+        let mut farthest = 0;
+        for (from, cw) in runs {
+            assert!(from < n, "index {from} out of range");
+            let start = if cw {
+                wrap(from + 1, n)
+            } else {
+                wrap(from + n - len, n)
+            };
+            for r in arc(n, start, len).iter().filter(|r| !r.is_empty()) {
+                let (first, last, head, tail) = span(r);
+                if first == last {
+                    farthest = farthest.max(self.arrive_word(first, head & tail, from, cw));
+                    continue;
+                }
+                farthest = farthest.max(self.arrive_word(first, head, from, cw));
+                let mut w = first + 1;
+                while w < last {
+                    if self.words[w] != !0 {
+                        farthest = farthest.max(self.arrive_word(w, !0, from, cw));
+                    }
+                    w += 1;
+                }
+                farthest = farthest.max(self.arrive_word(last, tail, from, cw));
+            }
+        }
+        if self.unvisited > 0 {
+            return None;
+        }
+        self.cover_round = Some(round + farthest as u64);
+        self.cover_round
+    }
+
+    /// The arrivals `mask` of one run in word `w`: how many steps from
+    /// `from` its farthest first visit lies, or `0`.
+    #[inline]
+    fn arrive_word(&mut self, w: usize, mask: u64, from: usize, cw: bool) -> usize {
+        let new = mask & !self.words[w];
+        if new == 0 {
+            return 0;
+        }
+        self.first_visits(w, new, from, cw)
+    }
+
+    /// The first-visit branch of [`arrive_runs`](Self::arrive_runs), out
+    /// of line like [`first_visit`](Self::first_visit): marks `new` in
+    /// word `w` and returns how many steps from `from` the farthest of
+    /// them lies in the run's direction (`new` lies in one unwrapped
+    /// segment of the run, so that is its top bit clockwise and its
+    /// bottom bit anticlockwise).
+    #[inline(never)]
+    fn first_visits(&mut self, w: usize, new: u64, from: usize, cw: bool) -> usize {
+        self.words[w] |= new;
+        self.unvisited -= new.count_ones() as usize;
+        let n = self.len;
+        if cw {
+            let v = w * 64 + 63 - new.leading_zeros() as usize;
+            wrap(v + n - from, n)
+        } else {
+            let v = w * 64 + new.trailing_zeros() as usize;
+            wrap(from + n - v, n)
         }
     }
 
@@ -160,6 +252,39 @@ impl VisitSet {
         }
         DomainStats { domains, borders }
     }
+}
+
+/// `x mod n` for `x < 2n`, without a division.
+#[inline]
+pub(crate) fn wrap(x: usize, n: usize) -> usize {
+    if x >= n {
+        x - n
+    } else {
+        x
+    }
+}
+
+/// The cyclic arc `start, start + 1, …` of `len` nodes in `0..n` as its
+/// unwrapped ranges, in arc order: the second is empty unless the arc
+/// passes node `n − 1`.
+pub(crate) fn arc(n: usize, start: usize, len: usize) -> [Range<usize>; 2] {
+    debug_assert!(start < n && len <= n, "arc within the universe");
+    let first = len.min(n - start);
+    [start..start + first, 0..len - first]
+}
+
+/// The words holding the non-empty bit range `r`, 64 bits per word: the
+/// first and last index and the masks of `r`'s bits in each (the words
+/// between are whole; with one word, its mask is `head & tail`).
+#[inline]
+pub(crate) fn span(r: &Range<usize>) -> (usize, usize, u64, u64) {
+    let last = r.end - 1;
+    (
+        r.start / 64,
+        last / 64,
+        !0u64 << (r.start % 64),
+        !0u64 >> (63 - last % 64),
+    )
 }
 
 #[cfg(test)]
@@ -246,6 +371,51 @@ mod tests {
                 s.arrive((h % len as u64) as usize, round);
             }
         }
+    }
+
+    /// Runs marked a word at a time agree with arrivals one by one, and
+    /// the cover round is the last first visit of any run. Three agents
+    /// run the same way, each at most to where the next one started.
+    #[test]
+    fn runs_match_single_arrivals_across_words_and_the_seam() {
+        let mut covers = 0;
+        for len in [3usize, 63, 64, 65, 129, 192, 200] {
+            let gap = len / 3;
+            let mut h = splitmix64(len as u64);
+            for trial in 0..40 {
+                h = splitmix64(h);
+                let offset = (h % len as u64) as usize;
+                let cw = trial % 2 == 0;
+                let starts: Vec<usize> = (0..3).map(|i| (offset + i * gap) % len).collect();
+                let (mut runs, mut single) = (VisitSet::new(len), VisitSet::new(len));
+                runs.reset(starts.iter().copied(), 10);
+                single.reset(starts.iter().copied(), 10);
+                // Every fourth trial runs the whole gap, which covers
+                // when three gaps make the ring.
+                let steps = if trial % 4 == 1 {
+                    gap
+                } else {
+                    1 + (h >> 32) as usize % gap
+                };
+                let covered_before = runs.cover_round().is_some();
+                let cover = runs.arrive_runs(10, steps, starts.iter().map(|&v| (v, cw)));
+                for j in 1..=steps {
+                    for &v in &starts {
+                        let u = if cw {
+                            (v + j) % len
+                        } else {
+                            (v + len - j) % len
+                        };
+                        single.arrive(u, 10 + j as u64);
+                    }
+                }
+                assert_eq!(runs, single, "len={len} steps={steps} cw={cw}");
+                let fell = single.cover_round().filter(|_| !covered_before);
+                assert_eq!(cover, fell, "len={len} steps={steps}");
+                covers += usize::from(cover.is_some());
+            }
+        }
+        assert!(covers >= 30, "runs that cover: {covers}");
     }
 
     #[test]

@@ -405,6 +405,14 @@ impl<P: CoverProcess + ?Sized> Observer<P> for DomainSampler {
             borders,
         });
     }
+
+    /// The next multiple of the stride; the drive loop adds the cover
+    /// round.
+    fn next_round(&self, now: u64) -> u64 {
+        (now / self.stride)
+            .saturating_add(1)
+            .saturating_mul(self.stride)
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@
 //!   are tested on a per-agent reference that the engine matches round by
 //!   round.
 //! * [`RingRouter`] — the ring-specialised engine (pointer = direction
-//!   bit, one `O(k)` pass per round, delayed or not) used by the large
+//!   bit, one `O(k)` pass per round, delayed or not, and straight runs of
+//!   lone agents skipped a word at a time in
+//!   [`advance`](CoverProcess::advance)) used by the large
 //!   parameter sweeps; the per-visit metadata of the domain analysis
 //!   comes from the opt-in [`domains::VisitLog`].
 //! * [`bitset::VisitSet`] — the visit record every process owns: visited
@@ -49,10 +51,11 @@
 //! * [`CoverProcess`] — the common trait over synchronous exploration
 //!   processes (both engines here plus the random-walk baseline of
 //!   `rotor-walks`) that the `rotor-sweep` sharded driver is generic over:
-//!   a round ([`step`](CoverProcess::step)) and a visit record
-//!   ([`visits`](CoverProcess::visits)), with a per-round [`Observer`] hook
+//!   a round ([`step`](CoverProcess::step)), a run to a named round
+//!   ([`advance`](CoverProcess::advance)) and a visit record
+//!   ([`visits`](CoverProcess::visits)), with an [`Observer`] hook
 //!   ([`run_observed`](CoverProcess::run_observed)) for attaching samplers
-//!   to any backend's drive loop.
+//!   to any backend's drive loop at the rounds they name.
 //! * [`rng`] — splitmix64 seed derivation and the named random-stream
 //!   constants every seeded consumer in the workspace derives from.
 //!

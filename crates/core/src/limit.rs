@@ -503,7 +503,8 @@ mod tests {
             .iter()
             .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
             .collect();
-        let fresh = probe_cycle(|| RingRouter::new(n, &starts, &state.dirs), budget);
+        let dirs: Vec<u8> = (0..n as u32).map(|v| r.direction(v)).collect();
+        let fresh = probe_cycle(|| RingRouter::new(n, &starts, &dirs), budget);
         assert!(fresh.is_some(), "the fresh router cycles within the budget");
         assert_eq!(probe_cycle(|| r.clone(), budget), fresh);
     }

@@ -7,7 +7,9 @@
 //! advance one synchronous round, and its visit record
 //! ([`VisitSet`]: which nodes have been visited, how many, the round the
 //! last one fell and the §2.2 domain structure). `CoverProcess` captures
-//! exactly that surface, so the sharded sweep driver in `rotor-sweep` can
+//! exactly that surface, plus [`advance`](CoverProcess::advance) to a
+//! named round for backends that can get there faster than round by
+//! round, so the sharded sweep driver in `rotor-sweep` can
 //! fan (n, k, seed) cells across threads without caring whether a cell is
 //! backed by the general-graph [`Engine`](crate::Engine), the
 //! ring-specialised [`RingRouter`](crate::RingRouter), or the `k`
@@ -15,16 +17,19 @@
 
 use crate::bitset::VisitSet;
 
-/// A per-round probe attached to a [`CoverProcess`] drive loop.
+/// A probe attached to a [`CoverProcess`] drive loop.
 ///
-/// [`CoverProcess::run_observed`] calls [`observe`](Observer::observe) once
-/// on the initial configuration (round 0) and once after every completed
-/// round, handing the observer a shared reference to the process — so the
-/// §2.2 domain/border samplers ([`crate::domains::DomainSampler`]), return-
-/// time probes and future instrumentation attach to *any* backend without
-/// forking the drive loop.
+/// [`CoverProcess::run_observed`] calls [`observe`](Observer::observe) on
+/// the initial configuration (round 0), at every round the observer names
+/// with [`next_round`](Observer::next_round), and at the cover round,
+/// handing the observer a shared reference to the process — so the §2.2
+/// domain/border samplers ([`crate::domains::DomainSampler`]), return-time
+/// probes and future instrumentation attach to *any* backend without
+/// forking the drive loop. Between two calls the process
+/// [`advance`](CoverProcess::advance)s as it likes, which on the ring
+/// means straight-run skipping.
 ///
-/// Any `FnMut(&P)` closure is an observer:
+/// Any `FnMut(&P)` closure is an observer, and sees every round:
 ///
 /// ```
 /// use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};
@@ -40,8 +45,16 @@ use crate::bitset::VisitSet;
 /// assert!(trace.windows(2).all(|w| w[0] <= w[1]), "cover only grows");
 /// ```
 pub trait Observer<P: CoverProcess + ?Sized> {
-    /// Called on the initial configuration and after every round.
+    /// Called on the initial configuration and after every round the
+    /// observer asked for.
     fn observe(&mut self, process: &P);
+
+    /// The next round this observer needs to see, given that it has just
+    /// seen round `now`. The default, `now + 1`, is every round; an answer
+    /// of `now` or less counts as `now + 1`.
+    fn next_round(&self, now: u64) -> u64 {
+        now.saturating_add(1)
+    }
 }
 
 impl<P: CoverProcess + ?Sized, F: FnMut(&P)> Observer<P> for F {
@@ -94,6 +107,17 @@ pub trait CoverProcess {
     /// Advances one synchronous round: every agent/walker moves.
     fn step(&mut self);
 
+    /// Runs to round `until`, or to the cover round if it falls first, and
+    /// returns the round reached (at once if the process has covered or is
+    /// at `until` already). The default steps round by round;
+    /// [`RingRouter`](crate::RingRouter) skips straight runs.
+    fn advance(&mut self, until: u64) -> u64 {
+        while self.cover_round().is_none() && self.round() < until {
+            self.step();
+        }
+        self.round()
+    }
+
     /// The visit record of the current cover epoch: the nodes of the
     /// underlying graph (indices `0..visits().len()`) visited so far,
     /// initial placements included, with the cover round and the §2.2
@@ -118,22 +142,23 @@ pub trait CoverProcess {
     /// `max_rounds` total rounds. Returns the cover round, or `None` on
     /// timeout.
     fn run_until_covered(&mut self, max_rounds: u64) -> Option<u64> {
-        while self.cover_round().is_none() && self.round() < max_rounds {
-            self.step();
-        }
+        self.advance(max_rounds);
         self.cover_round()
     }
 
-    /// [`run_until_covered`](Self::run_until_covered) with a per-round
-    /// [`Observer`]: `observer` sees the initial configuration and every
-    /// round's result, including the covering round's.
+    /// [`run_until_covered`](Self::run_until_covered) with an
+    /// [`Observer`]: `observer` sees the initial configuration, every
+    /// round it names with [`next_round`](Observer::next_round), the
+    /// covering round and, on a timeout, round `max_rounds`. The process
+    /// [`advance`](Self::advance)s from one of those rounds to the next.
     fn run_observed(&mut self, max_rounds: u64, observer: &mut impl Observer<Self>) -> Option<u64>
     where
         Self: Sized,
     {
         observer.observe(self);
         while self.cover_round().is_none() && self.round() < max_rounds {
-            self.step();
+            let now = self.round();
+            self.advance(observer.next_round(now).clamp(now + 1, max_rounds));
             observer.observe(self);
         }
         self.cover_round()
@@ -141,8 +166,9 @@ pub trait CoverProcess {
 
     /// Runs until `probe` reports [`finished`](Probe::finished) or
     /// `max_rounds` total rounds have elapsed, whichever comes first,
-    /// showing the probe the initial configuration and every round's
-    /// result. Returns whether the probe finished.
+    /// stepping round by round and showing the probe the initial
+    /// configuration and every round's result. Returns whether the probe
+    /// finished.
     ///
     /// Unlike [`run_observed`](Self::run_observed) this does **not** stop
     /// at the cover round — the §4 return-time probes need the rounds far
@@ -221,6 +247,43 @@ mod tests {
         assert_eq!(rounds_seen.len() as u64, c + 1);
         assert_eq!(rounds_seen.first(), Some(&0));
         assert_eq!(rounds_seen.last(), Some(&c));
+    }
+
+    #[test]
+    fn run_observed_calls_an_observer_only_at_the_rounds_it_names() {
+        use crate::domains::DomainSampler;
+
+        /// Counts the calls it forwards to a sampler, horizon included.
+        struct Counting(DomainSampler, u64);
+        impl<P: CoverProcess> Observer<P> for Counting {
+            fn observe(&mut self, p: &P) {
+                self.1 += 1;
+                self.0.observe(p);
+            }
+            fn next_round(&self, now: u64) -> u64 {
+                Observer::<P>::next_round(&self.0, now)
+            }
+        }
+
+        let n = 256;
+        let starts = Placement::Random(3).positions(n, 4);
+        let dirs = PointerInit::Random(5).ring_directions(n, &starts);
+        let fresh = RingRouter::new(n, &starts, &dirs);
+        let mut counted = Counting(DomainSampler::every(64), 0);
+        let cover = fresh.clone().run_observed(1 << 24, &mut counted);
+        let mut per_round = DomainSampler::every(64);
+        let stepped = fresh.clone().run_observed(1 << 24, &mut |p: &RingRouter| {
+            per_round.observe(p);
+        });
+        assert_eq!(cover, stepped);
+        let c = cover.expect("covers");
+        assert_eq!(counted.0.samples, per_round.samples);
+        assert_eq!(counted.1, counted.0.samples.len() as u64);
+        assert_eq!(
+            counted.1,
+            c / 64 + 1 + u64::from(!c.is_multiple_of(64)),
+            "stride + cover"
+        );
     }
 
     #[test]

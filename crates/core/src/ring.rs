@@ -6,7 +6,7 @@
 //! *direction bit*: `0` = clockwise (toward `v+1 mod n`), `1` =
 //! anticlockwise. A node sending `c` agents in one round sends `⌈c/2⌉` in
 //! its pointer direction and `⌊c/2⌋` the other way, and flips its pointer
-//! iff `c` is odd.
+//! iff `c` is odd. The bits are packed 64 nodes per `u64` word.
 //!
 //! The engine maintains only the sorted occupied-node list, and a round is
 //! one `O(k)` pass over it with no per-round sort. Node `v` sends its
@@ -17,8 +17,27 @@
 //! anticlockwise share lands at most one entry behind the tail (the only
 //! entry that can follow `v−1` is `v`, node `v−1`'s clockwise share). The
 //! two shares that cross the `n−1 | 0` seam are applied after the pass, at
-//! the two ends of the list. This matters for the `Θ(n²/log k)` worst-case
-//! cover sweeps of experiment E1, which run millions of rounds.
+//! the two ends of the list.
+//!
+//! [`CoverProcess::advance`](crate::CoverProcess::advance) skips ahead
+//! where that pass would only repeat itself. A lone agent keeps going the
+//! way it goes until it reaches a node whose pointer points back: its
+//! *straight run*, flipping each pointer it leaves. While every occupied
+//! node holds one agent, all agents run straight for `Δ` rounds, with `Δ`
+//! the largest count for which no agent reaches the end of its run, a
+//! node another agent has left, or an oncoming agent's path. The skip
+//! flips each run's bits and marks its arrivals in the [`VisitSet`] a word
+//! at a time, so `Δ` rounds of `k` agents cost `O(k·(1 + Δ/64))` word
+//! operations instead of `k·Δ` moves. `Δ` comes from one pass over the
+//! sorted list, since the neighbours that bound an agent are adjacent
+//! entries, and the pass stops at the first agent that holds `Δ` below 8.
+//! A multi-agent node or `Δ < 8` steps the round instead, and a ring whose
+//! horizons keep falling short (dense agents) is searched exponentially
+//! less often, at most every 64 rounds, so there the search costs next to
+//! nothing. §2.1 delays and a plain [`step`](crate::CoverProcess::step)
+//! never skip. This matters for the `Θ(n²/log k)` worst-case cover sweeps
+//! of experiment E1: a single agent's `n(n−1)/2`-round cover is `n`
+//! skips.
 //!
 //! The occupied list is stored structure-of-arrays (split
 //! `nodes: Vec<u32>` / `counts: Vec<u32>`), so the sorted-position checks
@@ -31,16 +50,21 @@
 //! here; attach a [`VisitLog`](crate::domains::VisitLog) observer to
 //! replay them.
 
-use crate::bitset::VisitSet;
+use crate::bitset::{arc, span, wrap, VisitSet};
 use crate::init::CW;
+use std::ops::Range;
 
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
 /// bits plus the sorted occupied-node list. Equal states have identical
 /// futures.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct RingState {
-    /// Pointer direction per node (`0` = clockwise).
-    pub dirs: Vec<u8>,
+    /// Ring size, which the packed directions do not fix.
+    pub n: u32,
+    /// Pointer directions packed 64 nodes per word: bit `v % 64` of word
+    /// `v / 64` is node `v`'s (`0` = clockwise), and the bits past the
+    /// last node are `0`.
+    pub dirs: Vec<u64>,
     /// Sorted `(node, agent count)` pairs for occupied nodes.
     pub occupied: Vec<(u32, u32)>,
 }
@@ -61,7 +85,8 @@ pub struct RingState {
 pub struct RingRouter {
     n: u32,
     k: u32,
-    dirs: Vec<u8>,
+    /// Pointer directions, packed as in [`RingState::dirs`].
+    dirs: Vec<u64>,
     /// Occupied nodes, sorted ascending (SoA: node half).
     occ_nodes: Vec<u32>,
     /// Agent count per occupied node, `> 0`, parallel to `occ_nodes`.
@@ -70,6 +95,11 @@ pub struct RingRouter {
     visits: VisitSet,
     /// Scratch buffer for the next occupied list, reused between rounds.
     next_occ: SoaList,
+    /// Rounds `advance` steps before it next looks for a straight-run
+    /// horizon, and the wait it sets after the next miss: a ring whose
+    /// horizons keep falling short is searched exponentially less often.
+    skip_wait: u32,
+    skip_backoff: u32,
 }
 
 /// A sorted occupied list under construction, split nodes/counts.
@@ -131,6 +161,91 @@ impl SoaList {
     }
 }
 
+/// The smallest straight-run horizon worth a skip: a skip costs a few
+/// stepped rounds, so on shorter ones `advance` steps.
+const MIN_SKIP_HORIZON: u64 = 8;
+
+/// The most rounds `advance` steps between two horizon searches.
+const MAX_SKIP_WAIT: u32 = 64;
+
+/// Node `v`'s direction bit in the packed `dirs`.
+#[inline]
+fn bit(dirs: &[u64], v: usize) -> u8 {
+    ((dirs[v / 64] >> (v % 64)) & 1) as u8
+}
+
+/// Flips the bits of the unwrapped range `r` in the packed `dirs`.
+fn flip(dirs: &mut [u64], r: Range<usize>) {
+    if r.is_empty() {
+        return;
+    }
+    let (first, last, head, tail) = span(&r);
+    if first == last {
+        dirs[first] ^= head & tail;
+        return;
+    }
+    dirs[first] ^= head;
+    for word in &mut dirs[first + 1..last] {
+        *word = !*word;
+    }
+    dirs[last] ^= tail;
+}
+
+/// How many nodes from `from` on, stepping clockwise if `cw` and
+/// anticlockwise otherwise, point that way, counting at most `cap`: the
+/// length of the straight run of a lone agent leaving `from`. Whole words
+/// are skipped at a time.
+fn run_length(dirs: &[u64], n: usize, from: usize, cap: usize, cw: bool) -> usize {
+    // Bits that point the run's way read as 0.
+    let fill = if cw { 0 } else { !0u64 };
+    let other = |w: usize, mask: u64| (dirs[w] ^ fill) & mask;
+    let mut count = 0;
+    if cw {
+        for r in arc(n, from, cap).iter().filter(|r| !r.is_empty()) {
+            let (first, last, head, tail) = span(r);
+            let (mut w, mut x) = (
+                first,
+                other(first, if first == last { head & tail } else { head }),
+            );
+            if x == 0 && first < last {
+                w += 1;
+                while w < last && dirs[w] == fill {
+                    w += 1;
+                }
+                x = other(w, if w == last { tail } else { !0 });
+            }
+            if x != 0 {
+                return count + w * 64 + x.trailing_zeros() as usize - r.start;
+            }
+            count += r.len();
+        }
+    } else {
+        for r in arc(n, wrap(from + n + 1 - cap, n), cap)
+            .iter()
+            .rev()
+            .filter(|r| !r.is_empty())
+        {
+            let (first, last, head, tail) = span(r);
+            let (mut w, mut x) = (
+                last,
+                other(last, if first == last { head & tail } else { tail }),
+            );
+            if x == 0 && first < last {
+                w -= 1;
+                while w > first && dirs[w] == fill {
+                    w -= 1;
+                }
+                x = other(w, if w == first { head } else { !0 });
+            }
+            if x != 0 {
+                return count + r.end - 1 - (w * 64 + 63 - x.leading_zeros() as usize);
+            }
+            count += r.len();
+        }
+    }
+    cap
+}
+
 impl RingRouter {
     /// Creates a router with agents at `starts` (a multiset of node
     /// indices) and initial pointer directions `dirs` (`0` = clockwise).
@@ -159,17 +274,23 @@ impl RingRouter {
                 occ_counts.push(c);
             }
         }
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for (v, &d) in dirs.iter().enumerate() {
+            words[v / 64] |= u64::from(d) << (v % 64);
+        }
         let mut visits = VisitSet::new(n);
         visits.reset(occ_nodes.iter().map(|&v| v as usize), 0);
         RingRouter {
             n: n32,
             k: starts.len() as u32,
-            dirs: dirs.to_vec(),
+            dirs: words,
             occ_nodes,
             occ_counts,
             round: 0,
             visits,
             next_occ: SoaList::default(),
+            skip_wait: 0,
+            skip_backoff: 0,
         }
     }
 
@@ -189,7 +310,8 @@ impl RingRouter {
     ///
     /// Panics if `v >= n`.
     pub fn direction(&self, v: u32) -> u8 {
-        self.dirs[v as usize]
+        assert!(v < self.n, "node {v} out of range");
+        bit(&self.dirs, v as usize)
     }
 
     /// Agents currently at `v`.
@@ -226,6 +348,7 @@ impl RingRouter {
     /// Snapshot of the mutable configuration.
     pub fn state(&self) -> RingState {
         let mut state = RingState {
+            n: self.n,
             dirs: Vec::new(),
             occupied: Vec::with_capacity(self.occ_nodes.len()),
         };
@@ -274,10 +397,11 @@ impl RingRouter {
         for i in 0..self.occ_nodes.len() {
             let v = self.occ_nodes[i];
             let c = self.occ_counts[i];
+            let word = &mut self.dirs[v as usize / 64];
+            let d = ((*word >> (v % 64)) & 1) as u8;
             let held = delay(v, c).min(c);
             let moving = c - held;
-            let d = self.dirs[v as usize];
-            self.dirs[v as usize] ^= (moving & 1) as u8;
+            *word ^= u64::from(moving & 1) << (v % 64);
             let (with_ptr, against) = (moving.div_ceil(2), moving / 2);
             let (cw_cnt, acw_cnt) = if d == CW {
                 (with_ptr, against)
@@ -323,6 +447,103 @@ impl RingRouter {
             "agents conserved"
         );
     }
+
+    /// The straight-run horizon of the current configuration: the
+    /// largest `Δ` for which every agent may run straight for `Δ` rounds,
+    /// or some number below [`MIN_SKIP_HORIZON`] (it stops looking once
+    /// the answer is that small). Each agent is bounded by its own run and
+    /// its two neighbours in the sorted list ([`straight_bound`]).
+    ///
+    /// [`straight_bound`]: Self::straight_bound
+    fn straight_horizon(&self) -> u64 {
+        let nodes = &self.occ_nodes;
+        let points_cw = |i: usize| bit(&self.dirs, nodes[i] as usize) == CW;
+        // The entry before the first is the last one, across the seam.
+        let mut prev_cw = nodes.len() > 1 && points_cw(nodes.len() - 1);
+        let mut horizon = u64::MAX;
+        for i in 0..nodes.len() {
+            let cw = points_cw(i);
+            horizon = horizon.min(self.straight_bound(i, cw, prev_cw));
+            if horizon < MIN_SKIP_HORIZON {
+                break;
+            }
+            prev_cw = cw;
+        }
+        horizon
+    }
+
+    /// How far occupied entry `i` (pointing clockwise if `cw`, the entry
+    /// before it clockwise if `prev_cw`) lets every agent run straight:
+    /// `0` if it holds more than one agent, else its run, counted at most
+    /// to the next agent its way (past that node a receding agent has
+    /// flipped the pointers, or an oncoming one's path begins) and, if it
+    /// and the entry behind it, `g` nodes apart, move toward each other,
+    /// at most `(g − 1)/2` (so that their paths stay apart).
+    fn straight_bound(&self, i: usize, cw: bool, prev_cw: bool) -> u64 {
+        if self.occ_counts[i] > 1 {
+            return 0;
+        }
+        let n = self.n as usize;
+        let nodes = &self.occ_nodes;
+        let v = nodes[i] as usize;
+        let (before, after) = match (i.checked_sub(1), nodes.get(i + 1)) {
+            (Some(b), Some(&a)) => (nodes[b] as usize, a as usize),
+            (Some(b), None) => (nodes[b] as usize, nodes[0] as usize + n),
+            (None, Some(&a)) => (nodes[nodes.len() - 1] as usize, a as usize),
+            (None, None) => (v, v + n),
+        };
+        let behind = wrap(v + n - before - 1, n) + 1;
+        let cap = match (cw, prev_cw) {
+            (true, _) => after - v,
+            (false, true) => (behind - 1) / 2,
+            (false, false) => behind,
+        };
+        if cap < MIN_SKIP_HORIZON as usize {
+            return cap as u64;
+        }
+        run_length(&self.dirs, n, v, cap, cw) as u64
+    }
+
+    /// Advances every agent `delta` rounds along its straight run, or to
+    /// the cover round if that falls first: flips the bits each run
+    /// leaves, marks its arrivals and moves the agent. `delta` must be at
+    /// most the [`straight_horizon`](Self::straight_horizon), so every
+    /// occupied node holds one agent.
+    fn run_straight(&mut self, delta: u64) {
+        debug_assert!(self.occ_counts.iter().all(|&c| c == 1), "lone agents");
+        let n = self.n as usize;
+        let round = self.round;
+        let dirs = &self.dirs;
+        let runs = self
+            .occ_nodes
+            .iter()
+            .map(|&v| (v as usize, bit(dirs, v as usize) == CW));
+        let len = match self.visits.arrive_runs(round, delta as usize, runs) {
+            Some(cover) => cover - round,
+            None => delta,
+        } as usize;
+        // Cyclic order is kept, so the list stays sorted up to a rotation
+        // at the one entry that crossed the seam, if any did.
+        let mut seam = 0;
+        for i in 0..self.occ_nodes.len() {
+            let v = self.occ_nodes[i] as usize;
+            let (left, to) = if bit(&self.dirs, v) == CW {
+                (v, wrap(v + len, n))
+            } else {
+                (wrap(v + n + 1 - len, n), wrap(v + n - len, n))
+            };
+            for r in arc(n, left, len) {
+                flip(&mut self.dirs, r);
+            }
+            self.occ_nodes[i] = to as u32;
+            if i > 0 && self.occ_nodes[i] < self.occ_nodes[i - 1] {
+                seam = i;
+            }
+        }
+        self.occ_nodes.rotate_left(seam);
+        self.round = round + len as u64;
+        debug_assert!(self.occ_nodes.windows(2).all(|w| w[0] < w[1]), "occ sorted");
+    }
 }
 
 /// Whether the SoA occupied halves `nodes`/`counts` spell out exactly the
@@ -336,11 +557,12 @@ fn occupied_eq(nodes: &[u32], counts: &[u32], pairs: &[(u32, u32)]) -> bool {
 }
 
 /// Occupancy first: the `O(k)` occupied list settles most mismatches
-/// before the `n`-byte direction vector is read.
+/// before the `n/64` direction words are read.
 impl crate::limit::ConfigSnapshot for RingRouter {
     type Config = RingState;
 
     fn config_into(&self, out: &mut RingState) {
+        out.n = self.n;
         out.dirs.clone_from(&self.dirs);
         out.occupied.clear();
         out.occupied.extend(
@@ -352,11 +574,14 @@ impl crate::limit::ConfigSnapshot for RingRouter {
     }
 
     fn config_eq(&self, c: &RingState) -> bool {
-        occupied_eq(&self.occ_nodes, &self.occ_counts, &c.occupied) && c.dirs == self.dirs
+        occupied_eq(&self.occ_nodes, &self.occ_counts, &c.occupied)
+            && c.n == self.n
+            && c.dirs == self.dirs
     }
 
     fn same_config(&self, other: &Self) -> bool {
-        self.occ_nodes == other.occ_nodes
+        self.n == other.n
+            && self.occ_nodes == other.occ_nodes
             && self.occ_counts == other.occ_counts
             && self.dirs == other.dirs
     }
@@ -375,6 +600,27 @@ impl crate::CoverProcess for RingRouter {
         self.step_delayed(|_, _| 0);
     }
 
+    /// Runs straight for the whole horizon `Δ` when `Δ ≥ 8`, and steps
+    /// otherwise (see the module docs).
+    fn advance(&mut self, until: u64) -> u64 {
+        while self.visits.cover_round().is_none() && self.round < until {
+            if self.skip_wait > 0 {
+                self.skip_wait -= 1;
+            } else if until - self.round >= MIN_SKIP_HORIZON {
+                let horizon = self.straight_horizon();
+                if horizon >= MIN_SKIP_HORIZON {
+                    self.skip_backoff = 0;
+                    self.run_straight(horizon.min(until - self.round));
+                    continue;
+                }
+                self.skip_backoff = (2 * self.skip_backoff).clamp(1, MAX_SKIP_WAIT);
+                self.skip_wait = self.skip_backoff;
+            }
+            self.step();
+        }
+        self.round
+    }
+
     fn visits(&self) -> &VisitSet {
         &self.visits
     }
@@ -390,8 +636,10 @@ impl crate::faults::Perturb for RingRouter {
             s = crate::rng::splitmix64(s);
             let v = (s % u64::from(self.n)) as usize;
             let new_dir = ((s >> 32) & 1) as u8;
-            changed += u32::from(self.dirs[v] != new_dir);
-            self.dirs[v] = new_dir;
+            if bit(&self.dirs, v) != new_dir {
+                self.dirs[v / 64] ^= 1 << (v % 64);
+                changed += 1;
+            }
         }
         changed
     }

@@ -71,7 +71,8 @@ pub struct CoverSample {
 /// `max_rounds`, whichever comes first.
 ///
 /// Dispatch keeps the ring fast path: `Rotor` on the ring family runs the
-/// `O(k)`-per-round [`RingRouter`]; everything else builds the scenario's
+/// `O(k)`-per-round [`RingRouter`], which skips straight runs of lone
+/// agents; everything else builds the scenario's
 /// graph and runs the general [`Engine`] or [`ParallelWalk`]. On the ring,
 /// pointer initialisation goes through the direction-bit form for *all*
 /// kinds ([`Scenario::engine`]), so general-engine cross-checks see
@@ -83,15 +84,19 @@ pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverS
     struct NoOp;
     impl<P: CoverProcess + ?Sized> Observer<P> for NoOp {
         fn observe(&mut self, _: &P) {}
+        fn next_round(&self, _: u64) -> u64 {
+            u64::MAX
+        }
     }
     run_scenario_observed(sc, kind, max_rounds, &mut NoOp)
 }
 
-/// Measures one [`Scenario`] like [`run_scenario`], with a per-round
-/// [`Observer`] attached to the drive loop
+/// Measures one [`Scenario`] like [`run_scenario`], with an [`Observer`]
+/// attached to the drive loop
 /// ([`run_observed`](CoverProcess::run_observed)): the observer sees the
-/// initial configuration and every round's result, whichever backend the
-/// `(family, kind)` dispatch selects.
+/// initial configuration, every round it names with
+/// [`next_round`](Observer::next_round) and the cover round, whichever
+/// backend the `(family, kind)` dispatch selects.
 ///
 /// The observer bound is "attaches to every backend this runner can
 /// build" — any `impl Observer<P> for all P: CoverProcess` instrument
@@ -436,6 +441,41 @@ mod tests {
             );
             assert_eq!((r.backend, o.backend), ("rotor_ring", "rotor_general"));
         }
+    }
+
+    /// Runs a ring scenario with pointers toward the agents to cover and
+    /// returns the cover round, checking it is `m(m−1)/2`, `m = n/k`.
+    fn closed_form_cover(n: usize, k: usize, placement: PlacementSpec) -> u64 {
+        let sc = Scenario {
+            family: GraphFamily::Ring,
+            n,
+            k,
+            seed_index: 0,
+            seed: 1,
+            placement,
+            init: InitSpec::TowardNearestAgent,
+        };
+        let m = (n / k) as u64;
+        let sample = run_scenario(&sc, ProcessKind::Rotor, u64::MAX);
+        assert_eq!(sample.cover, Some(m * (m - 1) / 2), "n={n} k={k}");
+        assert_eq!(sample.rounds, m * (m - 1) / 2, "stops at cover");
+        m * (m - 1) / 2
+    }
+
+    /// Theorem 1's single agent covers after `n(n−1)/2` rounds, which at
+    /// `n = 3·2¹⁵` is past `u32::MAX` (at `2¹⁶` it is not yet): a size
+    /// only straight-run skipping reaches in a debug test.
+    #[test]
+    fn single_agent_cover_counts_rounds_past_u32() {
+        let cover = closed_form_cover(3 << 15, 1, PlacementSpec::AllOnOne);
+        assert!(cover > u64::from(u32::MAX), "{cover}");
+    }
+
+    /// 64 equally spaced agents on `n = 2²⁰` cover after `m(m−1)/2`
+    /// rounds, `m = n/64`.
+    #[test]
+    fn equally_spaced_cover_at_two_to_the_twenty() {
+        closed_form_cover(1 << 20, 64, PlacementSpec::EquallySpaced);
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //!
 //! * `ring_vs_general/k<k>`: [`RingRouter`] against [`Engine`] on the same
 //!   ring from Theorem 1's start (all agents on one node, pointers toward
-//!   it), ratio general time over ring time. Gate: the ring is at least as
-//!   fast.
+//!   it), both stepped round by round, ratio general time over ring time.
+//!   Gate: the ring is at least as fast.
+//! * `ring_skip/k<k>`: [`RingRouter`]'s straight-run skipping
+//!   ([`CoverProcess::advance`]) against stepping it round by round over
+//!   the same rounds, from random agents and pointers on a `2¹⁶`-node
+//!   ring, ratio stepping time over skipping time. The two must reach the
+//!   same configuration. Gates: at `k ≤ 16` skipping is at least as fast;
+//!   at `k = n/8`, where it falls back to stepping, it is not shown
+//!   slower.
 //! * `domain_sampler/n<n>`: every-round §2.2 sampling of a ring run
 //!   through the word-wise [`DomainSampler`] against the bit-by-bit
 //!   [`scan_domain_stats`], ratio scan time over sampler time. The two must
@@ -23,6 +30,7 @@
 
 use rotor_analysis::{bootstrap_median_band, median};
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
+use rotor_core::limit::ConfigSnapshot;
 use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, Engine, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::time::Instant;
@@ -43,6 +51,11 @@ pub struct Plan {
     pub ring_n: usize,
     /// `(k, timed rounds)` of each ring-vs-general cell.
     pub ring_cells: &'static [(usize, u64)],
+    /// Ring size of the skipping cells.
+    pub skip_n: usize,
+    /// `(k, timed rounds)` of each skipping cell; the rounds stay short of
+    /// the cover round.
+    pub skip_cells: &'static [(usize, u64)],
     /// Ring size and sampled rounds of the §2.2 sampler comparison.
     pub sampler: (usize, u64),
     /// Timed rounds of each `Engine` workload trial.
@@ -53,6 +66,8 @@ pub struct Plan {
 pub const FULL: Plan = Plan {
     ring_n: 1 << 21,
     ring_cells: &[(1, 1 << 20), (16, 1 << 18), (8192, 4096)],
+    skip_n: 1 << 16,
+    skip_cells: &[(1, 1 << 20), (4, 1 << 19), (16, 1 << 17), (8192, 256)],
     sampler: (4096, 2048),
     engine_rounds: 4096,
 };
@@ -72,10 +87,21 @@ pub struct Measured {
 pub struct Gate {
     /// The [`Measured::name`] it judges.
     pub name: String,
-    /// The lowest lower bound that passes, in the comparison's unit.
+    /// The lowest band bound that passes, in the comparison's unit.
     pub floor: u64,
+    /// Which bound of the band must reach the floor.
+    pub side: Side,
     /// What a miss means.
     pub miss: String,
+}
+
+/// The bound of a band that a [`Gate`] tests.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Side {
+    /// The lower bound: the comparison is shown to reach the floor.
+    Lower,
+    /// The upper bound: the comparison is not shown to fall short of it.
+    Upper,
 }
 
 /// The gates on `plan`'s comparisons.
@@ -86,20 +112,35 @@ pub fn gates(plan: &Plan) -> Vec<Gate> {
         .map(|&(k, _)| Gate {
             name: format!("ring_vs_general/k{k}"),
             floor: 1000,
+            side: Side::Lower,
             miss: format!("ring fast path at k = {k} is slower than the general engine"),
         })
         .collect();
+    for &(k, _) in plan.skip_cells {
+        let (side, miss) = if k <= 16 {
+            (Side::Lower, "is not shown at least as fast as stepping")
+        } else {
+            (Side::Upper, "is shown slower than stepping")
+        };
+        gates.push(Gate {
+            name: format!("ring_skip/k{k}"),
+            floor: 1000,
+            side,
+            miss: format!("straight-run skipping at k = {k} {miss}"),
+        });
+    }
     let n = plan.sampler.0;
     gates.push(Gate {
         name: format!("domain_sampler/n{n}"),
         floor: 5000,
+        side: Side::Lower,
         miss: format!("the word-wise §2.2 sampler at n = {n} is not 5× faster than the scan"),
     });
     gates
 }
 
 /// Judges `measured` against `gates`: one line per comparison (median,
-/// band, floor and verdict), and one failure per gate whose band's lower
+/// band, floor and verdict), and one failure per gate whose band's gated
 /// bound is below its floor or whose comparison is missing.
 pub fn verdicts(measured: &[Measured], gates: &[Gate]) -> (Vec<String>, Vec<String>) {
     let mut lines = Vec::new();
@@ -114,13 +155,20 @@ pub fn verdicts(measured: &[Measured], gates: &[Gate]) -> (Vec<String>, Vec<Stri
         let summary = format!("median {mid} [{}, {}] {}", band.lo, band.hi, m.unit);
         let verdict = match gates.iter().find(|g| g.name == m.name) {
             None => "reported".to_string(),
-            Some(g) if band.lo >= g.floor => format!("pass (floor {})", g.floor),
             Some(g) => {
-                failures.push(format!(
-                    "{} ({}: {summary}, floor {})",
-                    g.miss, m.name, g.floor
-                ));
-                format!("FAIL (floor {})", g.floor)
+                let (bound, which) = match g.side {
+                    Side::Lower => (band.lo, ""),
+                    Side::Upper => (band.hi, "upper "),
+                };
+                if bound >= g.floor {
+                    format!("pass ({which}floor {})", g.floor)
+                } else {
+                    failures.push(format!(
+                        "{} ({}: {summary}, {which}floor {})",
+                        g.miss, m.name, g.floor
+                    ));
+                    format!("FAIL ({which}floor {})", g.floor)
+                }
             }
         };
         lines.push(format!("{:<32} {summary}  {verdict}", m.name));
@@ -142,6 +190,11 @@ pub fn measure(plan: &Plan) -> Vec<Measured> {
         .iter()
         .map(|&(k, rounds)| ring_vs_general(&ring, k, rounds))
         .collect();
+    measured.extend(
+        plan.skip_cells
+            .iter()
+            .map(|&(k, rounds)| ring_skip(plan.skip_n, k, rounds)),
+    );
     measured.push(domain_sampler(plan.sampler));
     for (name, g) in [
         ("grid_64x64", builders::grid(64, 64)),
@@ -201,6 +254,39 @@ fn ring_vs_general(ring: &PortGraph, k: usize, rounds: u64) -> Measured {
             || seconds(|| fast.run(rounds)),
             || seconds(|| general.run(rounds)),
         ),
+    }
+}
+
+/// `RingRouter` skipping straight runs against stepping round by round,
+/// `rounds` rounds from random agents and pointers on an `n`-node ring;
+/// each trial starts both sides from the same state.
+fn ring_skip(n: usize, k: usize, rounds: u64) -> Measured {
+    let starts = Placement::Random(0x5EED).positions(n, k);
+    let dirs = PointerInit::Random(7).ring_directions(n, &starts);
+    let start = RingRouter::new(n, &starts, &dirs);
+    let (mut skipped, mut stepped) = (start.clone(), start.clone());
+    let trials = paired(
+        || {
+            skipped.clone_from(&start);
+            seconds(|| {
+                skipped.advance(rounds);
+            })
+        },
+        || {
+            stepped.clone_from(&start);
+            seconds(|| stepped.run(rounds))
+        },
+    );
+    assert_eq!(
+        skipped.round(),
+        rounds,
+        "k = {k}: covered inside the timed rounds"
+    );
+    assert!(skipped.same_config(&stepped), "k = {k}: skipping diverged");
+    Measured {
+        name: format!("ring_skip/k{k}"),
+        unit: "ppt",
+        trials,
     }
 }
 
@@ -275,11 +361,13 @@ mod tests {
         }
     }
 
-    /// Every gated comparison of [`FULL`] at `ppt` on every trial.
+    /// Every gated comparison of [`FULL`] at `ppt` on every trial, the
+    /// ring ones at `ring`.
     fn all_at(ring: u64, sampler: u64) -> Vec<Measured> {
         let mut m: Vec<Measured> = [1, 16, 8192]
             .map(|k| ratios(&format!("ring_vs_general/k{k}"), &[ring; PAIRS]))
             .into();
+        m.extend([1, 4, 16, 8192].map(|k| ratios(&format!("ring_skip/k{k}"), &[ring; PAIRS])));
         m.push(ratios("domain_sampler/n4096", &[sampler; PAIRS]));
         m
     }
@@ -288,7 +376,7 @@ mod tests {
     fn a_band_at_or_above_its_floor_passes() {
         let (lines, failures) = verdicts(&all_at(1000, 5000), &gates(&FULL));
         assert_eq!(failures, Vec::<String>::new());
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 8);
         assert!(lines.iter().all(|l| l.contains("pass")), "{lines:?}");
 
         // a spread whose lower bound clears the floor passes too
@@ -318,6 +406,30 @@ mod tests {
     }
 
     #[test]
+    fn dense_skipping_is_gated_on_the_upper_bound() {
+        let at = |k: u32, trials: &[u64]| {
+            let mut m = all_at(1400, 20_000);
+            let i = m.iter().position(|x| x.name == format!("ring_skip/k{k}"));
+            m[i.expect("row")] = ratios(&format!("ring_skip/k{k}"), trials);
+            verdicts(&m, &gates(&FULL)).1
+        };
+        // a band straddling 1: not shown slower at k = n/8, yet not shown
+        // faster at k = 16
+        let mut straddling = vec![900; 7];
+        straddling.extend([1100; 8]);
+        assert_eq!(at(8192, &straddling), Vec::<String>::new());
+        let failures = at(16, &straddling);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("skipping at k = 16 is not shown at least as fast"));
+        // shown slower at k = n/8
+        let failures = at(8192, &[900; PAIRS]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("k = 8192 is shown slower") && failures[0].contains("upper floor")
+        );
+    }
+
+    #[test]
     fn a_missing_comparison_is_an_error() {
         let mut m = all_at(1400, 20_000);
         m.remove(2);
@@ -334,6 +446,8 @@ mod tests {
         let plan = Plan {
             ring_n: 4096,
             ring_cells: &[(1, 1024), (16, 256), (8192, 64)],
+            skip_n: 4096,
+            skip_cells: &[(1, 4096), (4, 2048), (16, 1024), (512, 16)],
             sampler: (1024, 256),
             engine_rounds: 64,
         };
@@ -345,6 +459,10 @@ mod tests {
                 "ring_vs_general/k1",
                 "ring_vs_general/k16",
                 "ring_vs_general/k8192",
+                "ring_skip/k1",
+                "ring_skip/k4",
+                "ring_skip/k16",
+                "ring_skip/k512",
                 "domain_sampler/n1024",
                 "engine/grid_64x64",
                 "engine/hypercube_10",
