@@ -32,8 +32,8 @@
 //!
 //! * `return_time` — `found` (bool; whether Brent certified a cycle within
 //!   the step budget), `tail` (`μ`, the transient length; `null` when not
-//!   found) and `period` (`λ`, the limit-cycle return time of §4; `null`
-//!   when not found), per (family, n) curve with `k` on the x axis;
+//!   found) and `period` (the configuration period `λ`; `null` when not
+//!   found), per (family, n) curve with `k` on the x axis;
 //! * `general_graphs` — alongside `median_cover` / `bound_2_d_e` /
 //!   `worst_ratio`, the §2.2 domain-dynamics columns `max_domains` (peak
 //!   count of maximal contiguous visited index segments over the run,

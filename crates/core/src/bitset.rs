@@ -21,12 +21,28 @@ use std::ops::Range;
 
 /// The visited nodes `0..len` of a process, with its unvisited count and
 /// cover round.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(PartialEq, Eq, Hash, Debug)]
 pub struct VisitSet {
     words: Vec<u64>,
     len: usize,
     unvisited: usize,
     cover_round: Option<u64>,
+}
+
+/// `clone_from` reuses the words' buffer.
+impl Clone for VisitSet {
+    fn clone(&self) -> Self {
+        VisitSet {
+            words: self.words.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        (self.len, self.unvisited, self.cover_round) =
+            (source.len, source.unvisited, source.cover_round);
+    }
 }
 
 impl VisitSet {

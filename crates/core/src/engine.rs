@@ -45,7 +45,7 @@ pub struct EngineState {
 /// let cover = e.run_until_covered(100_000).expect("covers the grid");
 /// assert!(cover <= 2 * 6 * 24); // within the 2·D·|E| lock-in bound
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Engine<'g> {
     g: &'g PortGraph,
     pointers: Vec<u32>,
@@ -60,6 +60,31 @@ pub struct Engine<'g> {
     arrivals: Vec<(u32, u32)>,
     /// Scratch buffer for the next occupied-node list.
     next_occupied: Vec<u32>,
+}
+
+/// A copy starts with empty scratch, and `clone_from` reuses the buffers of
+/// the engine it overwrites, so the §4 probes' checkpoints allocate
+/// nothing once warm.
+impl Clone for Engine<'_> {
+    fn clone(&self) -> Self {
+        Engine {
+            pointers: self.pointers.clone(),
+            agents: self.agents.clone(),
+            occupied: self.occupied.clone(),
+            visits: self.visits.clone(),
+            arrivals: Vec::new(),
+            next_occupied: Vec::new(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.pointers.clone_from(&source.pointers);
+        self.agents.clone_from(&source.agents);
+        self.occupied.clone_from(&source.occupied);
+        self.visits.clone_from(&source.visits);
+        (self.g, self.round, self.k) = (source.g, source.round, source.k);
+    }
 }
 
 impl<'g> Engine<'g> {

@@ -10,27 +10,30 @@
 //! the limit behaviour takes to revisit a configuration — and Theorem 6
 //! bounds it on the ring.
 //!
-//! Brent's algorithm finds `(μ, λ)` with `O(μ + λ)` steps and `O(1)`
-//! stored snapshots, which matters here because configurations are
-//! `Θ(n)`-sized. The observer probes go further and allocate nothing per
-//! round: [`ConfigSnapshot`] compares the *live* process state to the one
-//! stored tortoise snapshot ([`config_eq`](ConfigSnapshot::config_eq)) or
-//! to a second live process ([`same_config`](ConfigSnapshot::same_config))
-//! in place, checking occupancy before pointers (on the ring an `O(k)`
-//! occupied list; [`Engine`](crate::Engine) keeps `Θ(n)` per-node agent
-//! counts), and a teleporting tortoise overwrites its snapshot's buffers
-//! ([`config_into`](ConfigSnapshot::config_into)).
+//! Brent's algorithm finds `(μ, λ)` in `O(μ + λ)` rounds. Configurations
+//! are `Θ(n)`-sized, so the probe holds one snapshot, the tortoise, and
+//! compares the *live* process with it in place
+//! ([`config_eq`](ConfigSnapshot::config_eq)); a teleporting tortoise
+//! overwrites the snapshot's buffers
+//! ([`config_into`](ConfigSnapshot::config_into)). Occupancy is checked
+//! before pointers (on the ring an `O(k)` occupied list;
+//! [`Engine`](crate::Engine) keeps `Θ(n)` per-node agent counts).
 //!
-//! Two formulations live here:
+//! [`brent`] is the classical restartable form over an explicit
+//! `new`/`step`/`snap` machine, kept as the reference implementation.
+//! [`probe_cycle`] certifies the same `(μ, λ)` on any deterministic backend
+//! the scenario layer can build (torus, hypercube, lollipop, …), in two
+//! phases:
 //!
-//! * [`brent`] — the classical restartable form over an explicit
-//!   `new`/`step`/`snap` machine, kept as the reference implementation;
-//! * [`CycleProbe`] / [`TailProbe`] — the same algorithm as snapshot-taking
-//!   [`Observer`]s driven through [`CoverProcess::run_probed`], so §4
-//!   return-time probing attaches to *any* deterministic backend the
-//!   scenario layer can build (torus, hypercube, lollipop, …) without a
-//!   private drive loop. [`probe_cycle`] composes the two passes over a
-//!   constructor closure (property-tested equal to [`brent`]).
+//! * phase 1 finds `λ` with a [`CycleProbe`] driven through
+//!   [`CoverProcess::run_probed`]. The probe names only the rounds where
+//!   the live configuration can still equal the tortoise
+//!   ([`rounds_to`](ConfigSnapshot::rounds_to)), so the ring skips
+//!   straight runs in between, and on the way it keeps a bounded set of
+//!   copies of the process, its *checkpoints*;
+//! * phase 2 finds `μ`. Whether `x_t = x_{t+λ}` holds is monotone in `t`,
+//!   so it bisects the checkpoints for the last one off the cycle and
+//!   steps two copies, `λ` rounds apart, from there until they agree.
 //!
 //! The *return time* of §4 is the period of the cycle [`probe_cycle`]
 //! certifies:
@@ -135,9 +138,9 @@ where
 ///
 /// A snapshot is taken by filling a `Default` one with
 /// [`config_into`](Self::config_into); write `snap(p)` for that. The
-/// methods have no defaults, so every backend states its own comparison.
-/// Each must agree with the snapshot's `PartialEq` on *every* pair —
-/// different `k` (after a crash) included:
+/// comparisons have no defaults, so every backend states its own. Each
+/// must agree with the snapshot's `PartialEq` on *every* pair — different
+/// `k` (after a crash) included:
 ///
 /// * `p.config_eq(&c) == (snap(p) == c)`;
 /// * `p.same_config(&q) == (snap(p) == snap(q))`;
@@ -157,21 +160,45 @@ pub trait ConfigSnapshot: CoverProcess {
     /// Whether `self` and `other` are in the same configuration, compared
     /// in place.
     fn same_config(&self, other: &Self) -> bool;
+
+    /// A lower bound, at least 1, on the rounds before the configuration
+    /// can equal `c`: no round before `round() + rounds_to(c)` does. A
+    /// [`CycleProbe`] looks again only then. The default, 1, has it look
+    /// every round; [`RingRouter`](crate::RingRouter) counts the direction
+    /// bits that must still flip.
+    fn rounds_to(&self, c: &Self::Config) -> u64 {
+        let _ = c;
+        1
+    }
 }
+
+/// Checkpoint copies a [`CycleProbe`] keeps in each power-of-two block.
+const BLOCK_CHECKPOINTS: u64 = 16;
 
 /// Brent phase 1 as an [`Observer`]: finds the limit-cycle period `λ` of
 /// the configuration sequence during a single
 /// [`run_probed`](CoverProcess::run_probed) drive, holding one tortoise
-/// snapshot. The snapshot is taken once, at round 0; afterwards the live
-/// configuration is compared to it in place
-/// ([`config_eq`](ConfigSnapshot::config_eq)) and a teleport overwrites
-/// its buffers ([`config_into`](ConfigSnapshot::config_into)).
+/// snapshot, and keeps the checkpoints [`cycle`](Self::cycle) bisects for
+/// the tail `μ`.
 ///
-/// The observation stream replays [`brent`]'s phase 1 exactly (the
-/// tortoise waits at `x_{2^i − 1}` while the hare walks), so the detected
-/// `λ` is bit-identical to the restartable form. Pair with a fresh process
-/// and a [`TailProbe`] to recover the tail `μ`, or use [`probe_cycle`]
-/// which composes both passes.
+/// The tortoise waits at relative round `2^i − 1` while the hare walks the
+/// block of the next `2^i` rounds, as in [`brent`], so the detected `λ` is
+/// bit-identical to the restartable form. The snapshot is taken once, at
+/// the first round observed; afterwards the live configuration is compared
+/// to it in place ([`config_eq`](ConfigSnapshot::config_eq)) and a
+/// teleport overwrites its buffers
+/// ([`config_into`](ConfigSnapshot::config_into)). The probe asks to see
+/// only the rounds where a match is still possible
+/// ([`rounds_to`](ConfigSnapshot::rounds_to)), the teleport rounds and the
+/// checkpoint rounds.
+///
+/// The checkpoints are copies of the process at the start, at every
+/// teleport and at 16 evenly spaced rounds of each of the current and the
+/// previous block (every round of a block shorter than 16). A teleport
+/// drops the ones inside the block before the previous one, and new
+/// copies reuse their buffers ([`Clone::clone_from`]). A run of at most
+/// `max_steps` rounds holds at most `33 + ⌈log₂ max_steps⌉` copies,
+/// spare ones included, whatever `μ` is.
 ///
 /// ```
 /// use rotor_core::limit::CycleProbe;
@@ -182,24 +209,40 @@ pub trait ConfigSnapshot: CoverProcess {
 /// assert!(r.run_probed(10_000, &mut probe));
 /// // single agent: the limit cycle is the Eulerian traversal of 2|E| arcs
 /// assert_eq!(probe.period(), Some(10));
+/// assert_eq!(probe.cycle().map(|c| c.period), Some(10));
 /// ```
 #[derive(Clone, Debug)]
-pub struct CycleProbe<C> {
-    tortoise: Option<C>,
+pub struct CycleProbe<P: ConfigSnapshot> {
+    tortoise: Option<P::Config>,
+    /// The first round observed: `μ` counts from here.
+    start: u64,
+    /// The round the tortoise snapshot holds.
+    tortoise_round: u64,
+    /// Length of the hare's block: it is compared at rounds
+    /// `tortoise_round + 1 ..= tortoise_round + power`.
     power: u64,
-    lambda: u64,
+    /// The next round this probe needs to see.
+    next: u64,
     period: Option<u64>,
+    /// Copies of the observed process, ascending by round.
+    checkpoints: Vec<P>,
+    /// Dropped copies whose buffers the next checkpoints reuse.
+    spare: Vec<P>,
 }
 
-impl<C> CycleProbe<C> {
+impl<P: ConfigSnapshot + Clone> CycleProbe<P> {
     /// A fresh probe, ready to observe a run from its initial
-    /// configuration (round 0) onward.
+    /// configuration onward.
     pub fn new() -> Self {
         CycleProbe {
             tortoise: None,
+            start: 0,
+            tortoise_round: 0,
             power: 1,
-            lambda: 1,
+            next: 0,
             period: None,
+            checkpoints: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -207,144 +250,168 @@ impl<C> CycleProbe<C> {
     pub fn period(&self) -> Option<u64> {
         self.period
     }
+
+    /// Brent phase 2: the certified `(μ, λ)` once the period is found,
+    /// `None` before.
+    ///
+    /// The tortoise round `T` is on the cycle (`x_T = x_{T+λ}`), so
+    /// `μ ≤ T`. A binary search over the checkpoints before `T` finds the
+    /// last one off the cycle, testing each by advancing a copy `λ`
+    /// rounds; from there two copies `λ` rounds apart step until they
+    /// agree, at most to the next checkpoint. That costs one `λ`-round
+    /// [`advance`](CoverProcess::advance) per bisection step, plus two
+    /// copies stepped over at most the gap between two checkpoints,
+    /// instead of the `2μ + λ` rounds of [`brent`]'s replay.
+    pub fn cycle(mut self) -> Option<CycleInfo> {
+        let period = self.period?;
+        // The checkpoints past the tortoise round are on the cycle.
+        let before = self
+            .checkpoints
+            .partition_point(|c| c.round() < self.tortoise_round);
+        self.spare.extend(self.checkpoints.drain(before..));
+        // Checkpoints below `lo` are off the cycle, those from `hi` on
+        // are on it; `off` holds the last one found off it, and a copy of
+        // it λ rounds later.
+        let (mut lo, mut hi) = (0, before);
+        let mut off: Option<(usize, P)> = None;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mut front = recycled(&mut self.spare, &self.checkpoints[mid]);
+            let until = front.round() + period;
+            while front.advance(until) < until {}
+            if self.checkpoints[mid].same_config(&front) {
+                hi = mid;
+                self.spare.push(front);
+            } else {
+                lo = mid + 1;
+                self.spare.extend(off.replace((mid, front)).map(|(_, f)| f));
+            }
+        }
+        let tail = match off {
+            // The first checkpoint, the start, is on the cycle.
+            None => 0,
+            Some((i, mut front)) => {
+                let back = &mut self.checkpoints[i];
+                loop {
+                    back.step();
+                    front.step();
+                    if back.same_config(&front) {
+                        break back.round() - self.start;
+                    }
+                }
+            }
+        };
+        Some(CycleInfo { tail, period })
+    }
+
+    /// Keeps a copy of `p` as the newest checkpoint.
+    fn checkpoint(&mut self, p: &P) {
+        let copy = recycled(&mut self.spare, p);
+        self.checkpoints.push(copy);
+    }
 }
 
-impl<C> Default for CycleProbe<C> {
+/// A copy of `p`, made in the buffers of a spare copy if there is one.
+fn recycled<P: Clone>(spare: &mut Vec<P>, p: &P) -> P {
+    match spare.pop() {
+        Some(mut copy) => {
+            copy.clone_from(p);
+            copy
+        }
+        None => p.clone(),
+    }
+}
+
+impl<P: ConfigSnapshot + Clone> Default for CycleProbe<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P: ConfigSnapshot> Observer<P> for CycleProbe<P::Config> {
+impl<P: ConfigSnapshot + Clone> Observer<P> for CycleProbe<P> {
     fn observe(&mut self, p: &P) {
         if self.period.is_some() {
             return;
         }
+        let now = p.round();
         let Some(tortoise) = &mut self.tortoise else {
-            // Round 0: the tortoise starts at the initial configuration —
-            // the only snapshot this pass allocates.
+            // The first round: the tortoise starts at the initial
+            // configuration — the only snapshot this pass allocates.
             let mut first = P::Config::default();
             p.config_into(&mut first);
             self.tortoise = Some(first);
+            (self.start, self.tortoise_round, self.next) = (now, now, now + 1);
+            self.checkpoint(p);
             return;
         };
         if p.config_eq(tortoise) {
-            self.period = Some(self.lambda);
+            self.period = Some(now - self.tortoise_round);
             return;
         }
-        if self.power == self.lambda {
+        let teleport = now == self.tortoise_round + self.power;
+        if teleport {
             p.config_into(tortoise);
-            self.power = self.power.checked_mul(2).expect("power-of-two overflow");
-            self.lambda = 0;
         }
-        self.lambda += 1;
+        let to_tortoise = p.rounds_to(tortoise);
+        if teleport {
+            // The previous block becomes the one before it: drop the
+            // checkpoints inside it.
+            let (first, last) = (self.tortoise_round - self.power / 2, self.tortoise_round);
+            let from = self.checkpoints.partition_point(|c| c.round() <= first);
+            let to = self.checkpoints.partition_point(|c| c.round() < last);
+            self.spare
+                .extend(self.checkpoints.drain(from..to.max(from)));
+            self.tortoise_round = now;
+            self.power = self.power.checked_mul(2).expect("power-of-two overflow");
+        }
+        let stride = (self.power / BLOCK_CHECKPOINTS).max(1);
+        let into_block = (now - self.tortoise_round) % stride;
+        if into_block == 0 {
+            self.checkpoint(p);
+        }
+        self.next = now
+            .saturating_add(to_tortoise)
+            .min(self.tortoise_round + self.power)
+            .min(now + stride - into_block);
+    }
+
+    fn next_round(&self, _now: u64) -> u64 {
+        self.next
     }
 }
 
-impl<P: ConfigSnapshot> Probe<P> for CycleProbe<P::Config> {
+impl<P: ConfigSnapshot + Clone> Probe<P> for CycleProbe<P> {
     fn finished(&self) -> bool {
         self.period.is_some()
     }
 }
 
-/// Brent phase 2 as an [`Observer`]: given a known period `λ`, finds the
-/// tail `μ` (the index of the first configuration on the limit cycle) by
-/// walking a *trailing* copy of the same deterministic process `λ` rounds
-/// behind the observed one — the first round `r` with `x_{r−λ} = x_r` has
-/// `μ = r − λ`.
+/// The `(μ, λ)` cycle structure of a deterministic process: one
+/// [`CycleProbe`] pass over the process `make` returns for the period and
+/// the checkpoints, then [`CycleProbe::cycle`]'s bisection for the tail.
 ///
-/// Memory is one extra machine and no snapshot at all: each round compares
-/// the trailing machine with the observed one in place
-/// ([`same_config`](ConfigSnapshot::same_config)). A `λ`-deep snapshot
-/// window would be `Θ(λ·n)` — prohibitive at the sweep sizes the ring
-/// campaigns run at.
-#[derive(Clone, Debug)]
-pub struct TailProbe<P> {
-    lambda: u64,
-    trailing: P,
-    seen: u64,
-    tail: Option<u64>,
-}
-
-impl<P: ConfigSnapshot> TailProbe<P> {
-    /// A probe for a run whose limit period `λ = period` is already known
-    /// (from a [`CycleProbe`] pass over an identical process). `trailing`
-    /// must be a fresh copy of the observed process (same initial
-    /// configuration — the rotor-router is deterministic, so it will
-    /// replay the identical sequence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(period: u64, trailing: P) -> Self {
-        assert!(period > 0, "limit period must be positive");
-        TailProbe {
-            lambda: period,
-            trailing,
-            seen: 0,
-            tail: None,
-        }
-    }
-
-    /// The certified tail `μ`, once found.
-    pub fn tail(&self) -> Option<u64> {
-        self.tail
-    }
-}
-
-impl<P: ConfigSnapshot> Observer<P> for TailProbe<P> {
-    fn observe(&mut self, p: &P) {
-        if self.tail.is_some() {
-            return;
-        }
-        // `seen` counts observations, so the observed process is at
-        // x_seen; once it is λ ahead, the trailing machine sits at
-        // x_{seen−λ} and every mismatch advances it by one round.
-        if self.seen >= self.lambda {
-            if self.trailing.same_config(p) {
-                self.tail = Some(self.seen - self.lambda);
-                return;
-            }
-            self.trailing.step();
-        }
-        self.seen += 1;
-    }
-}
-
-impl<P: ConfigSnapshot> Probe<P> for TailProbe<P> {
-    fn finished(&self) -> bool {
-        self.tail.is_some()
-    }
-}
-
-/// The `(μ, λ)` cycle structure of a deterministic process, measured with
-/// the observer probes: one [`CycleProbe`] pass for the period, one
-/// [`TailProbe`] pass over a fresh identical process for the tail.
-///
-/// `make` must reproduce the identical configuration sequence on each call
-/// (any engine constructor from fixed inputs qualifies). Returns `None`
-/// when no cycle is certified within `max_steps` rounds — the same budget
-/// semantics as [`brent`], to which this is property-tested equal.
+/// Returns `None` when no cycle is certified within `max_steps` rounds:
+/// exactly when [`brent`], to which this is property-tested equal, returns
+/// `None`. Once phase 1 matches, `μ` is at most the tortoise round, so
+/// phase 2 always succeeds.
 ///
 /// The budget counts rounds from the state `make` returns, not absolute
 /// rounds: a process that has already run `r` rounds (a disturbed copy in
 /// the recovery runner, say) still gets the full `max_steps`, and `μ` is
 /// indexed from that state.
-pub fn probe_cycle<P: ConfigSnapshot>(make: impl Fn() -> P, max_steps: u64) -> Option<CycleInfo> {
-    let mut first = make();
-    let mut head = CycleProbe::new();
-    let until = first.round().saturating_add(max_steps);
-    first.run_probed(until, &mut head);
-    let period = head.period()?;
-    let mut second = make();
-    let mut tail_probe = TailProbe::new(period, make());
-    // μ ≤ max_steps is certified at round μ + λ of the second pass.
-    let until = second
-        .round()
-        .saturating_add(max_steps)
-        .saturating_add(period);
-    second.run_probed(until, &mut tail_probe);
-    tail_probe.tail().map(|tail| CycleInfo { tail, period })
+///
+/// Cost: phase 1 runs `μ + λ` rounds at most, observing only the rounds
+/// [`CycleProbe`] names, and phase 2 is the bisection. The probe holds at
+/// most `33 + ⌈log₂ max_steps⌉` copies of the process.
+pub fn probe_cycle<P: ConfigSnapshot + Clone>(
+    make: impl FnOnce() -> P,
+    max_steps: u64,
+) -> Option<CycleInfo> {
+    let mut process = make();
+    let mut probe = CycleProbe::new();
+    let until = process.round().saturating_add(max_steps);
+    process.run_probed(until, &mut probe);
+    probe.cycle()
 }
 
 #[cfg(test)]
@@ -563,17 +630,56 @@ mod tests {
         assert_eq!(snapshots.get(), 1, "the round-0 tortoise only");
         let period = head.period().unwrap();
         assert!(period > 1, "the tortoise teleported at least once");
-        let mut tail = TailProbe::new(period, make());
-        assert!(make().run_probed(1_000_000, &mut tail));
-        assert_eq!(snapshots.get(), 1, "the tail pass compares in place");
-        let expected = ring_probe(n, &[0, 5, 5], &dirs, 1_000_000);
-        assert_eq!(
-            Some(CycleInfo {
-                tail: tail.tail().unwrap(),
-                period
-            }),
-            expected
-        );
+        let cycle = head.cycle();
+        assert_eq!(snapshots.get(), 1, "phase 2 compares live copies");
+        assert_eq!(cycle, ring_probe(n, &[0, 5, 5], &dirs, 1_000_000));
+    }
+
+    /// A [`CycleProbe`] that records the most copies it ever held,
+    /// checkpoints and spare ones.
+    struct Watched(CycleProbe<RingRouter>, usize);
+
+    impl Observer<RingRouter> for Watched {
+        fn observe(&mut self, p: &RingRouter) {
+            self.0.observe(p);
+            self.1 = self.1.max(self.0.checkpoints.len() + self.0.spare.len());
+        }
+        fn next_round(&self, now: u64) -> u64 {
+            self.0.next_round(now)
+        }
+    }
+
+    impl Probe<RingRouter> for Watched {
+        fn finished(&self) -> bool {
+            self.0.finished()
+        }
+    }
+
+    #[test]
+    fn checkpoints_stay_within_the_stated_bound_whatever_the_tail() {
+        // Tails from a handful of rounds to about 10⁵: the copies held
+        // stay under 33 + ⌈log₂ max_steps⌉ throughout phase 1.
+        let mut tails = Vec::new();
+        for (n, k) in [(8usize, 2usize), (64, 1), (256, 1), (512, 2), (500, 3)] {
+            let starts = Placement::AllOnOne(0).positions(n, k);
+            let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
+            let max_steps = 1u64 << 22;
+            let bound = 33 + max_steps.next_power_of_two().trailing_zeros() as usize;
+            let mut watched = Watched(CycleProbe::new(), 0);
+            let mut r = RingRouter::new(n, &starts, &dirs);
+            assert!(r.run_probed(max_steps, &mut watched), "n={n} k={k}");
+            assert!(watched.1 <= bound, "n={n} k={k}: {} copies", watched.1);
+            let info = watched.0.cycle();
+            let reference = brent(
+                || RingRouter::new(n, &starts, &dirs),
+                RingRouter::step,
+                |r| -> RingState { r.state() },
+                max_steps,
+            );
+            assert_eq!(info, reference, "n={n} k={k}");
+            tails.push(info.expect("cycles").tail);
+        }
+        assert!(tails.iter().any(|&t| t < 100) && tails.iter().any(|&t| t > 50_000));
     }
 
     #[test]
@@ -607,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn tail_probe_recovers_known_tail() {
+    fn probe_cycle_tail_matches_brent_on_known_start() {
         let n = 6usize;
         let starts = [1u32, 1, 4];
         let dirs = vec![CW; n];
@@ -618,10 +724,9 @@ mod tests {
             1_000_000,
         )
         .unwrap();
-        let mut r = RingRouter::new(n, &starts, &dirs);
-        let mut probe = TailProbe::new(expected.period, RingRouter::new(n, &starts, &dirs));
-        assert!(r.run_probed(1_000_000, &mut probe));
-        assert_eq!(probe.tail(), Some(expected.tail));
+        assert!(expected.tail > 0, "a start off the cycle");
+        let probed = ring_probe(n, &starts, &dirs, 1_000_000).unwrap();
+        assert_eq!(probed.tail, expected.tail);
     }
 
     #[test]

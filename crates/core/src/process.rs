@@ -68,7 +68,9 @@ impl<P: CoverProcess + ?Sized, F: FnMut(&P)> Observer<P> for F {
 /// [`run_observed`](CoverProcess::run_observed)) does **not** stop at the
 /// cover round: §4's limit-cycle structure only emerges well after
 /// covering, so cycle probes like [`CycleProbe`](crate::limit::CycleProbe)
-/// drive the loop by their own completion instead.
+/// drive the loop by their own completion instead. A probe names the
+/// rounds it needs with [`next_round`](Observer::next_round) like any
+/// observer, so the process may skip the rounds in between.
 pub trait Probe<P: CoverProcess + ?Sized>: Observer<P> {
     /// Whether the probe has everything it came for.
     fn finished(&self) -> bool;
@@ -107,12 +109,14 @@ pub trait CoverProcess {
     /// Advances one synchronous round: every agent/walker moves.
     fn step(&mut self);
 
-    /// Runs to round `until`, or to the cover round if it falls first, and
-    /// returns the round reached (at once if the process has covered or is
-    /// at `until` already). The default steps round by round;
+    /// Runs to round `until` and returns the round reached (at once if the
+    /// process is at `until` already). It stops early only at the round
+    /// where a process that has not covered yet first covers; a covered
+    /// process runs on. The default steps round by round;
     /// [`RingRouter`](crate::RingRouter) skips straight runs.
     fn advance(&mut self, until: u64) -> u64 {
-        while self.cover_round().is_none() && self.round() < until {
+        let covered = self.cover_round().is_some();
+        while self.round() < until && (covered || self.cover_round().is_none()) {
             self.step();
         }
         self.round()
@@ -140,9 +144,11 @@ pub trait CoverProcess {
 
     /// Runs until every node has been visited, or gives up after
     /// `max_rounds` total rounds. Returns the cover round, or `None` on
-    /// timeout.
+    /// timeout; a process that has covered already returns at once.
     fn run_until_covered(&mut self, max_rounds: u64) -> Option<u64> {
-        self.advance(max_rounds);
+        if self.cover_round().is_none() {
+            self.advance(max_rounds);
+        }
         self.cover_round()
     }
 
@@ -165,21 +171,25 @@ pub trait CoverProcess {
     }
 
     /// Runs until `probe` reports [`finished`](Probe::finished) or
-    /// `max_rounds` total rounds have elapsed, whichever comes first,
-    /// stepping round by round and showing the probe the initial
-    /// configuration and every round's result. Returns whether the probe
-    /// finished.
+    /// `max_rounds` total rounds have elapsed, whichever comes first.
+    /// Returns whether the probe finished.
     ///
-    /// Unlike [`run_observed`](Self::run_observed) this does **not** stop
-    /// at the cover round — the §4 return-time probes need the rounds far
-    /// beyond covering where the limit cycle lives.
+    /// The same horizon loop as [`run_observed`](Self::run_observed):
+    /// `probe` sees the initial configuration, every round it names with
+    /// [`next_round`](Observer::next_round), the round the process first
+    /// covers and, on a timeout, round `max_rounds`, and the process
+    /// [`advance`](Self::advance)s in between. Only the stop test differs:
+    /// this loop does **not** stop at the cover round, since the §4
+    /// return-time probes need the rounds far beyond covering where the
+    /// limit cycle lives.
     fn run_probed(&mut self, max_rounds: u64, probe: &mut impl Probe<Self>) -> bool
     where
         Self: Sized,
     {
         probe.observe(self);
         while !probe.finished() && self.round() < max_rounds {
-            self.step();
+            let now = self.round();
+            self.advance(probe.next_round(now).clamp(now + 1, max_rounds));
             probe.observe(self);
         }
         probe.finished()

@@ -81,7 +81,7 @@ pub struct RingState {
 /// let cover = r.run_until_covered(1_000_000).expect("covers");
 /// assert!(cover <= ((n / 8) * (n / 8) * 8) as u64); // O((n/k)²) regime
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RingRouter {
     n: u32,
     k: u32,
@@ -102,8 +102,33 @@ pub struct RingRouter {
     skip_backoff: u32,
 }
 
+/// A copy starts with empty scratch, and `clone_from` reuses the buffers of
+/// the router it overwrites, so the §4 probes' checkpoints allocate
+/// nothing once warm.
+impl Clone for RingRouter {
+    fn clone(&self) -> Self {
+        RingRouter {
+            dirs: self.dirs.clone(),
+            occ_nodes: self.occ_nodes.clone(),
+            occ_counts: self.occ_counts.clone(),
+            visits: self.visits.clone(),
+            next_occ: SoaList::default(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.dirs.clone_from(&source.dirs);
+        self.occ_nodes.clone_from(&source.occ_nodes);
+        self.occ_counts.clone_from(&source.occ_counts);
+        self.visits.clone_from(&source.visits);
+        (self.n, self.k, self.round) = (source.n, source.k, source.round);
+        (self.skip_wait, self.skip_backoff) = (source.skip_wait, source.skip_backoff);
+    }
+}
+
 /// A sorted occupied list under construction, split nodes/counts.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct SoaList {
     nodes: Vec<u32>,
     counts: Vec<u32>,
@@ -505,7 +530,7 @@ impl RingRouter {
     }
 
     /// Advances every agent `delta` rounds along its straight run, or to
-    /// the cover round if that falls first: flips the bits each run
+    /// the cover round if one falls first: flips the bits each run
     /// leaves, marks its arrivals and moves the agent. `delta` must be at
     /// most the [`straight_horizon`](Self::straight_horizon), so every
     /// occupied node holds one agent.
@@ -585,6 +610,22 @@ impl crate::limit::ConfigSnapshot for RingRouter {
             && self.occ_counts == other.occ_counts
             && self.dirs == other.dirs
     }
+
+    /// `⌈d/k⌉` for `d` direction bits that differ: a node's bit flips at
+    /// most once a round (iff an odd number of agents leave it), and at
+    /// most `k` nodes are occupied.
+    fn rounds_to(&self, c: &RingState) -> u64 {
+        if c.n != self.n {
+            return u64::MAX;
+        }
+        let differ: u64 = self
+            .dirs
+            .iter()
+            .zip(&c.dirs)
+            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+            .sum();
+        differ.div_ceil(u64::from(self.k)).max(1)
+    }
 }
 
 impl crate::CoverProcess for RingRouter {
@@ -601,9 +642,11 @@ impl crate::CoverProcess for RingRouter {
     }
 
     /// Runs straight for the whole horizon `Δ` when `Δ ≥ 8`, and steps
-    /// otherwise (see the module docs).
+    /// otherwise (see the module docs). Past cover a skip only flips the
+    /// runs' bits, since the visit record has nothing left to mark.
     fn advance(&mut self, until: u64) -> u64 {
-        while self.visits.cover_round().is_none() && self.round < until {
+        let covered = self.visits.cover_round().is_some();
+        while self.round < until && (covered || self.visits.cover_round().is_none()) {
             if self.skip_wait > 0 {
                 self.skip_wait -= 1;
             } else if until - self.round >= MIN_SKIP_HORIZON {

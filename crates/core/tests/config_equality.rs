@@ -208,3 +208,55 @@ fn engine_in_place_equality_matches_snapshots() {
     engine_pairs_on(&builders::random_regular(12, 4, 0x5EED), 0xE3);
     engine_pairs_on(&builders::lollipop(4, 3), 0xE4);
 }
+
+/// Along seeded ring trajectories, the direction bits that differ from a
+/// fixed snapshot fall by at most the occupied-node count per round, so
+/// `rounds_to` never overshoots the next round equal to the snapshot.
+#[test]
+fn ring_rounds_to_never_overshoots_an_equal_round() {
+    let mut rng = SmallRng::seed_from_u64(0x0D15_7A7C);
+    let mut equal_rounds_seen = 0;
+    for case in 0..40 {
+        let n = rng.gen_range(3..48usize);
+        let k = rng.gen_range(1..9usize);
+        let starts = random_starts(&mut rng, n, k);
+        let mut r = RingRouter::new(n, &starts, &random_dirs(&mut rng, n));
+        // A snapshot on the trajectory, taken a random number of rounds
+        // in, and the trajectory again from the start.
+        let fresh = r.clone();
+        r.run(rng.gen_range(0..2 * (n * n) as u64));
+        let target = snap(&r);
+        let differ = |p: &RingRouter| {
+            (0..n as u32)
+                .filter(|&v| {
+                    target.dirs[v as usize / 64] >> (v % 64) & 1 != u64::from(p.direction(v))
+                })
+                .count()
+        };
+        let mut p = fresh;
+        let mut bounds = Vec::new();
+        let mut equal = Vec::new();
+        for t in 0..4 * (n * n) as u64 {
+            let (before, occupied) = (differ(&p), p.occupied_nodes().len());
+            bounds.push(p.rounds_to(&target));
+            p.step();
+            assert!(
+                before - differ(&p).min(before) <= occupied,
+                "case {case}, round {t}"
+            );
+            if p.config_eq(&target) {
+                equal.push(t + 1);
+            }
+        }
+        equal_rounds_seen += equal.len();
+        for (t, &bound) in bounds.iter().enumerate() {
+            if let Some(&e) = equal.iter().find(|&&e| e > t as u64) {
+                assert!(
+                    t as u64 + bound <= e,
+                    "case {case}: round {t} bound {bound}, equal at {e}"
+                );
+            }
+        }
+    }
+    assert!(equal_rounds_seen > 40, "the snapshots recur");
+}

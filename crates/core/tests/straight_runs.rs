@@ -217,3 +217,41 @@ fn closed_form_covers_fall_inside_skips() {
         assert_eq!(skip.state(), step.0.state(), "n={n} k={k}");
     }
 }
+
+/// Past cover `advance` runs on to its horizon, skipping as before, and
+/// lands where `run` does; before cover it still stops at the cover round.
+#[test]
+fn advance_past_cover_matches_run() {
+    let failures: Vec<String> = (0..100u64)
+        .map(|i| splitmix64(0x0C0F_E4ED ^ i))
+        .filter_map(|seed| {
+            let c = case(seed);
+            let starts = c.placement.positions(c.n, c.k);
+            let dirs = c.init.ring_directions(c.n, &starts);
+            let mut skip = RingRouter::new(c.n, &starts, &dirs);
+            let cover = PerRound(skip.clone()).run_until_covered(u64::MAX);
+            if skip.advance(u64::MAX) != cover.expect("covers") {
+                return Some(format!(
+                    "seed {seed:#x}: advance passed the cover round ({c:?})"
+                ));
+            }
+            let mut run = skip.clone();
+            let mut d = Draws(splitmix64(seed ^ 0xC0FE));
+            for _ in 0..4 {
+                let gap = 1 + d.below(4 * c.n as u64);
+                let reached = skip.advance(skip.round() + gap);
+                run.run(gap);
+                if reached != run.round()
+                    || skip.state() != run.state()
+                    || skip.visits() != run.visits()
+                {
+                    return Some(format!(
+                        "seed {seed:#x}: differs at round {reached} ({c:?})"
+                    ));
+                }
+            }
+            None
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

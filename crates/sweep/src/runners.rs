@@ -129,9 +129,9 @@ where
 }
 
 /// The `(μ, λ)` limit-cycle structure of one rotor [`Scenario`] (§4),
-/// measured with the [`CycleProbe`](rotor_core::limit::CycleProbe) /
-/// [`TailProbe`](rotor_core::limit::TailProbe) observer passes of
-/// [`limit::probe_cycle`] — so Brent return-time probing runs on *any*
+/// measured with [`limit::probe_cycle`] (a
+/// [`CycleProbe`](rotor_core::limit::CycleProbe) pass, then a bisection
+/// over its checkpoints) — so Brent return-time probing runs on *any*
 /// graph family the scenario layer can build, not just the ring.
 ///
 /// The ring family keeps the [`RingRouter`] fast path (snapshotting

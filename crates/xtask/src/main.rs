@@ -21,7 +21,8 @@
 //!   campaign's canonical `BENCH_<bench>.json` (or `--out`); a report
 //!   with failed cells is written and then exits nonzero;
 //! * `perf-check` — every timing and timing gate (see [`xtask::perf`]):
-//!   prints one line per comparison and exits nonzero when a gate misses;
+//!   prints a machine fingerprint and one line per comparison, and exits
+//!   nonzero when a gate misses;
 //! * `lint [--list-rules] [paths...]` — the determinism contract's text
 //!   rules (see [`xtask::lint`]; clippy checks the rest): walks every
 //!   non-vendor workspace crate (or the given paths), reports findings as
@@ -193,6 +194,7 @@ fn run_perf_check(args: Vec<&str>) -> ExitCode {
     if !args.is_empty() {
         return usage_error("perf-check takes no arguments");
     }
+    println!("{}", perf::fingerprint());
     let (lines, failures) = perf::verdicts(&perf::measure(&perf::FULL), &perf::gates(&perf::FULL));
     for line in &lines {
         println!("{line}");

@@ -21,16 +21,24 @@
 //!   same configuration. Gates: at `k ≤ 16` skipping is at least as fast;
 //!   at `k = n/8`, where it falls back to stepping, it is not shown
 //!   slower.
+//! * `limit_probe/ring_k<k>`: the §4 cycle probe ([`limit::probe_cycle`],
+//!   on horizons with bisected tails) against the [`limit::brent`]
+//!   reference, which steps and snapshots every round and replays the
+//!   tail, from random agents and pointers on a 1024-node ring, ratio
+//!   reference time over probe time. The two must certify the same
+//!   `(μ, λ)`. Gate: the probe is at least as fast.
 //! * `domain_sampler/n<n>`: every-round §2.2 sampling of a ring run
 //!   through the word-wise [`DomainSampler`] against the bit-by-bit
 //!   [`scan_domain_stats`], ratio scan time over sampler time. The two must
 //!   agree sample for sample. Gate: at least 5× faster.
 //! * `engine/<graph>`: [`Engine`] rounds/sec on three standard graphs with
 //!   64 agents, one trial at a time. Reported only.
+//!
+//! A [`fingerprint`] line naming the machine comes before the verdicts.
 
 use rotor_analysis::{bootstrap_median_band, median};
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
-use rotor_core::limit::ConfigSnapshot;
+use rotor_core::limit::{self, ConfigSnapshot};
 use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, Engine, RingRouter};
 use rotor_graph::{builders, NodeId, PortGraph};
 use std::time::Instant;
@@ -56,6 +64,10 @@ pub struct Plan {
     /// `(k, timed rounds)` of each skipping cell; the rounds stay short of
     /// the cover round.
     pub skip_cells: &'static [(usize, u64)],
+    /// Ring size of the cycle-probe cells.
+    pub limit_n: usize,
+    /// Agent counts of the cycle-probe cells.
+    pub limit_ks: &'static [usize],
     /// Ring size and sampled rounds of the §2.2 sampler comparison.
     pub sampler: (usize, u64),
     /// Timed rounds of each `Engine` workload trial.
@@ -68,6 +80,8 @@ pub const FULL: Plan = Plan {
     ring_cells: &[(1, 1 << 20), (16, 1 << 18), (8192, 4096)],
     skip_n: 1 << 16,
     skip_cells: &[(1, 1 << 20), (4, 1 << 19), (16, 1 << 17), (8192, 256)],
+    limit_n: 1024,
+    limit_ks: &[1, 8],
     sampler: (4096, 2048),
     engine_rounds: 4096,
 };
@@ -129,6 +143,12 @@ pub fn gates(plan: &Plan) -> Vec<Gate> {
             miss: format!("straight-run skipping at k = {k} {miss}"),
         });
     }
+    gates.extend(plan.limit_ks.iter().map(|&k| Gate {
+        name: format!("limit_probe/ring_k{k}"),
+        floor: 1000,
+        side: Side::Lower,
+        miss: format!("the cycle probe at k = {k} is not shown at least as fast as brent"),
+    }));
     let n = plan.sampler.0;
     gates.push(Gate {
         name: format!("domain_sampler/n{n}"),
@@ -195,6 +215,7 @@ pub fn measure(plan: &Plan) -> Vec<Measured> {
             .iter()
             .map(|&(k, rounds)| ring_skip(plan.skip_n, k, rounds)),
     );
+    measured.extend(plan.limit_ks.iter().map(|&k| limit_probe(plan.limit_n, k)));
     measured.push(domain_sampler(plan.sampler));
     for (name, g) in [
         ("grid_64x64", builders::grid(64, 64)),
@@ -290,6 +311,63 @@ fn ring_skip(n: usize, k: usize, rounds: u64) -> Measured {
     }
 }
 
+/// [`limit::probe_cycle`] against the [`limit::brent`] reference from
+/// random agents and pointers on an `n`-node ring, each trial from the
+/// same start.
+fn limit_probe(n: usize, k: usize) -> Measured {
+    let starts = Placement::Random(0x5EED).positions(n, k);
+    let dirs = PointerInit::Random(7).ring_directions(n, &starts);
+    let start = RingRouter::new(n, &starts, &dirs);
+    let budget = 1 << 40;
+    let (mut probed, mut reference) = (None, None);
+    let trials = paired(
+        || seconds(|| probed = limit::probe_cycle(|| start.clone(), budget)),
+        || {
+            seconds(|| {
+                reference = limit::brent(
+                    || start.clone(),
+                    RingRouter::step,
+                    RingRouter::state,
+                    budget,
+                );
+            })
+        },
+    );
+    assert!(probed.is_some(), "k = {k}: no cycle certified");
+    assert_eq!(probed, reference, "k = {k}: the probe and brent disagree");
+    Measured {
+        name: format!("limit_probe/ring_k{k}"),
+        unit: "ppt",
+        trials,
+    }
+}
+
+/// The machine a pass runs on, as one line: available parallelism, arch
+/// and OS, and the CPU model and L3 size where `/proc/cpuinfo` and sysfs
+/// have them. It gates nothing.
+pub fn fingerprint() -> String {
+    let parallelism = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter(|l| l.starts_with("model name"))
+                .find_map(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        });
+    let l3 = std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index3/size")
+        .ok()
+        .map(|size| size.trim().to_string());
+    let unknown = || "unknown".to_string();
+    format!(
+        "fingerprint parallelism={parallelism} arch={} os={} cpu={:?} l3={}",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
+        cpu.unwrap_or_else(unknown),
+        l3.unwrap_or_else(unknown),
+    )
+}
+
 /// Every-round §2.2 sampling over `rounds` rounds of an `n`-node ring with
 /// 8 equally spaced agents: the word-wise sampler against the reference
 /// scan, each trial on a fresh router.
@@ -368,6 +446,7 @@ mod tests {
             .map(|k| ratios(&format!("ring_vs_general/k{k}"), &[ring; PAIRS]))
             .into();
         m.extend([1, 4, 16, 8192].map(|k| ratios(&format!("ring_skip/k{k}"), &[ring; PAIRS])));
+        m.extend([1, 8].map(|k| ratios(&format!("limit_probe/ring_k{k}"), &[ring; PAIRS])));
         m.push(ratios("domain_sampler/n4096", &[sampler; PAIRS]));
         m
     }
@@ -376,7 +455,7 @@ mod tests {
     fn a_band_at_or_above_its_floor_passes() {
         let (lines, failures) = verdicts(&all_at(1000, 5000), &gates(&FULL));
         assert_eq!(failures, Vec::<String>::new());
-        assert_eq!(lines.len(), 8);
+        assert_eq!(lines.len(), 10);
         assert!(lines.iter().all(|l| l.contains("pass")), "{lines:?}");
 
         // a spread whose lower bound clears the floor passes too
@@ -430,6 +509,15 @@ mod tests {
     }
 
     #[test]
+    fn the_fingerprint_is_one_line_naming_the_machine() {
+        let line = fingerprint();
+        assert!(line.starts_with("fingerprint parallelism="), "{line}");
+        assert!(line.contains(&format!("arch={}", std::env::consts::ARCH)));
+        assert!(line.contains(" cpu=") && line.contains(" l3="), "{line}");
+        assert!(!line.contains('\n'));
+    }
+
+    #[test]
     fn a_missing_comparison_is_an_error() {
         let mut m = all_at(1400, 20_000);
         m.remove(2);
@@ -448,6 +536,8 @@ mod tests {
             ring_cells: &[(1, 1024), (16, 256), (8192, 64)],
             skip_n: 4096,
             skip_cells: &[(1, 4096), (4, 2048), (16, 1024), (512, 16)],
+            limit_n: 64,
+            limit_ks: &[1, 8],
             sampler: (1024, 256),
             engine_rounds: 64,
         };
@@ -463,6 +553,8 @@ mod tests {
                 "ring_skip/k4",
                 "ring_skip/k16",
                 "ring_skip/k512",
+                "limit_probe/ring_k1",
+                "limit_probe/ring_k8",
                 "domain_sampler/n1024",
                 "engine/grid_64x64",
                 "engine/hypercube_10",
