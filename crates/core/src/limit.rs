@@ -348,14 +348,10 @@ impl<P: ConfigSnapshot + Clone> Observer<P> for CycleProbe<P> {
             self.period = Some(now - self.tortoise_round);
             return;
         }
-        let teleport = now == self.tortoise_round + self.power;
-        if teleport {
+        if now == self.tortoise_round + self.power {
             p.config_into(tortoise);
-        }
-        let to_tortoise = p.rounds_to(tortoise);
-        if teleport {
             // The previous block becomes the one before it: drop the
-            // checkpoints inside it.
+            // checkpoints inside it (there is none before the first).
             let (first, last) = (self.tortoise_round - self.power / 2, self.tortoise_round);
             let from = self.checkpoints.partition_point(|c| c.round() <= first);
             let to = self.checkpoints.partition_point(|c| c.round() < last);
@@ -364,6 +360,7 @@ impl<P: ConfigSnapshot + Clone> Observer<P> for CycleProbe<P> {
             self.tortoise_round = now;
             self.power = self.power.checked_mul(2).expect("power-of-two overflow");
         }
+        let to_tortoise = p.rounds_to(tortoise);
         let stride = (self.power / BLOCK_CHECKPOINTS).max(1);
         let into_block = (now - self.tortoise_round) % stride;
         if into_block == 0 {
